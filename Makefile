@@ -10,7 +10,7 @@ RACE_PKGS = ./internal/engine/ ./internal/runner/ ./internal/sim/ ./internal/xme
 # with, e.g., go test ./internal/tracefile -fuzz FuzzParse -fuzztime 5m.
 FUZZTIME ?= 10s
 
-.PHONY: all vet build test race test-chaos bench bench-stream bench-json fuzz lint check loadtest cluster-demo trace-demo brownout-demo
+.PHONY: all vet build test race test-chaos bench bench-stream bench-json perf perf-compare fuzz lint check loadtest cluster-demo trace-demo brownout-demo
 
 all: check
 
@@ -60,6 +60,26 @@ bench-json:
 	    printf "  {\"bench\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
 	      parts[2], $$2, $$3, $$5, $$7 } \
 	  END { print "\n]" }'
+
+# perf runs the system benchmark BENCHMARK.json declares — its three serving
+# workloads, each in a fresh process, ~37 s a run — through the command the
+# benchmark names, appending one result line per workload to PERF_OUT.
+# perf-compare holds two such files against BENCHMARK.json's bounds and
+# exits 1 when B regressed: make perf PERF_OUT=a.json on one commit,
+# PERF_OUT=b.json on the other, then make perf-compare A=a.json B=b.json.
+# PERF_TRACE=1 gives the per-layer rows (bench/README.md) instead.
+PERF_OUT ?= perf.json
+PERF_SEED ?= 42
+PERF_TRACE ?= 0
+perf:
+	@rm -f $(PERF_OUT)
+	@for w in hit_serve miss_serve fleet_zipf; do \
+		bash bench/run.sh --workload $$w --seed $(PERF_SEED) --trace $(PERF_TRACE) -out $(PERF_OUT) || exit 1; \
+	done
+
+perf-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make perf-compare A=a.json B=b.json"; exit 2; }
+	bash bench/run.sh -compare $(A) $(B)
 
 # lint runs the static analyzers CI runs; both tools are optional locally
 # (install with go install honnef.co/go/tools/cmd/staticcheck@latest and

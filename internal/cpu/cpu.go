@@ -99,6 +99,12 @@ type Thread struct {
 	// it from SMT occupancy and the platform's scalar issue penalty.
 	gapScale float64
 
+	// inflight holds the issue time and work of each demand operation in
+	// the window, named by slot in its completion callback; freeSlots are
+	// the unused ones. Both are sized to the window once.
+	inflight  []inflightOp
+	freeSlots []uint32
+
 	outstanding  int
 	nextReady    events.Time
 	wakePending  bool
@@ -112,6 +118,18 @@ type Thread struct {
 	Stats ThreadStats
 }
 
+type inflightOp struct {
+	issued events.Time
+	work   float64
+}
+
+// Events a thread schedules for itself or hands the hierarchy as a demand
+// operation's completion.
+const (
+	evWake   uint32 = iota // the compute gap before the next operation has elapsed
+	evRetire               // arg: inflight slot of the demand operation whose data arrived
+)
+
 // NewThread builds a thread. window is the maximum number of demand
 // operations kept in flight; gapScale scales compute gaps (≥1).
 func NewThread(sched *events.Scheduler, plat *platform.Platform, hier *memsys.Hierarchy, gen Generator, window int, gapScale float64) *Thread {
@@ -121,15 +139,37 @@ func NewThread(sched *events.Scheduler, plat *platform.Platform, hier *memsys.Hi
 	if gapScale < 1 {
 		gapScale = 1
 	}
-	return &Thread{
-		sched:    sched,
-		clock:    plat.Clock(),
-		hier:     hier,
-		gen:      gen,
-		window:   window,
-		gapScale: gapScale,
-		Stats:    ThreadStats{WindowCap: window},
+	t := &Thread{
+		sched:     sched,
+		clock:     plat.Clock(),
+		hier:      hier,
+		gen:       gen,
+		window:    window,
+		gapScale:  gapScale,
+		inflight:  make([]inflightOp, window),
+		freeSlots: make([]uint32, window),
+		Stats:     ThreadStats{WindowCap: window},
 	}
+	for i := range t.freeSlots {
+		t.freeSlots[i] = uint32(i)
+	}
+	return t
+}
+
+// Fire implements events.Handler.
+func (t *Thread) Fire(kind uint32, arg uint64) {
+	switch kind {
+	case evWake:
+		t.wakePending = false
+	case evRetire:
+		op := t.inflight[arg]
+		t.freeSlots = append(t.freeSlots, uint32(arg))
+		t.outstanding--
+		t.Stats.Retired++
+		t.Stats.Work += op.work
+		t.Stats.LoadLatencyPs += uint64(t.sched.Now() - op.issued)
+	}
+	t.pump()
 }
 
 // Start begins execution. The thread drives itself via scheduler events and
@@ -160,10 +200,7 @@ func (t *Thread) pump() {
 		if now < t.nextReady {
 			if !t.wakePending {
 				t.wakePending = true
-				t.sched.At(t.nextReady, func() {
-					t.wakePending = false
-					t.pump()
-				})
+				t.sched.Schedule(t.nextReady, events.Callback{Target: t, Kind: evWake})
 			}
 			return
 		}
@@ -196,21 +233,18 @@ func (t *Thread) issue(op Op, now events.Time) {
 	work := op.Work
 	switch {
 	case op.Async && (op.Kind == memsys.Load || op.Kind == memsys.Store):
-		t.hier.Access(op.Addr, op.Kind, nil)
+		t.hier.Issue(op.Addr, op.Kind, events.Callback{})
 		t.Stats.Retired++
 		t.Stats.Work += work
 	case op.Kind == memsys.Load || op.Kind == memsys.Store:
 		t.outstanding++
-		t.hier.Access(op.Addr, op.Kind, func() {
-			t.outstanding--
-			t.Stats.Retired++
-			t.Stats.Work += work
-			t.Stats.LoadLatencyPs += uint64(t.sched.Now() - now)
-			t.pump()
-		})
+		slot := t.freeSlots[len(t.freeSlots)-1]
+		t.freeSlots = t.freeSlots[:len(t.freeSlots)-1]
+		t.inflight[slot] = inflightOp{issued: now, work: work}
+		t.hier.Issue(op.Addr, op.Kind, events.Callback{Target: t, Kind: evRetire, Arg: uint64(slot)})
 	default:
 		// Prefetches retire immediately and do not occupy the window.
-		t.hier.Access(op.Addr, op.Kind, nil)
+		t.hier.Issue(op.Addr, op.Kind, events.Callback{})
 		t.Stats.Work += work
 	}
 }

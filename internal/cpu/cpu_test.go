@@ -203,3 +203,58 @@ func TestEmptyGeneratorFinishesImmediately(t *testing.T) {
 		t.Fatalf("finish time = %v, want 0", core.Threads[0].Stats.FinishPs)
 	}
 }
+
+// missGen emits an endless stream of far-apart lines, so nearly every
+// operation goes to memory; one in four is a store, so L1 and L2 evict
+// dirty lines and the writeback path runs too. It allocates nothing.
+type missGen struct{ x uint64 }
+
+func (g *missGen) Next() (Op, bool) {
+	g.x ^= g.x << 13
+	g.x ^= g.x >> 7
+	g.x ^= g.x << 17
+	kind := memsys.Load
+	if g.x&3 == 0 {
+		kind = memsys.Store
+	}
+	return Op{Addr: g.x % (1 << 34) &^ 255, Kind: kind, GapCycles: 2, Work: 1}, true
+}
+
+// TestMissPathAllocs pins the tentpole where the work is: once the queues
+// have reached their steady-state capacity, a demand miss's whole round
+// trip — thread issue, L1 and L2 MSHR allocation, the node's fetch, DRAM
+// arrival, bank service and completion, both fills, the waiters, the
+// thread's retire and re-pump — allocates nothing, with an L3 in the path
+// (SKL) and with a memory-side cache and a far tier (KNL cache mode).
+func TestMissPathAllocs(t *testing.T) {
+	for _, p := range []*platform.Platform{platform.SKL(), platform.KNLCacheMode()} {
+		sched, node := testRig(p)
+		gens := []Generator{&missGen{x: 1}, &missGen{x: 2}}
+		core := NewCore(node, gens, p.DemandWindow, 1)
+		core.Start()
+		step := func() {
+			for i := 0; i < 2000; i++ {
+				if !sched.Step() {
+					t.Fatal("event queue drained; the generators are endless")
+				}
+			}
+		}
+		for i := 0; i < 150; i++ { // warm: fill L1 and L2, grow every queue
+			step()
+		}
+		before := core.Threads[0].Stats.Retired + core.Threads[1].Stats.Retired
+		allocs := testing.AllocsPerRun(50, step)
+		retired := core.Threads[0].Stats.Retired + core.Threads[1].Stats.Retired - before
+		reads := node.DRAM.Stats.Reads
+		if node.SlowDRAM != nil {
+			reads += node.SlowDRAM.Stats.Reads
+		}
+		if retired < 5000 || reads < retired/2 || node.DRAM.Stats.Writes == 0 {
+			t.Fatalf("%s: %d operations retired over %d memory reads and %d writes; the measured steps did not exercise the miss path",
+				p.Name, retired, reads, node.DRAM.Stats.Writes)
+		}
+		if allocs > 0 {
+			t.Errorf("%s: %.0f allocations per 2000 events on the warmed miss path, want 0", p.Name, allocs)
+		}
+	}
+}

@@ -55,90 +55,119 @@ func (c Clock) Cycles(n float64) Duration { return Duration(n*float64(c.period) 
 // ToCycles converts a duration to a (fractional) cycle count.
 func (c Clock) ToCycles(d Duration) float64 { return float64(d) / float64(c.period) }
 
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+// Handler receives the events scheduled for it. kind selects what the
+// target should do and arg carries the event's one word of state (a line
+// address, a slot index); both are the scheduler's to carry and the
+// handler's to interpret. Handlers are long-lived simulation objects with
+// pointer receivers, so scheduling an event for one allocates nothing.
+type Handler interface {
+	Fire(kind uint32, arg uint64)
 }
 
-// eventHeap is a hand-rolled binary min-heap over event values. It exists
-// instead of container/heap because that interface boxes every pushed and
-// popped element into an interface{} — one allocation per scheduled event,
-// which on a full-node run is millions of allocations that this layout
-// makes zero (events live by value in the backing array, which is reused
-// across the whole run).
-type eventHeap []event
+// Func adapts a plain function to Handler. Func values are pointer-shaped,
+// so the conversion to Handler does not allocate either; only the closure
+// itself, if the caller built one, does.
+type Func func()
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// Fire implements Handler.
+func (f Func) Fire(uint32, uint64) { f() }
+
+// Callback is a value-typed continuation: "fire kind on target with arg".
+// It is what rides through queues where a closure used to. The zero
+// Callback means "nobody is waiting".
+type Callback struct {
+	Target Handler
+	Kind   uint32
+	Arg    uint64
 }
 
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	// Sift up.
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+// Call wraps fn as a Callback; a nil fn gives the zero Callback.
+func Call(fn func()) Callback {
+	if fn == nil {
+		return Callback{}
 	}
+	return Callback{Target: Func(fn)}
 }
 
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // release the popped closure for GC
-	s = s[:n]
-	*h = s
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+// Valid reports whether c has a target.
+func (c Callback) Valid() bool { return c.Target != nil }
+
+// Fire invokes the callback now.
+func (c Callback) Fire() { c.Target.Fire(c.Kind, c.Arg) }
+
+// key is what the heap orders and sifts: 24 pointer-free bytes, so a sift
+// moves no pointer and costs no write barrier. (at, seq) is a total order
+// because seq is unique; slot names the payload in Scheduler.slab.
+type key struct {
+	at   Time
+	seq  uint64
+	slot uint32
+}
+
+func (k key) before(o key) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return top
+	return k.seq < o.seq
 }
 
 // Scheduler is a discrete-event simulation engine. The zero value is ready
 // to use and starts at time zero.
+//
+// Pending events are a binary min-heap of keys over a side slab of
+// Callbacks with a free list; all three arrays are reused for the life of
+// the scheduler, so steady-state scheduling allocates nothing. Any correct
+// priority queue over the total order (at, seq) pops the same sequence,
+// which is all the determinism this repository's results rest on.
 type Scheduler struct {
 	now  Time
 	seq  uint64
-	heap eventHeap
+	heap []key
+	slab []Callback
+	free []uint32 // recycled slab slots
 }
 
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics,
-// because it would silently corrupt causality.
-func (s *Scheduler) At(t Time, fn func()) {
+// Schedule queues cb to fire at absolute time t. Scheduling in the past
+// panics, because it would silently corrupt causality.
+func (s *Scheduler) Schedule(t Time, cb Callback) {
 	if t < s.now {
 		panic("events: scheduling an event in the past")
 	}
+	var slot uint32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slab[slot] = cb
+	} else {
+		slot = uint32(len(s.slab))
+		s.slab = append(s.slab, cb)
+	}
 	s.seq++
-	s.heap.push(event{at: t, seq: s.seq, fn: fn})
+	k := key{at: t, seq: s.seq, slot: slot}
+	// Sift up: move later parents down into the hole, then drop k in.
+	h := append(s.heap, k)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !k.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = k
+	s.heap = h
 }
+
+// ScheduleAfter queues cb to fire d picoseconds from now.
+func (s *Scheduler) ScheduleAfter(d Duration, cb Callback) { s.Schedule(s.now+d, cb) }
+
+// At schedules fn to run at absolute time t: Schedule with fn as the
+// handler. A nil fn panics when its time comes.
+func (s *Scheduler) At(t Time, fn func()) { s.Schedule(t, Callback{Target: Func(fn)}) }
 
 // After schedules fn to run d picoseconds from now.
 func (s *Scheduler) After(d Duration, fn func()) { s.At(s.now+d, fn) }
@@ -146,15 +175,50 @@ func (s *Scheduler) After(d Duration, fn func()) { s.At(s.now+d, fn) }
 // Pending reports the number of events not yet dispatched.
 func (s *Scheduler) Pending() int { return len(s.heap) }
 
+// Reset drops every pending event and returns the scheduler to time zero,
+// keeping its arrays. The slab is cleared so that a pooled scheduler does
+// not keep the previous run's handlers alive.
+func (s *Scheduler) Reset() {
+	clear(s.slab)
+	s.now, s.seq = 0, 0
+	s.heap, s.slab, s.free = s.heap[:0], s.slab[:0], s.free[:0]
+}
+
 // Step dispatches the next event, advancing the clock to its timestamp.
 // It reports whether an event was dispatched.
 func (s *Scheduler) Step() bool {
-	if len(s.heap) == 0 {
+	h := s.heap
+	if len(h) == 0 {
 		return false
 	}
-	e := s.heap.pop()
-	s.now = e.at
-	e.fn()
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	s.heap = h
+	// Sift down: move the earlier child up into the hole until last fits.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	cb := s.slab[top.slot]
+	s.free = append(s.free, top.slot)
+	s.now = top.at
+	cb.Fire()
 	return true
 }
 

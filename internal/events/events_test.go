@@ -158,3 +158,134 @@ func TestTimeConversions(t *testing.T) {
 		t.Fatalf("Seconds() = %v, want 2", got)
 	}
 }
+
+// orderProbe drives one seeded random schedule and logs it: every event
+// scheduled gets the next id (which is therefore its seq), and firing
+// appends the id to fired. Events are a mix of typed events on the probe
+// and plain funcs through the At/After adapter; when one fires it may
+// schedule a burst of further events at the current instant, a burst at
+// one later instant, or a scatter.
+type orderProbe struct {
+	s     Scheduler
+	rng   *rand.Rand
+	at    []Time // at[id] = the time event id was scheduled for
+	fired []int
+	quota int // events still allowed to be scheduled
+}
+
+func (p *orderProbe) schedule(t Time) {
+	if p.quota == 0 {
+		return
+	}
+	p.quota--
+	id := len(p.at)
+	p.at = append(p.at, t)
+	if p.rng.Intn(2) == 0 {
+		p.s.Schedule(t, Callback{Target: p, Kind: uint32(id % 7), Arg: uint64(id)})
+	} else {
+		p.s.At(t, func() { p.Fire(0, uint64(id)) })
+	}
+}
+
+func (p *orderProbe) Fire(_ uint32, arg uint64) {
+	p.fired = append(p.fired, int(arg))
+	now := p.s.Now()
+	switch p.rng.Intn(4) {
+	case 0: // events scheduling events at now
+		for n := p.rng.Intn(4); n > 0; n-- {
+			p.schedule(now)
+		}
+	case 1: // a burst at one later instant
+		t := now + Time(p.rng.Intn(50))
+		for n := p.rng.Intn(6); n > 0; n-- {
+			p.schedule(t)
+		}
+	case 2: // scatter
+		for n := p.rng.Intn(3); n > 0; n-- {
+			p.schedule(now + Time(p.rng.Intn(200)))
+		}
+	}
+}
+
+// TestFiringOrderMatchesStableSort is the determinism proof for the event
+// queue: whatever its layout, it must fire in exactly the order a stable
+// sort by time of the scheduling log gives — (at, seq) being a total
+// order, that order is unique, so simulated results cannot depend on how
+// the queue is built.
+func TestFiringOrderMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		p := &orderProbe{rng: rand.New(rand.NewSource(seed)), quota: 2000}
+		for n := 1 + p.rng.Intn(40); n > 0; n-- {
+			p.schedule(Time(p.rng.Intn(100)))
+		}
+		for n := p.rng.Intn(30); n > 0; n-- { // an opening burst at one instant
+			p.schedule(17)
+		}
+		switch seed % 3 {
+		case 0:
+			p.s.Run()
+		case 1: // RunUntil in slices must not perturb the order
+			for p.s.Pending() > 0 {
+				p.s.RunUntil(p.s.Now() + 13)
+			}
+		case 2:
+			p.s.RunWhile(func() bool { return true })
+		}
+		if len(p.fired) != len(p.at) || p.s.Pending() != 0 {
+			t.Fatalf("seed %d: fired %d of %d scheduled, %d pending", seed, len(p.fired), len(p.at), p.s.Pending())
+		}
+		want := make([]int, len(p.at))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return p.at[want[i]] < p.at[want[j]] })
+		for i := range want {
+			if p.fired[i] != want[i] {
+				t.Fatalf("seed %d: firing #%d was event %d (t=%d), reference order has %d (t=%d)",
+					seed, i, p.fired[i], p.at[p.fired[i]], want[i], p.at[want[i]])
+			}
+		}
+	}
+}
+
+// TestTypedEventsKeepTheSchedulerContracts: Schedule panics on the past
+// like At does, and Pending, RunUntil, RunWhile and Reset treat typed
+// events and funcs alike.
+func TestTypedEventsKeepTheSchedulerContracts(t *testing.T) {
+	var s Scheduler
+	p := &orderProbe{rng: rand.New(rand.NewSource(1))}
+	for i := 1; i <= 6; i++ {
+		s.Schedule(Time(10*i), Callback{Target: p, Arg: uint64(i)})
+	}
+	if s.Pending() != 6 {
+		t.Fatalf("Pending() = %d, want 6", s.Pending())
+	}
+	s.RunUntil(30)
+	if len(p.fired) != 3 || s.Now() != 30 || s.Pending() != 3 {
+		t.Fatalf("RunUntil(30): fired %v, now %d, pending %d", p.fired, s.Now(), s.Pending())
+	}
+	s.RunWhile(func() bool { return len(p.fired) < 5 })
+	if len(p.fired) != 5 || s.Pending() != 1 {
+		t.Fatalf("RunWhile: fired %v, pending %d", p.fired, s.Pending())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Schedule in the past did not panic")
+			}
+		}()
+		s.Schedule(s.Now()-1, Callback{Target: p})
+	}()
+	s.Reset()
+	if s.Pending() != 0 || s.Now() != 0 || s.Step() {
+		t.Fatalf("Reset left now=%d pending=%d", s.Now(), s.Pending())
+	}
+	s.ScheduleAfter(5, Callback{Target: p, Arg: 9})
+	s.Run()
+	if s.Now() != 5 || p.fired[len(p.fired)-1] != 9 {
+		t.Fatalf("scheduler unusable after Reset: now %d, fired %v", s.Now(), p.fired)
+	}
+	if Call(nil).Valid() || !Call(func() {}).Valid() {
+		t.Fatal("Call(nil) must be the zero Callback and Call(fn) a valid one")
+	}
+}

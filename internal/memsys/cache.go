@@ -1,5 +1,7 @@
 package memsys
 
+import "math"
+
 // CacheStats counts cache activity over a measurement window.
 type CacheStats struct {
 	Hits       uint64
@@ -18,16 +20,20 @@ func (s CacheStats) MissRatio() float64 {
 	return float64(s.Misses) / float64(total)
 }
 
-type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
-
 // Cache is a set-associative, write-back, write-allocate cache with LRU
 // replacement. It operates on line addresses; timing lives in Hierarchy.
+//
+// The whole cache is one flat array of words, sets × ways, plus a fill count
+// per set: set i owns words [i·ways, i·ways+fill[i]), ordered MRU-first.
+// A word is the line address shifted left one bit with the dirty flag in
+// bit 0 — eight bytes a way, so a 16-way set is two host cache lines — and
+// validity is the fill count, so emptying the cache clears the counts and
+// touches no way. Line addresses therefore use at most 63 bits, which any
+// line size of two bytes or more guarantees.
 type Cache struct {
-	sets    [][]way // each set ordered MRU-first
+	words   []uint64
+	fill    []uint16
+	ways    int
 	setMask uint64
 	Stats   CacheStats
 }
@@ -38,55 +44,69 @@ func NewCache(setCount, ways int) *Cache {
 	if setCount <= 0 || setCount&(setCount-1) != 0 {
 		panic("memsys: cache set count must be a positive power of two")
 	}
-	if ways <= 0 {
-		panic("memsys: cache ways must be positive")
+	if ways <= 0 || ways > math.MaxUint16 {
+		panic("memsys: cache ways must be in 1..65535")
 	}
-	c := &Cache{sets: make([][]way, setCount), setMask: uint64(setCount - 1)}
-	for i := range c.sets {
-		c.sets[i] = make([]way, 0, ways)
+	return &Cache{
+		words:   make([]uint64, setCount*ways),
+		fill:    make([]uint16, setCount),
+		ways:    ways,
+		setMask: uint64(setCount - 1),
 	}
-	return c
 }
 
 // ResetStats clears counters without touching cache contents.
 func (c *Cache) ResetStats() { c.Stats = CacheStats{} }
 
-// Reset empties the cache and clears counters, keeping the per-set way
-// arrays allocated so a pooled hierarchy can reuse them.
+// Reset empties the cache and clears counters, keeping its arrays so a
+// pooled hierarchy or node can reuse them.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
+	clear(c.fill)
 	c.Stats = CacheStats{}
 }
 
-func (c *Cache) set(line Line) *[]way { return &c.sets[uint64(line)&c.setMask] }
-func (c *Cache) tag(line Line) uint64 { return uint64(line) >> 0 } // full line address as tag
+// set returns the resident words of line's set, MRU-first, with capacity
+// for the whole set, and the set's index.
+func (c *Cache) set(line Line) ([]uint64, uint64) {
+	si := uint64(line) & c.setMask
+	base := int(si) * c.ways
+	return c.words[base : base+int(c.fill[si]) : base+c.ways], si
+}
+
+// find returns the position of line in set, or -1.
+func find(set []uint64, line Line) int {
+	for i, w := range set {
+		if w>>1 == uint64(line) {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch moves set[i] to the MRU position, setting its dirty bit if dirty.
+func touch(set []uint64, i int, dirty bool) {
+	w := set[i]
+	if dirty {
+		w |= 1
+	}
+	copy(set[1:i+1], set[:i])
+	set[0] = w
+}
 
 // Probe reports whether line is present without updating LRU or stats.
 func (c *Cache) Probe(line Line) bool {
-	for _, w := range *c.set(line) {
-		if w.valid && w.tag == c.tag(line) {
-			return true
-		}
-	}
-	return false
+	set, _ := c.set(line)
+	return find(set, line) >= 0
 }
 
 // Access looks up line, updating LRU and hit/miss statistics. A write hit
 // marks the line dirty. It reports whether the access hit.
 func (c *Cache) Access(line Line, write bool) bool {
-	set := c.set(line)
-	tag := c.tag(line)
-	for i, w := range *set {
-		if w.valid && w.tag == tag {
-			// Move to MRU position.
-			copy((*set)[1:i+1], (*set)[:i])
-			w.dirty = w.dirty || write
-			(*set)[0] = w
-			c.Stats.Hits++
-			return true
-		}
+	set, _ := c.set(line)
+	if i := find(set, line); i >= 0 {
+		touch(set, i, write)
+		c.Stats.Hits++
+		return true
 	}
 	c.Stats.Misses++
 	return false
@@ -97,52 +117,52 @@ func (c *Cache) Access(line Line, write bool) bool {
 // dirty (requiring a writeback). Filling a line that is already present
 // only updates its dirty bit.
 func (c *Cache) Fill(line Line, dirty bool) (victim Line, writeback bool) {
-	set := c.set(line)
-	tag := c.tag(line)
-	for i, w := range *set {
-		if w.valid && w.tag == tag {
-			copy((*set)[1:i+1], (*set)[:i])
-			w.dirty = w.dirty || dirty
-			(*set)[0] = w
-			return 0, false
-		}
+	set, si := c.set(line)
+	if i := find(set, line); i >= 0 {
+		touch(set, i, dirty)
+		return 0, false
 	}
 	c.Stats.Fills++
-	if len(*set) < cap(*set) {
-		*set = append(*set, way{})
-		copy((*set)[1:], (*set)[:len(*set)-1])
-		(*set)[0] = way{tag: tag, valid: true, dirty: dirty}
+	word := uint64(line) << 1
+	if dirty {
+		word |= 1
+	}
+	if len(set) < cap(set) {
+		c.fill[si]++
+		set = set[:len(set)+1]
+		copy(set[1:], set)
+		set[0] = word
 		return 0, false
 	}
 	// Evict LRU (last element).
-	v := (*set)[len(*set)-1]
-	copy((*set)[1:], (*set)[:len(*set)-1])
-	(*set)[0] = way{tag: tag, valid: true, dirty: dirty}
+	v := set[len(set)-1]
+	copy(set[1:], set)
+	set[0] = word
 	c.Stats.Evictions++
-	if v.dirty {
+	if v&1 != 0 {
 		c.Stats.Writebacks++
 	}
-	return Line(v.tag), v.dirty
+	return Line(v >> 1), v&1 != 0
 }
 
 // Invalidate removes line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(line Line) (present, dirty bool) {
-	set := c.set(line)
-	tag := c.tag(line)
-	for i, w := range *set {
-		if w.valid && w.tag == tag {
-			*set = append((*set)[:i], (*set)[i+1:]...)
-			return true, w.dirty
-		}
+	set, si := c.set(line)
+	i := find(set, line)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	w := set[i]
+	copy(set[i:], set[i+1:])
+	c.fill[si]--
+	return true, w&1 != 0
 }
 
 // Len returns the number of resident lines (for tests).
 func (c *Cache) Len() int {
 	n := 0
-	for _, s := range c.sets {
-		n += len(s)
+	for _, f := range c.fill {
+		n += int(f)
 	}
 	return n
 }

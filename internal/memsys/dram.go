@@ -42,11 +42,16 @@ func (s DRAMStats) RowHitFraction() float64 {
 	return float64(s.RowHits) / float64(t)
 }
 
+// dramReq is one request in flight at the device. Requests live by value
+// in DRAM.reqs for their whole life and are named by their index there:
+// in event arguments, and in the bank queues.
 type dramReq struct {
 	row    uint64
+	ch, bk uint32
 	write  bool
-	done   func()
+	done   events.Callback
 	arrive events.Time
+	lat    events.Duration // read round trip, fixed when the bank picks it
 }
 
 type bank struct {
@@ -54,13 +59,20 @@ type bank struct {
 	openRow   uint64
 	hasRow    bool
 	hitStreak int
-	queue     []dramReq
+	queue     []uint32 // indices into DRAM.reqs, oldest first
 }
 
 type channel struct {
 	busFreeAt events.Time
 	banks     []bank
 }
+
+// Events the device schedules for itself.
+const (
+	evArrive   uint32 = iota // arg: request reaches the controller
+	evBankFree               // arg: channel<<32 | bank finishes its occupancy window
+	evReadDone               // arg: request's data is back at the requester
+)
 
 // DRAM models the node's memory device (DDR4, MCDRAM or HBM2) as
 // address-interleaved channels, each with a shared data bus and independent
@@ -70,14 +82,14 @@ type channel struct {
 // from this queueing rather than from a fitted formula.
 type DRAM struct {
 	sched       *events.Scheduler
-	cfg         platform.MemoryConfig
-	lineBytes   int
 	linesPerRow uint64
 	basePs      events.Duration
 	rowHitPs    events.Duration
 	rowMissPs   events.Duration
 	transferPs  events.Duration
 	chans       []channel
+	reqs        []dramReq
+	freeReqs    []uint32 // recycled reqs slots
 
 	// Occ tracks outstanding read requests at the device, time-weighted.
 	Occ   queueing.OccupancyStat
@@ -90,23 +102,46 @@ const maxHitStreak = 16
 
 // NewDRAM builds the memory device for a platform.
 func NewDRAM(sched *events.Scheduler, p *platform.Platform) *DRAM {
-	m := p.Memory
-	d := &DRAM{
-		sched:       sched,
-		cfg:         m,
-		lineBytes:   p.LineBytes,
-		linesPerRow: uint64(m.RowBytes / p.LineBytes),
-		basePs:      events.FromNanoseconds(m.BaseLatencyNs),
-		rowHitPs:    events.FromNanoseconds(m.RowHitNs),
-		rowMissPs:   events.FromNanoseconds(m.RowMissNs),
-		transferPs:  events.FromNanoseconds(m.TransferNs(p.LineBytes)),
-		chans:       make([]channel, m.Channels),
-	}
+	return newDRAM(sched, p.Memory, p.LineBytes)
+}
+
+func newDRAM(sched *events.Scheduler, m platform.MemoryConfig, lineBytes int) *DRAM {
+	d := &DRAM{chans: make([]channel, m.Channels)}
 	for i := range d.chans {
 		d.chans[i].banks = make([]bank, m.BanksPerChannel)
 	}
-	d.Occ.Reset(sched.Now())
+	d.attach(sched, m, lineBytes)
 	return d
+}
+
+// attach binds an idle device to sched and takes its timing from m, which
+// must have the channel and bank counts the device was built with.
+func (d *DRAM) attach(sched *events.Scheduler, m platform.MemoryConfig, lineBytes int) {
+	d.sched = sched
+	d.linesPerRow = uint64(m.RowBytes / lineBytes)
+	d.basePs = events.FromNanoseconds(m.BaseLatencyNs)
+	d.rowHitPs = events.FromNanoseconds(m.RowHitNs)
+	d.rowMissPs = events.FromNanoseconds(m.RowMissNs)
+	d.transferPs = events.FromNanoseconds(m.TransferNs(lineBytes))
+	d.Occ.Reset(sched.Now())
+}
+
+// Reset returns the device to idle — banks closed, queues and in-flight
+// requests dropped (a pooled run may have been abandoned mid-flight) — and
+// drops its scheduler, keeping every array for the next attach.
+func (d *DRAM) Reset() {
+	for ci := range d.chans {
+		ch := &d.chans[ci]
+		ch.busFreeAt = 0
+		for bi := range ch.banks {
+			ch.banks[bi] = bank{queue: ch.banks[bi].queue[:0]}
+		}
+	}
+	clear(d.reqs) // drop the callbacks' targets
+	d.reqs, d.freeReqs = d.reqs[:0], d.freeReqs[:0]
+	d.sched = nil
+	d.Occ = queueing.OccupancyStat{}
+	d.Stats = DRAMStats{}
 }
 
 // ResetStats clears counters and restarts occupancy tracking at now.
@@ -133,14 +168,12 @@ func mix64(x uint64) uint64 {
 // share a row until it is exhausted, giving streams row-buffer locality;
 // the bank is a hash of the row so that concurrent streams spread across
 // the bank-level parallelism.
-func (d *DRAM) route(line Line) (ch *channel, bk *bank, row uint64) {
+func (d *DRAM) route(line Line) (ch, bk uint32, row uint64) {
 	nc := uint64(len(d.chans))
 	ci := uint64(line) % nc
 	inChan := uint64(line) / nc
 	row = inChan / d.linesPerRow
-	ch = &d.chans[ci]
-	bk = &ch.banks[mix64(row)%uint64(len(ch.banks))]
-	return ch, bk, row
+	return uint32(ci), uint32(mix64(row) % uint64(len(d.chans[ci].banks))), row
 }
 
 // Access presents one line request to the device. For reads, done (if
@@ -149,6 +182,12 @@ func (d *DRAM) route(line Line) (ch *channel, bk *bank, row uint64) {
 //
 //	base (interconnect round trip) + bank queue + bank service + bus queue + transfer
 func (d *DRAM) Access(line Line, write bool, done func()) {
+	d.request(line, write, events.Call(done))
+}
+
+// request is Access with a value-typed continuation, which is how the
+// hierarchy and node call it: the per-miss path builds no closure.
+func (d *DRAM) request(line Line, write bool, done events.Callback) {
 	now := d.sched.Now()
 	ch, bk, row := d.route(line)
 
@@ -159,20 +198,49 @@ func (d *DRAM) Access(line Line, write bool, done func()) {
 		d.Occ.Arrive(now)
 	}
 
-	req := dramReq{row: row, write: write, done: done, arrive: now}
+	req := dramReq{row: row, ch: ch, bk: bk, write: write, done: done, arrive: now}
+	var ri uint32
+	if n := len(d.freeReqs); n > 0 {
+		ri = d.freeReqs[n-1]
+		d.freeReqs = d.freeReqs[:n-1]
+		d.reqs[ri] = req
+	} else {
+		ri = uint32(len(d.reqs))
+		d.reqs = append(d.reqs, req)
+	}
 	// The request reaches the controller after half the base round trip.
-	d.sched.After(d.basePs/2, func() {
-		bk.queue = append(bk.queue, req)
+	d.sched.ScheduleAfter(d.basePs/2, events.Callback{Target: d, Kind: evArrive, Arg: uint64(ri)})
+}
+
+// Fire implements events.Handler.
+func (d *DRAM) Fire(kind uint32, arg uint64) {
+	switch kind {
+	case evArrive:
+		req := &d.reqs[arg]
+		bk := &d.chans[req.ch].banks[req.bk]
+		bk.queue = append(bk.queue, uint32(arg))
 		if !bk.busy {
-			d.serviceBank(ch, bk)
+			d.serviceBank(req.ch, req.bk)
 		}
-	})
+	case evBankFree:
+		d.serviceBank(uint32(arg>>32), uint32(arg))
+	case evReadDone:
+		// done may issue the next request into the slot freed here.
+		req := d.reqs[arg]
+		d.freeReqs = append(d.freeReqs, uint32(arg))
+		d.Occ.Depart(d.sched.Now(), req.lat)
+		if req.done.Valid() {
+			req.done.Fire()
+		}
+	}
 }
 
 // serviceBank picks the next request for an idle bank (row-hit-first with
 // a starvation cap), reserves the bank and bus, and schedules completion
 // and the next scheduling round.
-func (d *DRAM) serviceBank(ch *channel, bk *bank) {
+func (d *DRAM) serviceBank(ci, bi uint32) {
+	ch := &d.chans[ci]
+	bk := &ch.banks[bi]
 	if len(bk.queue) == 0 {
 		bk.busy = false
 		return
@@ -183,15 +251,16 @@ func (d *DRAM) serviceBank(ch *channel, bk *bank) {
 	// which case the oldest request wins (guaranteeing progress).
 	pick := 0
 	if bk.hasRow && bk.hitStreak < maxHitStreak {
-		for i := range bk.queue {
-			if bk.queue[i].row == bk.openRow {
+		for i, ri := range bk.queue {
+			if d.reqs[ri].row == bk.openRow {
 				pick = i
 				break
 			}
 		}
 	}
-	req := bk.queue[pick]
+	ri := bk.queue[pick]
 	bk.queue = append(bk.queue[:pick], bk.queue[pick+1:]...)
+	req := &d.reqs[ri]
 
 	now := d.sched.Now()
 	var access, occupancy events.Duration
@@ -219,21 +288,17 @@ func (d *DRAM) serviceBank(ch *channel, bk *bank) {
 	ch.busFreeAt = busDone
 	d.Stats.BusWaitPs += uint64(busStart - dataReady)
 
-	d.sched.At(bankFree, func() { d.serviceBank(ch, bk) })
+	d.sched.Schedule(bankFree, events.Callback{Target: d, Kind: evBankFree, Arg: uint64(ci)<<32 | uint64(bi)})
 
 	completeAt := busDone + d.basePs/2
 	if req.write {
-		if req.done != nil {
-			d.sched.At(completeAt, req.done)
+		if req.done.Valid() {
+			d.sched.Schedule(completeAt, req.done)
 		}
+		d.freeReqs = append(d.freeReqs, ri)
 		return
 	}
-	lat := completeAt - req.arrive
-	d.Stats.LatencyPs += uint64(lat)
-	d.sched.At(completeAt, func() {
-		d.Occ.Depart(d.sched.Now(), lat)
-		if req.done != nil {
-			req.done()
-		}
-	})
+	req.lat = completeAt - req.arrive
+	d.Stats.LatencyPs += uint64(req.lat)
+	d.sched.Schedule(completeAt, events.Callback{Target: d, Kind: evReadDone, Arg: uint64(ri)})
 }

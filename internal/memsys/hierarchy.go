@@ -41,8 +41,9 @@ func (s HierarchyStats) PrefetchedReadFraction() float64 {
 }
 
 // Node is the memory system shared by all cores: the memory device and,
-// on Skylake, the shared L3. A Node is created once per simulated machine
-// and each core attaches a Hierarchy to it.
+// on Skylake, the shared L3. A simulated machine has one Node — built by
+// NewNode on the caller's scheduler, or rented with a scheduler of its own
+// from AcquireNode — and each core attaches a Hierarchy to it.
 //
 // When the platform configures a memory-side cache (KNL cache mode), DRAM
 // is the fast tier, SlowDRAM the backing store, and a direct-mapped
@@ -67,30 +68,65 @@ type Node struct {
 
 // NewNode builds the shared memory side for a platform.
 func NewNode(sched *events.Scheduler, p *platform.Platform) *Node {
-	n := &Node{
-		Sched:     sched,
-		Plat:      p,
-		DRAM:      NewDRAM(sched, p),
-		lineShift: uint(bits.TrailingZeros(uint(p.LineBytes))),
-	}
+	n := &Node{Sched: sched}
 	if p.L3 != nil {
 		n.L3 = NewCache(p.L3.Sets(p.LineBytes), p.L3.Ways)
-		n.l3HitPs = p.Clock().Cycles(p.L3.HitCycles)
 	}
 	if mc := p.MemCache; mc != nil {
-		fast := *p
-		fast.Memory = mc.Fast
-		n.DRAM = NewDRAM(sched, &fast)
-		n.SlowDRAM = NewDRAM(sched, p)
-		sets := mc.SizeBytes / p.LineBytes
-		// Round down to a power of two for masking.
-		for sets&(sets-1) != 0 {
-			sets &= sets - 1
-		}
-		n.mcTags = make([]uint64, sets)
-		n.mcSetMask = uint64(sets - 1)
+		n.DRAM = newDRAM(sched, mc.Fast, p.LineBytes)
+		n.SlowDRAM = newDRAM(sched, p.Memory, p.LineBytes)
+		n.mcTags = make([]uint64, mcSets(p))
+		n.mcSetMask = uint64(len(n.mcTags) - 1)
+	} else {
+		n.DRAM = newDRAM(sched, p.Memory, p.LineBytes)
 	}
+	n.attach(p)
 	return n
+}
+
+// mcSets returns the memory-side cache's set count: its capacity in lines,
+// rounded down to a power of two for masking.
+func mcSets(p *platform.Platform) int {
+	sets := p.MemCache.SizeBytes / p.LineBytes
+	for sets&(sets-1) != 0 {
+		sets &= sets - 1
+	}
+	return sets
+}
+
+// attach points an idle node at platform p, which must have the geometry
+// (nodeGeomOf) the node was built with, and takes every timing from it.
+func (n *Node) attach(p *platform.Platform) {
+	n.Plat = p
+	n.lineShift = uint(bits.TrailingZeros(uint(p.LineBytes)))
+	if n.L3 != nil {
+		n.l3HitPs = p.Clock().Cycles(p.L3.HitCycles)
+	}
+	if n.SlowDRAM != nil {
+		n.DRAM.attach(n.Sched, p.MemCache.Fast, p.LineBytes)
+		n.SlowDRAM.attach(n.Sched, p.Memory, p.LineBytes)
+	} else {
+		n.DRAM.attach(n.Sched, p.Memory, p.LineBytes)
+	}
+}
+
+// Reset returns the node to the state NewNode leaves it in, short of the
+// platform binding attach restores: its scheduler emptied and back at time
+// zero, the L3 and the memory-side tags empty, both devices idle, counters
+// zero. It is sound after a run abandoned mid-flight, and it leaves the
+// node holding no reference to the run that used it.
+func (n *Node) Reset() {
+	n.Sched.Reset()
+	n.Plat = nil
+	if n.L3 != nil {
+		n.L3.Reset()
+	}
+	n.DRAM.Reset()
+	if n.SlowDRAM != nil {
+		n.SlowDRAM.Reset()
+		clear(n.mcTags)
+		n.MCHits, n.MCMisses = 0, 0
+	}
 }
 
 // mcLookup probes and updates the memory-side cache for line, returning
@@ -134,51 +170,64 @@ func (n *Node) MCHitFraction() float64 {
 	return float64(n.MCHits) / float64(t)
 }
 
-// fetch retrieves line from beyond a core's L2: L3 if present, then memory
-// (through the memory-side cache when configured). onData fires when the
-// line arrives at the requesting L2.
-func (n *Node) fetch(line Line, onData func()) {
+// fetch retrieves line from beyond h's L2: L3 if present, then memory
+// (through the memory-side cache when configured). h hears evFillL2,
+// evMemData or evFarMemData when the line arrives, according to where it
+// came from.
+func (n *Node) fetch(line Line, h *Hierarchy) {
 	if n.L3 != nil && n.L3.Access(line, false) {
-		n.Sched.After(n.l3HitPs, onData)
+		n.Sched.ScheduleAfter(n.l3HitPs, events.Callback{Target: h, Kind: evFillL2, Arg: uint64(line)})
 		return
-	}
-	deliver := func() {
-		if n.L3 != nil {
-			if victim, dirty := n.L3.Fill(line, false); dirty {
-				n.DRAM.Access(victim, true, nil)
-			}
-		}
-		onData()
 	}
 	if n.SlowDRAM != nil && !n.mcLookup(line) {
-		// Memory-side cache miss: the far tier services the request; the
-		// fill into the fast tier rides in the background.
-		n.SlowDRAM.Access(line, false, func() {
-			n.DRAM.Access(line, true, nil)
-			deliver()
-		})
+		// Memory-side cache miss: the far tier services the request.
+		n.SlowDRAM.request(line, false, events.Callback{Target: h, Kind: evFarMemData, Arg: uint64(line)})
 		return
 	}
-	n.DRAM.Access(line, false, deliver)
+	n.DRAM.request(line, false, events.Callback{Target: h, Kind: evMemData, Arg: uint64(line)})
+}
+
+// install places a line arriving from memory in the L3, if there is one.
+func (n *Node) install(line Line) {
+	if n.L3 != nil {
+		if victim, dirty := n.L3.Fill(line, false); dirty {
+			n.DRAM.request(victim, true, events.Callback{})
+		}
+	}
 }
 
 // writeback sends a dirty line from a core's L2 toward memory.
 func (n *Node) writeback(line Line) {
 	if n.L3 != nil {
 		if victim, dirty := n.L3.Fill(line, true); dirty {
-			n.DRAM.Access(victim, true, nil)
+			n.DRAM.request(victim, true, events.Callback{})
 		}
 		return
 	}
-	n.DRAM.Access(line, true, nil)
+	n.DRAM.request(line, true, events.Callback{})
 }
 
 type pendingReq struct {
 	line  Line
 	kind  Kind
-	done  func()
+	done  events.Callback
 	since events.Time
 }
+
+// Events a hierarchy schedules for itself, or hears from the node and the
+// memory devices. arg is the line address; evL2Lookup and evFillL1 also
+// carry the access Kind above the low byte of the event kind.
+const (
+	evL2Lookup   uint32 = iota // L1 lookup missed: present the line to the L2
+	evFetch                    // L2 lookup missed: fetch the line from the node
+	evFillL2                   // the line arrived from the L3
+	evMemData                  // the line arrived from memory
+	evFarMemData               // the line arrived from the far tier behind the memory-side cache
+	evFillL1                   // the line is in the L2: fill the L1
+
+	evKindShift = 8
+	evMask      = 1<<evKindShift - 1
+)
 
 // Hierarchy is one core's private memory hierarchy: L1 and L2 caches with
 // their MSHR files and the L2 hardware stream prefetcher, attached to the
@@ -216,21 +265,31 @@ type Hierarchy struct {
 // NewHierarchy attaches a fresh core hierarchy to node.
 func NewHierarchy(node *Node) *Hierarchy {
 	p := node.Plat
-	clk := p.Clock()
 	h := &Hierarchy{
-		node:      node,
-		L1:        NewCache(p.L1.Sets(p.LineBytes), p.L1.Ways),
-		L2:        NewCache(p.L2.Sets(p.LineBytes), p.L2.Ways),
-		L1M:       NewMSHR(node.Sched, p.L1.MSHRs),
-		L2M:       NewMSHR(node.Sched, p.L2.MSHRs),
-		l1HitPs:   clk.Cycles(p.L1.HitCycles),
-		l2HitPs:   clk.Cycles(p.L2.HitCycles),
-		maxSWPend: p.L2.MSHRs,
+		L1:  NewCache(p.L1.Sets(p.LineBytes), p.L1.Ways),
+		L2:  NewCache(p.L2.Sets(p.LineBytes), p.L2.Ways),
+		L1M: NewMSHR(node.Sched, p.L1.MSHRs),
+		L2M: NewMSHR(node.Sched, p.L2.MSHRs),
 	}
 	h.PF = NewStreamPrefetcher(p.Prefetcher, p.LineBytes, func(line Line) {
-		h.l2Request(line, hwPrefetch, nil)
+		h.l2Request(line, hwPrefetch, events.Callback{})
 	})
+	h.attach(node)
 	return h
+}
+
+// attach binds an empty hierarchy to node, whose platform must have the
+// cache geometry and prefetcher configuration (geomOf) the hierarchy was
+// built with, and takes its timing from that platform.
+func (h *Hierarchy) attach(node *Node) {
+	p := node.Plat
+	clk := p.Clock()
+	h.node = node
+	h.L1M.attach(node.Sched)
+	h.L2M.attach(node.Sched)
+	h.l1HitPs = clk.Cycles(p.L1.HitCycles)
+	h.l2HitPs = clk.Cycles(p.L2.HitCycles)
+	h.maxSWPend = p.L2.MSHRs
 }
 
 // ResetStats clears all counters on the core, preserving cache and MSHR state.
@@ -243,35 +302,24 @@ func (h *Hierarchy) ResetStats() {
 	h.PF.ResetStats()
 }
 
-// Reset rebinds the hierarchy to node and restores it to the state
-// NewHierarchy would produce, keeping every allocated array (cache ways,
-// MSHR entries, prefetcher table, pending queues) so a pooled hierarchy
-// serves a new run without reconstruction. node must have the same cache
-// geometry and prefetcher configuration as the hierarchy was built with;
-// timing parameters are recomputed from node's platform.
-func (h *Hierarchy) Reset(node *Node) {
-	p := node.Plat
-	clk := p.Clock()
-	h.node = node
+// Reset returns the hierarchy to the state NewHierarchy leaves it in, short
+// of the node binding attach restores, keeping every allocated array (cache
+// ways, MSHR entries, prefetcher table, pending queues) so a pooled
+// hierarchy serves a new run without reconstruction. It is sound after a
+// run abandoned mid-flight, and it leaves the hierarchy holding no
+// reference to the node or the threads of the run that used it.
+func (h *Hierarchy) Reset() {
+	h.node = nil
 	h.L1.Reset()
 	h.L2.Reset()
-	h.L1M.Reset(node.Sched)
-	h.L2M.Reset(node.Sched)
+	h.L1M.Reset()
+	h.L2M.Reset()
 	h.PF.Reset()
-	h.l1HitPs = clk.Cycles(p.L1.HitCycles)
-	h.l2HitPs = clk.Cycles(p.L2.HitCycles)
-	full1 := h.pendingL1[:cap(h.pendingL1)]
-	for i := range full1 {
-		full1[i] = pendingReq{}
-	}
-	full2 := h.pendingL2[:cap(h.pendingL2)]
-	for i := range full2 {
-		full2[i] = pendingReq{}
-	}
+	clear(h.pendingL1[:cap(h.pendingL1)])
+	clear(h.pendingL2[:cap(h.pendingL2)])
 	h.pendingL1 = h.pendingL1[:0]
 	h.pendingL2 = h.pendingL2[:0]
 	h.pendL1Head, h.pendL2Head = 0, 0
-	h.maxSWPend = p.L2.MSHRs
 	h.NoCoalesce = false
 	h.Stats = HierarchyStats{}
 }
@@ -285,6 +333,13 @@ func (h *Hierarchy) pendL2Len() int { return len(h.pendingL2) - h.pendL2Head }
 // fires when the prefetch has been accepted (not completed), since prefetch
 // instructions retire without waiting.
 func (h *Hierarchy) Access(addr uint64, kind Kind, done func()) {
+	h.Issue(addr, kind, events.Call(done))
+}
+
+// Issue is Access with a value-typed continuation in place of the closure
+// (the zero Callback for "nobody waits"), which is how hardware threads
+// call it: a miss that rides on callbacks allocates nothing.
+func (h *Hierarchy) Issue(addr uint64, kind Kind, done events.Callback) {
 	line := h.node.LineOf(addr)
 	switch kind {
 	case Load:
@@ -305,19 +360,44 @@ func (h *Hierarchy) Access(addr uint64, kind Kind, done func()) {
 	}
 
 	if h.L1.Access(line, kind == Store) {
-		if done != nil {
-			h.node.Sched.After(h.l1HitPs, done)
+		if done.Valid() {
+			h.node.Sched.ScheduleAfter(h.l1HitPs, done)
 		}
 		return
 	}
 	h.l1Miss(pendingReq{line: line, kind: kind, done: done, since: h.node.Sched.Now()})
 }
 
+// Fire implements events.Handler: one miss is a chain of these events, each
+// carrying only the line (and, where the fill needs it, the access kind).
+func (h *Hierarchy) Fire(kind uint32, arg uint64) {
+	line := Line(arg)
+	switch kind & evMask {
+	case evL2Lookup:
+		// The L1 fill waits on the L2 with the same line and kind.
+		fill := events.Callback{Target: h, Kind: evFillL1 | kind&^evMask, Arg: arg}
+		h.l2Request(line, Kind(kind>>evKindShift), fill)
+	case evFetch:
+		h.node.fetch(line, h)
+	case evFarMemData:
+		// The fill into the fast tier rides in the background.
+		h.node.DRAM.request(line, true, events.Callback{})
+		fallthrough
+	case evMemData:
+		h.node.install(line)
+		fallthrough
+	case evFillL2:
+		h.fillL2(line)
+	case evFillL1:
+		h.fillL1(line, Kind(kind>>evKindShift) == Store)
+	}
+}
+
 func (h *Hierarchy) l1Miss(req pendingReq) {
 	if h.L1M.Outstanding(req.line) {
 		h.L1M.Coalesce(req.line, req.done)
 		if h.NoCoalesce {
-			h.node.DRAM.Access(req.line, false, nil)
+			h.node.DRAM.request(req.line, false, events.Callback{})
 		}
 		return
 	}
@@ -327,27 +407,25 @@ func (h *Hierarchy) l1Miss(req pendingReq) {
 		return
 	}
 	h.L1M.Allocate(req.line)
-	if req.done != nil {
+	if req.done.Valid() {
 		h.L1M.Coalesce(req.line, req.done)
 		h.L1M.Stats.Coalesced-- // first waiter is not a coalesced request
 	}
-	dirty := req.kind == Store
 	// Miss detection takes an L1 lookup; then the request goes to L2.
-	h.node.Sched.After(h.l1HitPs, func() {
-		h.l2Request(req.line, req.kind, func() { h.fillL1(req.line, dirty) })
-	})
+	h.node.Sched.ScheduleAfter(h.l1HitPs, events.Callback{
+		Target: h, Kind: evL2Lookup | uint32(req.kind)<<evKindShift, Arg: uint64(req.line)})
 }
 
 // l2Request looks up line in the L2 on behalf of a demand miss from L1, a
-// software L2 prefetch, or the hardware prefetcher. onData (may be nil)
-// fires when the line is present in L2.
-func (h *Hierarchy) l2Request(line Line, kind Kind, onData func()) {
+// software L2 prefetch, or the hardware prefetcher. onData (may be the zero
+// Callback) fires when the line is present in L2.
+func (h *Hierarchy) l2Request(line Line, kind Kind, onData events.Callback) {
 	if kind.isDemand() || kind == PrefetchL1 {
 		h.PF.Observe(line)
 	}
 	if h.L2.Access(line, false) {
-		if onData != nil {
-			h.node.Sched.After(h.l2HitPs, onData)
+		if onData.Valid() {
+			h.node.Sched.ScheduleAfter(h.l2HitPs, onData)
 		}
 		return
 	}
@@ -358,7 +436,7 @@ func (h *Hierarchy) l2Miss(req pendingReq) {
 	if h.L2M.Outstanding(req.line) {
 		h.L2M.Coalesce(req.line, req.done)
 		if h.NoCoalesce {
-			h.node.DRAM.Access(req.line, false, nil)
+			h.node.DRAM.request(req.line, false, events.Callback{})
 		}
 		return
 	}
@@ -372,12 +450,12 @@ func (h *Hierarchy) l2Miss(req pendingReq) {
 			// file, as on real hardware; flow-controlled issuers (those
 			// waiting for the resolve callback) queue within a bounded
 			// buffer instead.
-			if req.done != nil && h.pendL2Len() < h.maxSWPend {
+			if req.done.Valid() && h.pendL2Len() < h.maxSWPend {
 				h.pendingL2 = append(h.pendingL2, req)
 			} else {
 				h.Stats.SWPrefetchDropped++
-				if req.done != nil {
-					h.node.Sched.After(0, req.done)
+				if req.done.Valid() {
+					h.node.Sched.ScheduleAfter(0, req.done)
 				}
 			}
 		default:
@@ -394,14 +472,12 @@ func (h *Hierarchy) l2Miss(req pendingReq) {
 	default:
 		h.Stats.L2MissDemand++
 	}
-	if req.done != nil {
+	if req.done.Valid() {
 		h.L2M.Coalesce(req.line, req.done)
 		h.L2M.Stats.Coalesced--
 	}
 	// The L2 lookup that detected the miss precedes the downstream fetch.
-	h.node.Sched.After(h.l2HitPs, func() {
-		h.node.fetch(req.line, func() { h.fillL2(req.line) })
-	})
+	h.node.Sched.ScheduleAfter(h.l2HitPs, events.Callback{Target: h, Kind: evFetch, Arg: uint64(req.line)})
 }
 
 func (h *Hierarchy) fillL2(line Line) {
@@ -410,7 +486,7 @@ func (h *Hierarchy) fillL2(line Line) {
 	}
 	ws := h.L2M.Complete(line)
 	for _, w := range ws {
-		w()
+		w.Fire()
 	}
 	h.L2M.Recycle(ws)
 	h.drainL2Pending()
@@ -423,7 +499,7 @@ func (h *Hierarchy) fillL1(line Line, dirty bool) {
 	}
 	ws := h.L1M.Complete(line)
 	for _, w := range ws {
-		w()
+		w.Fire()
 	}
 	h.L1M.Recycle(ws)
 	h.drainL1Pending()
@@ -433,13 +509,13 @@ func (h *Hierarchy) drainL1Pending() {
 	now := h.node.Sched.Now()
 	for h.pendL1Head < len(h.pendingL1) && !h.L1M.Full() {
 		req := h.pendingL1[h.pendL1Head]
-		h.pendingL1[h.pendL1Head] = pendingReq{} // release the done closure
+		h.pendingL1[h.pendL1Head] = pendingReq{} // drop the callback's target
 		h.pendL1Head++
 		h.Stats.L1FullStallPs += uint64(now - req.since)
 		// The line may have been filled while this request waited.
 		if h.L1.Access(req.line, req.kind == Store) {
-			if req.done != nil {
-				h.node.Sched.After(h.l1HitPs, req.done)
+			if req.done.Valid() {
+				h.node.Sched.ScheduleAfter(h.l1HitPs, req.done)
 			}
 			continue
 		}
@@ -461,8 +537,8 @@ func (h *Hierarchy) drainL2Pending() {
 			h.Stats.L2FullStallPs += uint64(now - req.since)
 		}
 		if h.L2.Access(req.line, false) {
-			if req.done != nil {
-				h.node.Sched.After(h.l2HitPs, req.done)
+			if req.done.Valid() {
+				h.node.Sched.ScheduleAfter(h.l2HitPs, req.done)
 			}
 			continue
 		}

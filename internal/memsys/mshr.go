@@ -18,17 +18,20 @@ type MSHRStats struct {
 // generating duplicate memory traffic. The time-weighted occupancy of this
 // structure is the paper's ground-truth MLP.
 //
-// Entries live by value in a fixed array sized to the register count and
-// are recycled through a free list, so the steady-state allocate/complete
-// cycle of a run allocates nothing; waiter slices returned by Complete are
-// handed back through Recycle and reused the same way.
+// Entries live by value in a fixed array sized to the register count, the
+// outstanding ones packed at its front beside a parallel array of their
+// line addresses. A lookup scans those addresses — at most a few dozen
+// words, cheaper than hashing — and completing an entry moves the last
+// outstanding one into its place, so the steady-state allocate/complete
+// cycle of a run allocates nothing. Waiters are value-typed callbacks, and
+// the waiter slices returned by Complete are handed back through Recycle
+// and reused the same way.
 type MSHR struct {
 	capacity int
 	sched    *events.Scheduler
-	index    map[Line]int32 // line → slot in entries
-	entries  []mshrEntry    // fixed backing array, one slot per register
-	free     []int32        // recycled slots
-	spare    [][]func()     // recycled waiter arrays (from Recycle)
+	lines    []Line              // outstanding lines; len is the occupancy
+	entries  []mshrEntry         // entries[i] is the register for lines[i]
+	spare    [][]events.Callback // recycled waiter arrays (from Recycle)
 
 	// Occ is the exact time-weighted occupancy of the register file.
 	Occ   queueing.OccupancyStat
@@ -37,7 +40,7 @@ type MSHR struct {
 
 type mshrEntry struct {
 	allocated events.Time
-	waiters   []func()
+	waiters   []events.Callback
 }
 
 // NewMSHR builds an MSHR file with the given capacity.
@@ -47,15 +50,10 @@ func NewMSHR(sched *events.Scheduler, capacity int) *MSHR {
 	}
 	m := &MSHR{
 		capacity: capacity,
-		sched:    sched,
-		index:    make(map[Line]int32, capacity),
+		lines:    make([]Line, 0, capacity),
 		entries:  make([]mshrEntry, capacity),
-		free:     make([]int32, capacity),
 	}
-	for i := range m.free {
-		m.free[i] = int32(capacity - 1 - i)
-	}
-	m.Occ.Reset(sched.Now())
+	m.attach(sched)
 	return m
 }
 
@@ -63,16 +61,23 @@ func NewMSHR(sched *events.Scheduler, capacity int) *MSHR {
 func (m *MSHR) Capacity() int { return m.capacity }
 
 // InFlight returns the current number of outstanding line misses.
-func (m *MSHR) InFlight() int { return len(m.index) }
+func (m *MSHR) InFlight() int { return len(m.lines) }
 
 // Full reports whether no register is free.
-func (m *MSHR) Full() bool { return len(m.index) >= m.capacity }
+func (m *MSHR) Full() bool { return len(m.lines) >= m.capacity }
+
+// find returns the register holding line, or -1.
+func (m *MSHR) find(line Line) int {
+	for i, l := range m.lines {
+		if l == line {
+			return i
+		}
+	}
+	return -1
+}
 
 // Outstanding reports whether line already has an entry.
-func (m *MSHR) Outstanding(line Line) bool {
-	_, ok := m.index[line]
-	return ok
-}
+func (m *MSHR) Outstanding(line Line) bool { return m.find(line) >= 0 }
 
 // Allocate creates an entry for line. The caller must have checked Full and
 // Outstanding; violating either panics, because both indicate a protocol
@@ -81,31 +86,30 @@ func (m *MSHR) Allocate(line Line) {
 	if m.Full() {
 		panic("memsys: MSHR allocate on full queue")
 	}
-	if _, ok := m.index[line]; ok {
+	if m.find(line) >= 0 {
 		panic("memsys: duplicate MSHR allocation")
 	}
-	slot := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
-	e := &m.entries[slot]
+	e := &m.entries[len(m.lines)]
+	m.lines = append(m.lines, line)
 	e.allocated = m.sched.Now()
 	if e.waiters == nil && len(m.spare) > 0 {
 		e.waiters = m.spare[len(m.spare)-1]
 		m.spare = m.spare[:len(m.spare)-1]
 	}
-	m.index[line] = slot
 	m.Occ.Arrive(m.sched.Now())
 	m.Stats.Allocations++
 }
 
-// Coalesce attaches fn to the outstanding entry for line. fn runs when the
-// line fills. It panics if the line is not outstanding.
-func (m *MSHR) Coalesce(line Line, fn func()) {
-	slot, ok := m.index[line]
-	if !ok {
+// Coalesce attaches cb to the outstanding entry for line; cb fires when the
+// line fills. The zero Callback counts the request without adding a
+// waiter. It panics if the line is not outstanding.
+func (m *MSHR) Coalesce(line Line, cb events.Callback) {
+	i := m.find(line)
+	if i < 0 {
 		panic("memsys: coalesce on line with no MSHR entry")
 	}
-	if fn != nil {
-		m.entries[slot].waiters = append(m.entries[slot].waiters, fn)
+	if cb.Valid() {
+		m.entries[i].waiters = append(m.entries[i].waiters, cb)
 	}
 	m.Stats.Coalesced++
 }
@@ -116,35 +120,32 @@ func (m *MSHR) NoteFull() { m.Stats.FullEvents++ }
 
 // Complete releases the entry for line and returns its waiters, which the
 // caller invokes after any fill latency and then hands back via Recycle.
-// Ownership of the returned slice transfers to the caller: the freed slot
-// may be re-allocated while the waiters run (a waiter can itself miss),
-// so the entry detaches the slice rather than reusing it in place.
+// Ownership of the returned slice transfers to the caller: the freed
+// register may be re-allocated while the waiters run (a waiter can itself
+// miss), so the entry detaches the slice rather than reusing it in place.
 // It panics if line has no entry.
-func (m *MSHR) Complete(line Line) []func() {
-	slot, ok := m.index[line]
-	if !ok {
+func (m *MSHR) Complete(line Line) []events.Callback {
+	i := m.find(line)
+	if i < 0 {
 		panic("memsys: complete on line with no MSHR entry")
 	}
-	delete(m.index, line)
-	e := &m.entries[slot]
-	w := e.waiters
-	e.waiters = nil
-	m.free = append(m.free, slot)
+	e := m.entries[i]
+	last := len(m.lines) - 1
+	m.lines[i], m.entries[i] = m.lines[last], m.entries[last]
+	m.lines, m.entries[last] = m.lines[:last], mshrEntry{}
 	now := m.sched.Now()
 	m.Occ.Depart(now, now-e.allocated)
-	return w
+	return e.waiters
 }
 
 // Recycle returns a waiter slice obtained from Complete to the internal
-// pool once its callbacks have run. The funcs are cleared so completed
-// closures do not outlive their run.
-func (m *MSHR) Recycle(ws []func()) {
+// pool once its callbacks have run. The callbacks are cleared so their
+// targets do not outlive the run.
+func (m *MSHR) Recycle(ws []events.Callback) {
 	if cap(ws) == 0 {
 		return
 	}
-	for i := range ws {
-		ws[i] = nil
-	}
+	clear(ws)
 	m.spare = append(m.spare, ws[:0])
 }
 
@@ -154,26 +155,26 @@ func (m *MSHR) ResetStats() {
 	m.Stats = MSHRStats{}
 	now := m.sched.Now()
 	m.Occ.Reset(now)
-	m.Occ.Set(now, len(m.index))
+	m.Occ.Set(now, len(m.lines))
 }
 
-// Reset rebinds the MSHR file to a (new) scheduler and restores it to its
-// freshly-constructed state, keeping the allocated entry array, waiter
-// arrays and map buckets so a pooled hierarchy reuses them across runs.
-func (m *MSHR) Reset(sched *events.Scheduler) {
-	m.sched = sched
-	for line, slot := range m.index {
-		e := &m.entries[slot]
-		if e.waiters != nil {
-			m.Recycle(e.waiters)
-			e.waiters = nil
-		}
-		m.free = append(m.free, slot)
-		delete(m.index, line)
+// Reset empties the register file — a pooled run may have been abandoned
+// with entries in flight — and drops its scheduler, keeping the entry and
+// waiter arrays for the next attach.
+func (m *MSHR) Reset() {
+	for i := range m.entries {
+		m.Recycle(m.entries[i].waiters)
+		m.entries[i] = mshrEntry{}
 	}
+	m.lines = m.lines[:0]
+	m.sched = nil
 	m.Stats = MSHRStats{}
-	// Unlike ResetStats, discard the current occupancy too: a pooled run may
-	// have been abandoned with entries still in flight.
 	m.Occ = queueing.OccupancyStat{}
+}
+
+// attach binds an empty register file to sched and starts occupancy
+// tracking at its clock.
+func (m *MSHR) attach(sched *events.Scheduler) {
+	m.sched = sched
 	m.Occ.Reset(sched.Now())
 }

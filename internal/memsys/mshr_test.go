@@ -19,11 +19,11 @@ func TestMSHRAllocateCompleteCycle(t *testing.T) {
 		t.Fatal("allocation not tracked")
 	}
 	called := 0
-	m.Coalesce(Line(1), func() { called++ })
-	m.Coalesce(Line(1), func() { called++ })
+	m.Coalesce(Line(1), events.Call(func() { called++ }))
+	m.Coalesce(Line(1), events.Call(func() { called++ }))
 	sched.RunUntil(100)
 	for _, w := range m.Complete(Line(1)) {
-		w()
+		w.Fire()
 	}
 	if called != 2 {
 		t.Fatalf("waiters called %d times, want 2", called)
@@ -123,7 +123,7 @@ func TestMSHRInvariantsProperty(t *testing.T) {
 			sched.RunUntil(now)
 			if live[line] {
 				if rng.Intn(2) == 0 {
-					m.Coalesce(line, nil)
+					m.Coalesce(line, events.Callback{})
 				} else {
 					m.Complete(line)
 					delete(live, line)

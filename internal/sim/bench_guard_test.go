@@ -1,13 +1,16 @@
 package sim_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"littleslaw/internal/platform"
 	"littleslaw/internal/runner"
+	"littleslaw/internal/sim"
 	"littleslaw/internal/trace"
 )
 
@@ -36,11 +39,15 @@ func baselineAllocs(t *testing.T) map[string]int64 {
 	return max
 }
 
+const tracedRunAllocs = 8
+
 // TestRunAllocsWithinBaselineTraced is the allocation guard on the traced
 // hot path: running the BenchmarkRun workloads through the runner spine
-// with an armed trace context must stay within 5% of the untraced
-// BENCH_baseline.json allocs/op. Tracing is a handful of spans per run —
-// if this trips, a span crept into a per-event or per-op loop.
+// with an armed trace context must stay within tracedRunAllocs of the
+// untraced BENCH_baseline.json allocs/op. Now that a kernel run allocates
+// a few dozen objects, the allowance is a count, not a percentage: the
+// trace, its id, its context and the run's few spans (6 today). If this
+// trips, a span crept into a per-event or per-op loop.
 func TestRunAllocsWithinBaselineTraced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short (race matrix)")
@@ -80,11 +87,53 @@ func TestRunAllocsWithinBaselineTraced(t *testing.T) {
 			}
 		})
 		got := res.AllocsPerOp()
-		limit := want + want/20 // +5%
+		limit := want + tracedRunAllocs
 		t.Logf("%s: %d allocs/op traced, baseline %d (limit %d)", bc.name, got, want, limit)
 		if got > limit {
-			t.Errorf("%s: traced path allocates %d/op, above baseline %d +5%% (%d) — tracing overhead regressed",
-				bc.name, got, want, limit)
+			t.Errorf("%s: traced path allocates %d/op, above baseline %d + %d — tracing overhead regressed",
+				bc.name, got, want, tracedRunAllocs)
+		}
+	}
+}
+
+// TestSecondRunAllocs pins what a run of an already-seen geometry may
+// allocate: its generators (an RNG, its source, the closure and its
+// counter: 5 a thread here), its threads (the struct and two window-sized
+// arrays), its cores (the struct and its thread list), and the run's own
+// few slices, closures and Result — 42 objects and ~25 KiB for
+// benchConfig's 4 threads on 4 cores, almost all of it the RNG sources. No
+// node, cache, MSHR, queue or event: those come from the pools and the
+// events are values. The budgets leave room for a few objects, not for a
+// per-miss or per-run construction to creep back (a hierarchy is a dozen
+// objects and tens of KiB or more; SKL's node is 4 MiB).
+func TestSecondRunAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful under -short (race matrix)")
+	}
+	const maxObjects, maxBytes = 48, 40 << 10
+	for _, bc := range []struct {
+		plat *platform.Platform
+		ops  int
+	}{
+		{platform.SKL(), 6000},
+		{platform.KNL(), 4000},
+		{platform.KNLCacheMode(), 4000},
+	} {
+		run := func() {
+			if _, err := sim.RunContext(context.Background(), benchConfig(bc.plat, bc.ops)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // the first run of the geometry builds what the pools then keep
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		t.Logf("%s: second run allocates %d objects, %d bytes", bc.plat.Name, objects, bytes)
+		if objects > maxObjects || bytes > maxBytes {
+			t.Errorf("%s: second run allocates %d objects / %d bytes, budget %d / %d — something is constructed per run again",
+				bc.plat.Name, objects, bytes, maxObjects, maxBytes)
 		}
 	}
 }

@@ -29,8 +29,10 @@ type Config struct {
 	// GapScale multiplies every compute gap beyond the SMT scaling
 	// (e.g. the platform's scalar issue penalty); 0 means 1.
 	GapScale float64
-	// WarmupFrac is the fraction of total work treated as warmup before
-	// the measurement window opens; 0 means 0.15.
+	// WarmupFrac is validated (0 ≤ f < 0.9; 0 means 0.15) and is part of
+	// the runner's cache key, but the kernel never consults its value: the
+	// measurement window opens when every thread has retired 64 operations
+	// (see RunContext), whatever the fraction says.
 	WarmupFrac float64
 	// SMTShare overrides the platform's SMTComputeShare for this routine
 	// (0 = platform default). Latency-bound routines leave the issue
@@ -187,9 +189,10 @@ type Result struct {
 // with ctx.Err() when it fires. A completed run's result is unaffected by
 // the checks.
 //
-// A run shares no mutable state with other runs beyond the memsys
-// hierarchy pool, whose hierarchies are fully reset on acquisition: the
-// scheduler, node and per-thread generators (seeded RNGs included) are
+// A run shares no mutable state with other runs beyond the memsys node and
+// hierarchy pools, whose contents are fully reset on release: the node
+// (with its scheduler) and the hierarchies are one run's alone while it
+// has them, and the per-thread generators (seeded RNGs included) are
 // constructed per call, so concurrent runs are race-clean and each
 // produces the same bits it would alone.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
@@ -210,8 +213,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		cancelSteps++
 		return cancelSteps%cancelCheckEvery == 0 && ctx.Err() != nil
 	}
-	sched := &events.Scheduler{}
-	node := memsys.NewNode(sched, cfg.Plat)
+	node := memsys.AcquireNode(cfg.Plat)
+	sched := node.Sched
 
 	gapScale := cfg.GapScale
 	// SMT pacing: n co-resident threads each run at
@@ -252,11 +255,24 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		cores[ci] = cpu.NewCoreWith(node, hier, gens, cfg.Window, gapScale)
 		totalThreads += len(cores[ci].Threads)
 	}
+	// Whatever has been read into the result by the time this frame ends is
+	// all that survives: Reset makes an abandoned (cancelled, failed) run's
+	// node and hierarchies as good as a completed one's. Hierarchies go
+	// back first, while their node is still this run's.
+	defer func() {
+		if usePool {
+			for _, c := range cores {
+				memsys.ReleaseHierarchy(c.Hier)
+			}
+		}
+		memsys.ReleaseNode(node)
+	}()
 
 	finished := 0
+	onFinish := func() { finished++ }
 	for _, c := range cores {
 		for _, t := range c.Threads {
-			t.OnFinish = func() { finished++ }
+			t.OnFinish = onFinish
 		}
 	}
 
@@ -264,16 +280,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		c.Start()
 	}
 
-	// Warmup: run until the node has retired WarmupFrac of the issued work,
-	// approximated by per-thread retired operations. Total per-thread work
-	// is unknown a priori, so warm up on wall-clock proxy: run until every
-	// thread has retired a minimum batch, checking cheaply.
+	// Warmup: total per-thread work is unknown a priori, so the window
+	// opens when every thread has retired a fixed minimum batch (or, for a
+	// workload too short for that, when the first thread drains), checked
+	// every few thousand events. normalize has made cfg.WarmupFrac
+	// positive, so the guard below always passes; the fraction's value is
+	// not consulted.
 	const checkEvery = 4096
 	steps := 0
 	warmTarget := func() bool {
-		// Warm when the slowest thread has retired ≥ warmupFrac/(1-warmupFrac)
-		// of the work the fastest thread still owes — approximated by a
-		// simple minimum retired threshold that grows with the window.
 		min := ^uint64(0)
 		for _, c := range cores {
 			for _, t := range c.Threads {
@@ -329,9 +344,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if t2 == 0 {
 			return nil, fmt.Errorf("sim: empty run (no simulated time elapsed)")
 		}
-	} else {
-		// Drain the remaining events so per-thread stats are final, but the
-		// measurement below uses the [t1, t2] snapshot values collected now.
 	}
 
 	window := t2 - t1
@@ -414,13 +426,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	if t := l2hits + l2misses; t > 0 {
 		res.L2MissRatio = float64(l2misses) / float64(t)
-	}
-	if usePool {
-		// All hierarchy state has been read into res; the scheduler that
-		// still references these hierarchies is dropped with this frame.
-		for _, c := range cores {
-			memsys.ReleaseHierarchy(c.Hier)
-		}
 	}
 	return res, nil
 }
