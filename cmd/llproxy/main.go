@@ -2,10 +2,11 @@
 // proxy sharding /v1/* across llserved backends. Requests route by cache
 // affinity — a consistent hash of the canonical analysis identity, so
 // identical work revisits the backend whose runner LRU already holds the
-// result — and spill to the least-loaded backend (by live per-backend
-// n_avg = λ·W estimates) when the affinity owner is over the occupancy
-// ceiling. Backends are health-checked via /healthz behind per-backend
-// circuit breakers; idempotent GETs are hedged.
+// result — and spill to the least-loaded backend (by measured per-backend
+// occupancy: forwards in flight and their windowed mean n_avg) when the
+// affinity owner is at the occupancy ceiling. Backends are health-checked
+// via /healthz behind per-backend circuit breakers; idempotent GETs are
+// hedged.
 //
 // Usage:
 //
@@ -17,9 +18,9 @@
 //
 // Endpoints mirror llserved's /v1/* surface, plus:
 //
-//	GET /healthz        per-backend breaker state, health and occupancy estimates
+//	GET /healthz        per-backend breaker state, health and measured occupancy
 //	GET /metrics        llproxy_* per-backend metrics (requests, breaker state,
-//	                    estimated and reported n_avg, hedges, failovers)
+//	                    measured and reported n_avg, hedges, failovers)
 //	GET /v1/trace/{id}  the proxy's own waterfall for one forwarded request
 //	GET /v1/traces      NDJSON tail of the proxy's finished traces
 //
@@ -60,8 +61,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8000", "listen address")
 	backends := flag.String("backends", "", "comma-separated llserved base URLs (required)")
-	ceiling := flag.Float64("occupancy-ceiling", 32, "estimated per-backend n_avg above which affinity is overridden and requests spill to the least-loaded backend")
-	halfLife := flag.Duration("rate-halflife", 10*time.Second, "arrival-rate estimator half-life")
+	ceiling := flag.Float64("occupancy-ceiling", 32, "per-backend load (forwards in flight, their windowed mean n_avg, or the backend's own reported n_avg) at which affinity is overridden and requests spill to the least-loaded backend")
+	halfLife := flag.Duration("rate-halflife", 10*time.Second, "half-life of the window each backend's measured n_avg is averaged over")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "background /healthz probe spacing (negative disables probing)")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe deadline")
 	breakerFailures := flag.Int("breaker-failures", 3, "consecutive transport failures that open a backend's circuit breaker")

@@ -43,9 +43,10 @@
 //
 // All endpoints accept ?timeout=30s. The /v1/* routes sit behind an
 // admission controller that applies the paper's own law to the server:
-// it tracks occupancy n_avg = Σ λ_route × W_route and sheds with 429 +
-// Retry-After past the -limit-ceiling (cmd/llload drives it). On top of
-// the limiter sits the brownout ladder (internal/brownout): sustained
+// it counts the requests in flight, reports their windowed mean as n_avg,
+// and sheds with 429 + Retry-After once -limit-ceiling of them are in
+// flight and the queue behind them is full (cmd/llload drives it). On top
+// of the limiter sits the brownout ladder (internal/brownout): sustained
 // pressure steps the server through stale serving, analytic fallback and
 // selective shedding before anything fails outright; -no-brownout turns
 // it off. Shutdown is graceful and drain-aware: SIGINT/SIGTERM flips
@@ -87,7 +88,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long to keep the listener open in draining mode (healthz reports draining, new work sheds 503) before closing it")
 	runnerTTL := flag.Duration("runner-ttl", 0, "simulation cache TTL; expired entries recompute normally but stay servable as marked-stale answers under brownout B1 (0 = never expires)")
 	noBrownout := flag.Bool("no-brownout", false, "disable the brownout ladder (requires admission control to be on to matter)")
-	limitCeiling := flag.Float64("limit-ceiling", 64, "admission controller's Little's-Law occupancy ceiling (negative disables admission control)")
+	limitCeiling := flag.Float64("limit-ceiling", 64, "admission ceiling: most requests in flight at once, arrivals past it queue then shed (negative disables admission control)")
 	limitQueue := flag.Int("limit-queue", 0, "admission queue depth (0 = 2×ceiling, negative = shed immediately)")
 	limitQueueTimeout := flag.Duration("limit-queue-timeout", 5*time.Second, "longest a request waits in the admission queue")
 	maxStreams := flag.Int("max-streams", 64, "max concurrent /v1/watch connections (negative disables the cap)")

@@ -1,5 +1,5 @@
 // Package brownout is the degradation ladder: the controller that turns
-// the spine's live Little's-Law occupancy estimate into an explicit
+// the spine's measured Little's-Law occupancy into an explicit
 // serving mode. Where the admission limiter answers "this request: yes or
 // no", brownout answers the coarser, slower question "what quality of
 // service can the whole server afford right now" — and steps through
@@ -99,7 +99,7 @@ func Parse(s string) (Mode, error) {
 // Config parameterizes the ladder. Enter[i] is the pressure at or above
 // which mode Mode(i) escalates to Mode(i+1); Exit[i] is the pressure below
 // which Mode(i+1) de-escalates back to Mode(i). Pressure is the caller's
-// normalized occupancy estimate — the service uses
+// normalized occupancy — the service uses
 // max(inflight+queued, n_avg) / ceiling, so 1.0 means "at the admission
 // ceiling" and ~3.0 means "ceiling plus a full queue".
 type Config struct {

@@ -203,7 +203,20 @@ func TestChaosLadderRecoversToFull(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("still %s after overload ended", st.Mode)
+			// Everything the ladder's decision read, on one line: a rung
+			// held up by nothing shows here as pressure without in-flight,
+			// queue or n_avg to account for it.
+			var hz service.HealthzResponse
+			if resp, err := http.Get(ts.URL + "/healthz"); err == nil {
+				json.NewDecoder(resp.Body).Decode(&hz)
+				resp.Body.Close()
+			}
+			navg := -1.0
+			if hz.LimiterNAvg != nil {
+				navg = *hz.LimiterNAvg
+			}
+			t.Fatalf("still %s after overload ended: pressure %.2f, in-flight %d, queue depth %d, n_avg %.2f (ceiling %g)",
+				st.Mode, st.Pressure, hz.LimiterInflight, hz.QueueDepth, navg, cfg.LimitCeiling)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

@@ -1,19 +1,19 @@
 // Per-backend state: the spillover half of the routing algebra. Each
-// backend carries a live Little's-Law occupancy estimator — a decayed
-// arrival counter (λ = count/τ) times a latency EWMA (W), the same shape
-// internal/limit applies to a single server, lifted to the fleet — plus a
-// consecutive-failure circuit breaker and the health view the prober
-// maintains from /healthz bodies.
+// backend carries the measured occupancy of the forwards this proxy has
+// outstanding to it — a queueing.Estimator, the same type internal/limit
+// reads on a single server, lifted to the fleet — plus a consecutive-failure
+// circuit breaker and the health view the prober maintains from /healthz
+// bodies.
 package cluster
 
 import (
-	"math"
 	"net/http"
 	"sync"
 	"time"
 
 	"littleslaw/internal/brownout"
 	"littleslaw/internal/client"
+	"littleslaw/internal/queueing"
 )
 
 // BreakerState is a backend's circuit-breaker position.
@@ -49,19 +49,14 @@ type Backend struct {
 	cl    *client.Client // unary forwards: retries, backoff, Retry-After
 	httpc *http.Client   // streams and probes: single attempt, no retries
 
-	// Estimator/breaker tuning, copied from the proxy config.
-	tau      float64 // decay constant: halflife / ln 2, seconds
-	alpha    float64 // latency EWMA weight
-	maxFails int     // consecutive transport failures that open the breaker
+	// Breaker tuning, copied from the proxy config.
+	maxFails int // consecutive transport failures that open the breaker
 	cooldown time.Duration
 
 	mu sync.Mutex
-	// Occupancy estimator (λ·W), limit.routeStat's shape.
-	count    float64 // decayed arrivals; λ = count/τ
-	last     time.Time
-	lat      float64 // EWMA latency, seconds
-	latSeen  bool
-	inflight int
+	// est measures the forwards outstanding to this backend: exact
+	// in-flight and its windowed mean n_avg.
+	est queueing.Estimator
 	// Health, from the prober.
 	healthy  bool
 	reported float64 // backend's own limiter n_avg from its last /healthz body
@@ -73,65 +68,38 @@ type Backend struct {
 	openedAt time.Time
 }
 
-// decayLocked ages the arrival counter to now. Callers hold mu.
-func (b *Backend) decayLocked(now time.Time) {
-	if !b.last.IsZero() {
-		if dt := now.Sub(b.last).Seconds(); dt > 0 {
-			b.count *= math.Exp(-dt / b.tau)
-		}
-	}
-	b.last = now
-}
-
 // arrive records a forwarded request starting.
 func (b *Backend) arrive(now time.Time) {
 	b.mu.Lock()
-	b.decayLocked(now)
-	b.count++
-	b.inflight++
+	b.est.Arrive(now)
 	b.mu.Unlock()
 }
 
-// complete records a forwarded request finishing. Latency is folded into
-// the EWMA only when a response actually arrived — transport errors and
-// canceled hedges have no service time to learn from.
-func (b *Backend) complete(latency time.Duration, observed bool) {
+// complete records a forwarded request finishing, however it ended: a
+// transport error or a canceled hedge occupied the backend's lane for as
+// long as it lasted.
+func (b *Backend) complete(now time.Time) {
 	b.mu.Lock()
-	b.inflight--
-	if observed {
-		sec := latency.Seconds()
-		if !b.latSeen {
-			b.lat, b.latSeen = sec, true
-		} else {
-			b.lat += b.alpha * (sec - b.lat)
-		}
-	}
+	b.est.Complete(now)
 	b.mu.Unlock()
 }
 
-// navg is the live Little's-Law occupancy estimate λ·W at now.
+// navg is the measured occupancy at now: the windowed time-average of the
+// forwards in flight to this backend.
 func (b *Backend) navg(now time.Time) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.navgLocked(now)
-}
-
-func (b *Backend) navgLocked(now time.Time) float64 {
-	b.decayLocked(now)
-	if !b.latSeen {
-		return 0
-	}
-	return b.count / b.tau * b.lat
+	return b.est.NAvg(now)
 }
 
 // load is the routing signal: the worst of the instantaneous in-flight
-// count (gates hard bursts before any latency sample exists), the local
-// λ·W estimate (memory of recent behavior) and the backend's own reported
-// limiter occupancy (covers load arriving outside this proxy).
+// count (a burst counts the moment it lands), its windowed mean (memory of
+// recent behavior) and the backend's own reported limiter occupancy
+// (covers load arriving outside this proxy).
 func (b *Backend) load(now time.Time) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return max(float64(b.inflight), max(b.navgLocked(now), b.reported))
+	return max(float64(b.est.InFlight()), b.est.NAvg(now), b.reported)
 }
 
 // allow reports whether the breaker admits a request at now, transitioning

@@ -8,13 +8,15 @@ import (
 
 	"littleslaw/internal/brownout"
 	"littleslaw/internal/queueing"
+	"littleslaw/internal/service"
 )
 
+// testBackend builds a bare backend whose estimator starts at the fake
+// clock's epoch.
 func testBackend(halfLife time.Duration, maxFails int, cooldown time.Duration) *Backend {
 	return &Backend{
 		Name:     "test:1",
-		tau:      halfLife.Seconds() / ln2,
-		alpha:    0.2,
+		est:      queueing.NewEstimator(halfLife, time.Unix(0, 0)),
 		maxFails: maxFails,
 		cooldown: cooldown,
 		healthy:  true,
@@ -24,7 +26,7 @@ func testBackend(halfLife time.Duration, maxFails int, cooldown time.Duration) *
 // TestBackendNAvgMatchesOccupancyAt is the golden test tying the proxy's
 // per-backend estimator to the paper pipeline, the cluster-tier twin of the
 // limiter's own golden test: replay a steady synthetic trace (λ = 200/s,
-// W = 25 ms) under a fake clock and check the live λ·W estimate against
+// W = 25 ms) under a fake clock and check the measured n_avg against
 // queueing.Curve.OccupancyAt on a flat profile. Little's Law on both
 // sides: λ·W = 5.
 func TestBackendNAvgMatchesOccupancyAt(t *testing.T) {
@@ -43,7 +45,7 @@ func TestBackendNAvgMatchesOccupancyAt(t *testing.T) {
 	for at := time.Unix(0, 0); at.Sub(time.Unix(0, 0)) < duration; at = at.Add(interval) {
 		sort.Slice(pending, func(i, j int) bool { return pending[i].at.Before(pending[j].at) })
 		for len(pending) > 0 && !pending[0].at.After(at) {
-			b.complete(service, true)
+			b.complete(pending[0].at)
 			pending = pending[1:]
 		}
 		clock = at
@@ -65,19 +67,22 @@ func TestBackendNAvgMatchesOccupancyAt(t *testing.T) {
 	}
 }
 
-// TestBackendNAvgDecays: with arrivals stopped, the estimate halves every
+// TestBackendNAvgDecays: with arrivals stopped, the reading halves every
 // half-life — stale load memories cannot repel traffic forever.
 func TestBackendNAvgDecays(t *testing.T) {
 	halfLife := time.Second
 	b := testBackend(halfLife, 3, time.Second)
 	now := time.Unix(0, 0)
-	for i := 0; i < 100; i++ {
+	// Ten half-lives of back-to-back 50 ms forwards, so the window is full
+	// and what follows is pure decay.
+	for i := 0; i < 200; i++ {
 		b.arrive(now)
-		b.complete(50*time.Millisecond, true)
+		now = now.Add(50 * time.Millisecond)
+		b.complete(now)
 	}
 	n0 := b.navg(now)
-	if n0 <= 0 {
-		t.Fatalf("no occupancy after a burst")
+	if math.Abs(n0-1) > 0.01 {
+		t.Fatalf("n_avg = %.3f with one forward always in flight, want 1", n0)
 	}
 	n1 := b.navg(now.Add(halfLife))
 	if ratio := n1 / n0; math.Abs(ratio-0.5) > 0.01 {
@@ -86,26 +91,71 @@ func TestBackendNAvgDecays(t *testing.T) {
 }
 
 // TestBackendLoadTakesWorstSignal: the routing load is the max of in-flight
-// count, the local λ·W estimate and the backend's self-reported occupancy.
+// count, its windowed mean and the backend's self-reported occupancy.
 func TestBackendLoadTakesWorstSignal(t *testing.T) {
 	b := testBackend(time.Second, 3, time.Second)
 	now := time.Unix(0, 0)
 	if got := b.load(now); got != 0 {
 		t.Fatalf("idle load = %v, want 0", got)
 	}
-	// Before any latency sample, in-flight is the only honest signal.
+	// A burst counts the moment it lands, before any time has passed for
+	// the mean to see it.
 	b.arrive(now)
 	b.arrive(now)
 	if got := b.load(now); got != 2 {
 		t.Fatalf("load with 2 in flight = %v, want 2", got)
 	}
-	b.complete(time.Millisecond, true)
-	b.complete(time.Millisecond, true)
+	// Once it completes, the windowed mean still remembers it: 2 in flight
+	// for the whole of a window one second old.
+	now = now.Add(time.Second)
+	b.complete(now)
+	b.complete(now)
+	if got := b.load(now); math.Abs(got-2) > 1e-9 {
+		t.Fatalf("load just after the burst = %v, want its mean 2", got)
+	}
 	// A probe reporting the backend's own limiter occupancy dominates when
 	// it is the largest term (load this proxy cannot see).
 	b.probeOK(7.5, brownout.B0, false)
 	if got := b.load(now); got != 7.5 {
 		t.Fatalf("load with reported n_avg 7.5 = %v, want 7.5", got)
+	}
+}
+
+// TestBackendStallNeverSpills is the cluster half of the hit_serve defect:
+// 2 closed-loop clients at W = 70 µs, one 50 ms stall, the default
+// occupancy ceiling of 32. The forecast λ·W read the stall as hundreds of
+// requests at the owner and sent its keys elsewhere; measured, two clients
+// are at most 2, so every routing decision answers "owner" and no affinity
+// override is ever counted.
+func TestBackendStallNeverSpills(t *testing.T) {
+	clock := time.Unix(0, 0)
+	p, _ := newStubCluster(t, 3, func(c *Config) { c.Now = func() time.Time { return clock } })
+	req, _ := service.DecodeAnalyzeRequest([]byte(analyzeBody))
+	key, _ := req.AffinityKey()
+	owner := p.backends[p.ring.Owner(key)]
+	const rounds = 60000
+	for round := 0; round < rounds; round++ {
+		for c := 0; c < 2; c++ {
+			cands, decision := p.candidates(key, false)
+			if decision != "owner" || cands[0] != owner {
+				t.Fatalf("round %d client %d: routed %q to %s with %d in flight at the owner (load %.2f)",
+					round, c, decision, cands[0].Name, c, owner.load(clock))
+			}
+			owner.arrive(clock)
+		}
+		w := 70 * time.Microsecond
+		if round == rounds/2 {
+			w = 50 * time.Millisecond
+		}
+		clock = clock.Add(w)
+		owner.complete(clock)
+		owner.complete(clock)
+		if n := owner.navg(clock); n > 2 {
+			t.Fatalf("round %d: owner n_avg = %g with only 2 clients", round, n)
+		}
+	}
+	if got := p.overrides.Value(); got != 0 {
+		t.Fatalf("affinity overrides = %d, want 0", got)
 	}
 }
 

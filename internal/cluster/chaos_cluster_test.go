@@ -236,8 +236,8 @@ func TestChaosClusterFailover(t *testing.T) {
 		interval  = 50 * time.Millisecond
 		steadyFor = 9 * time.Second
 		measureAt = 2 * time.Second // histogram window start: steady from here
-		// Gauge sampling starts later than the histogram window: the decayed
-		// arrival counter (τ ≈ 1.44s) still remembers the slower warmup
+		// Gauge sampling starts later than the histogram window: the
+		// estimator's window (τ ≈ 1.44s) still remembers the slower warmup
 		// traffic at 2s; by 4s its residual is under 1%. The histogram
 		// window tolerates the earlier start because λ and W are constant
 		// across the steady phase.

@@ -168,11 +168,36 @@ func TestChaosRollingRestart(t *testing.T) {
 
 	// Closed-loop load through the proxy for the whole bounce. The
 	// measurement-path analyze is instant (no simulation), so the load is
-	// routing traffic, not CPU: the test is about where requests go.
+	// routing traffic, not CPU: the test is about where requests go. A
+	// measurement body's affinity key is its platform, so the three
+	// platforms are three keys — and the backend bounced below is the ring
+	// owner of one actually being driven, whichever way this run's
+	// ephemeral ports hash.
 	const workers = 8
-	body := map[string]any{
-		"platform":    "SKL",
-		"measurement": map[string]any{"bandwidth_gbs": 80},
+	platforms := []string{"SKL", "KNL", "A64FX"}
+	bodies := make([]map[string]any, len(platforms))
+	for i, plat := range platforms {
+		bodies[i] = map[string]any{
+			"platform":    plat,
+			"measurement": map[string]any{"bandwidth_gbs": 80},
+		}
+	}
+	key, ok := (&service.AnalyzeRequest{
+		Platform:    platforms[0],
+		Measurement: &service.MeasurementSpec{BandwidthGBs: 80},
+	}).AffinityKey()
+	if !ok {
+		t.Fatal("measurement body has no affinity key")
+	}
+	name := p.ring.Owner(key)
+	var bounced *bouncyBackend
+	for _, b := range backends {
+		if b.name() == name {
+			bounced = b
+		}
+	}
+	if bounced == nil {
+		t.Fatalf("ring owner %s of %q is not one of the backends", name, key)
 	}
 	var okCount, failCount atomic.Int64
 	var failOnce sync.Once
@@ -195,9 +220,9 @@ func TestChaosRollingRestart(t *testing.T) {
 				t.Errorf("worker %d: %v", w, err)
 				return
 			}
-			for time.Now().Before(phaseEnd) {
+			for i := w; time.Now().Before(phaseEnd); i++ {
 				var out map[string]any
-				if err := cl.PostJSON(context.Background(), "/v1/analyze", body, &out); err != nil {
+				if err := cl.PostJSON(context.Background(), "/v1/analyze", bodies[i%len(bodies)], &out); err != nil {
 					failCount.Add(1)
 					failOnce.Do(func() { firstFail = err })
 					continue
@@ -209,8 +234,10 @@ func TestChaosRollingRestart(t *testing.T) {
 
 	// ---- The bounce: drain, close, restart on the same address ----
 	time.Sleep(500 * time.Millisecond)
-	bounced := backends[0]
-	name := bounced.name()
+	forwardsBeforeBounce := p.latency.With(name).Count()
+	if forwardsBeforeBounce == 0 {
+		t.Fatalf("ring owner %s of %q received no forwards before the bounce; the restart would prove nothing", name, key)
+	}
 	bounced.stop(t, func() bool {
 		_, draining := p.backends[name].degradation()
 		return draining
@@ -219,7 +246,11 @@ func TestChaosRollingRestart(t *testing.T) {
 	// open breaker) until a probe succeeds again, so nothing routes here.
 	time.Sleep(200 * time.Millisecond)
 	restarted := startBouncy(t, bounced.addr)
-	backends[0] = restarted
+	for i, b := range backends {
+		if b == bounced {
+			backends[i] = restarted // so Cleanup closes the live server
+		}
+	}
 
 	// The probe loop must fold the restarted backend back in: breaker
 	// closed, healthy, no longer draining.
@@ -249,6 +280,6 @@ func TestChaosRollingRestart(t *testing.T) {
 		t.Errorf("restarted backend received no forwards after rejoining (%d before, %d after)",
 			forwardsAtRestart, after)
 	}
-	t.Logf("rolling restart: %d requests, 0 failures; %s drained, restarted and served %d more forwards",
-		okCount.Load(), name, p.latency.With(name).Count()-forwardsAtRestart)
+	t.Logf("rolling restart: %d requests, 0 failures; %s served %d forwards, drained, restarted and served %d more",
+		okCount.Load(), name, forwardsBeforeBounce, p.latency.With(name).Count()-forwardsAtRestart)
 }

@@ -7,11 +7,11 @@
 //     profile work, table×scale for tables) onto a consistent-hash ring, so
 //     identical analyses revisit the backend whose caches already hold the
 //     answer.
-//   - Occupancy: each backend carries a live n_avg = λ·W estimate (decayed
-//     arrival counter × latency EWMA — internal/limit's accounting, lifted
-//     to the fleet). When the affinity owner's estimate exceeds the
-//     configured ceiling, the request spills to the least-loaded backend
-//     instead: Equation 1 as the spillover signal.
+//   - Occupancy: each backend carries the measured n_avg of the forwards
+//     outstanding to it (a queueing.Estimator — internal/limit's
+//     accounting, lifted to the fleet). When the affinity owner's load
+//     reaches the configured ceiling, the request spills to the
+//     least-loaded backend instead: Equation 1 as the spillover signal.
 //
 // Around that core: /healthz-driven probing with a per-backend circuit
 // breaker (open on consecutive transport failures, half-open trials),
@@ -40,6 +40,7 @@ import (
 	"littleslaw/internal/client"
 	"littleslaw/internal/faults"
 	"littleslaw/internal/metrics"
+	"littleslaw/internal/queueing"
 	"littleslaw/internal/service"
 	"littleslaw/internal/stream"
 	"littleslaw/internal/trace"
@@ -58,14 +59,14 @@ type Config struct {
 	// Backends are the llserved base URLs to shard across (required,
 	// distinct hosts).
 	Backends []string
-	// OccupancyCeiling is the per-backend n_avg above which affinity is
-	// overridden and the request spills to the least-loaded backend
-	// (0 = 32).
+	// OccupancyCeiling is the per-backend load — forwards in flight, their
+	// windowed mean n_avg, or the backend's own reported n_avg, whichever
+	// is highest — at which affinity is overridden and the request spills
+	// to the least-loaded backend (0 = 32).
 	OccupancyCeiling float64
-	// RateHalfLife is the arrival-rate estimator's half-life (0 = 10s).
+	// RateHalfLife is the half-life of the window each backend's n_avg is
+	// averaged over (0 = queueing.DefaultHalfLife, 10s).
 	RateHalfLife time.Duration
-	// LatencyAlpha is the latency EWMA weight in (0, 1] (0 = 0.2).
-	LatencyAlpha float64
 	// ProbeInterval spaces background /healthz probes (0 = 2s; negative
 	// disables the background prober — tests drive ProbeAll directly).
 	ProbeInterval time.Duration
@@ -108,12 +109,6 @@ func (c *Config) normalize() error {
 	}
 	if c.OccupancyCeiling <= 0 {
 		c.OccupancyCeiling = 32
-	}
-	if c.RateHalfLife <= 0 {
-		c.RateHalfLife = 10 * time.Second
-	}
-	if c.LatencyAlpha <= 0 || c.LatencyAlpha > 1 {
-		c.LatencyAlpha = 0.2
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 2 * time.Second
@@ -164,7 +159,7 @@ type Proxy struct {
 
 	requests         *metrics.CounterVec
 	latency          *metrics.HistogramVec
-	inflight         *metrics.Gauge
+	occupancy        *metrics.Occupancy // requests inside the proxy and their n_avg
 	hedges           *metrics.Counter
 	failovers        *metrics.Counter
 	overrides        *metrics.Counter
@@ -187,11 +182,12 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 	p := &Proxy{
-		cfg:      cfg,
-		reg:      cfg.Registry,
-		faults:   cfg.FaultInjector,
-		backends: make(map[string]*Backend, len(cfg.Backends)),
-		stop:     make(chan struct{}),
+		cfg:       cfg,
+		reg:       cfg.Registry,
+		faults:    cfg.FaultInjector,
+		backends:  make(map[string]*Backend, len(cfg.Backends)),
+		stop:      make(chan struct{}),
+		occupancy: metrics.NewOccupancy(),
 	}
 	p.traces = trace.NewSink(cfg.TraceCapacity)
 	p.traceBroker = stream.NewBrokerOf[trace.Record](cfg.TraceCapacity,
@@ -225,8 +221,7 @@ func New(cfg Config) (*Proxy, error) {
 			URL:      strings.TrimRight(raw, "/"),
 			cl:       cl,
 			httpc:    &http.Client{},
-			tau:      cfg.RateHalfLife.Seconds() / ln2,
-			alpha:    cfg.LatencyAlpha,
+			est:      queueing.NewEstimator(cfg.RateHalfLife, cfg.Now()),
 			maxFails: cfg.BreakerFailures,
 			cooldown: cfg.BreakerCooldown,
 			healthy:  true, // innocent until a probe or forward proves otherwise
@@ -244,22 +239,21 @@ func New(cfg Config) (*Proxy, error) {
 	return p, nil
 }
 
-const ln2 = 0.6931471805599453
-
 func (p *Proxy) registerMetrics() {
 	p.requests = p.reg.CounterVec("llproxy_requests_total",
 		"Forwarded requests by backend and outcome (ok, shed, client_error, server_error, error, canceled, stream).",
 		"backend", "outcome")
 	p.latency = p.reg.HistogramVec("llproxy_request_seconds",
 		"Forwarded unary request latency by backend (transport errors excluded).", nil, "backend")
-	p.inflight = p.reg.Gauge("llproxy_inflight_requests",
-		"Requests currently inside the proxy (directly sampled occupancy).")
+	p.reg.Derived("llproxy_inflight_requests",
+		"Requests currently inside the proxy (directly sampled occupancy).",
+		func() float64 { return float64(p.occupancy.InFlight()) })
 	p.hedges = p.reg.Counter("llproxy_hedges_total",
 		"Secondary lanes opened for idempotent GETs whose primary outlived the hedge delay.")
 	p.failovers = p.reg.Counter("llproxy_failovers_total",
 		"Requests retried against another backend after a failure or retryable status.")
 	p.overrides = p.reg.Counter("llproxy_affinity_overrides_total",
-		"Requests routed away from their affinity owner because its estimated n_avg exceeded the ceiling.")
+		"Requests routed away from their affinity owner because its load reached the occupancy ceiling.")
 	p.degradedReroutes = p.reg.Counter("llproxy_degraded_reroutes_total",
 		"Requests routed away from their affinity owner because it reported brownout B2+ while a full-fidelity backend was available.")
 	p.noBackend = p.reg.Counter("llproxy_no_backend_total",
@@ -269,7 +263,7 @@ func (p *Proxy) registerMetrics() {
 	p.streamClients = p.reg.GaugeVec("llproxy_stream_clients",
 		"Live proxied /v1/watch connections by backend.", "backend")
 	p.reg.DerivedVec("llproxy_backend_navg",
-		"Live per-backend Little's-Law occupancy estimate: decayed arrival rate x latency EWMA.",
+		"Measured per-backend occupancy: windowed time-average of the forwards in flight to it.",
 		"backend", func() map[string]float64 {
 			now := p.cfg.Now()
 			m := make(map[string]float64, len(p.order))
@@ -344,8 +338,8 @@ func (p *Proxy) registerMetrics() {
 			return 0
 		})
 	p.reg.Derived("llproxy_littles_law_concurrency",
-		"The proxy's own n_avg from Little's Law: forwarded latency_sum over uptime.",
-		func() float64 { return p.reg.LittleConcurrency(p.latency) })
+		"The proxy's own n_avg: windowed time-average of llproxy_inflight_requests.",
+		p.occupancy.NAvg)
 	// Per-stage decomposition of the proxy's own W: route selection,
 	// forward attempts, hedge/failover markers.
 	p.traces.Register(p.reg, "llproxy_trace")
@@ -439,7 +433,7 @@ func (p *Proxy) Draining() bool { return p.draining.Load() }
 
 // InFlight returns the number of requests currently inside the proxy —
 // the quantity a draining main loop polls to zero.
-func (p *Proxy) InFlight() int64 { return p.inflight.Value() }
+func (p *Proxy) InFlight() int64 { return p.occupancy.InFlight() }
 
 // shedDraining answers a request with 503 + Retry-After when the proxy is
 // draining; true means the request was answered and must not be forwarded.
@@ -520,7 +514,7 @@ func (p *Proxy) probe(ctx context.Context, b *Backend) {
 
 // candidates returns the backends that may serve a request with the given
 // affinity key, in preference order: the ring owner first (unless its
-// occupancy estimate exceeds the ceiling, or it has browned out past B2
+// load has reached the occupancy ceiling, or it has browned out past B2
 // while a full-fidelity backend is available, and the request is not
 // pinned), then the remaining eligible backends — non-degraded before
 // degraded, ascending load within each class. Backends whose last probe
@@ -674,8 +668,8 @@ func affinityKey(route string, r *http.Request, body []byte) string {
 // race a second backend after HedgeDelay.
 func (p *Proxy) unary(route string, hedgeable bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		p.inflight.Inc()
-		defer p.inflight.Dec()
+		p.occupancy.Arrive()
+		defer p.occupancy.Complete()
 		start := time.Now()
 		tr := p.traces.Start(route)
 		w.Header().Set("X-Trace-Id", tr.ID())
@@ -887,7 +881,7 @@ func (p *Proxy) tryBackend(ctx context.Context, b *Backend, method, path, conten
 	begin := time.Now()
 	res, err := b.cl.Do(ctx, method, path, contentType, body)
 	elapsed := time.Since(begin)
-	b.complete(elapsed, err == nil)
+	b.complete(p.cfg.Now())
 	if err != nil {
 		if ctx.Err() != nil {
 			// A canceled hedge lane or an expired request says nothing
@@ -1010,12 +1004,13 @@ func (p *Proxy) handleWatchSubscribe(w http.ResponseWriter, r *http.Request) {
 // forwardStream proxies a long-lived NDJSON/SSE connection: raw
 // passthrough with a per-chunk flush, outside the unary client (which
 // buffers whole responses and retries — wrong on both counts for a
-// stream). Stream lifetimes do not feed the λ·W estimator: a healthy
-// stream lasts as long as its client, which says nothing about backend
-// service time. They are accounted by llproxy_stream_clients instead.
+// stream). Stream lifetimes do not feed the backend's occupancy
+// estimator: a healthy stream lasts as long as its client, which says
+// nothing about backend load. They are accounted by llproxy_stream_clients
+// (and, like every request inside the proxy, by its own in-flight gauge).
 func (p *Proxy) forwardStream(w http.ResponseWriter, r *http.Request, route, key string, pinned bool, body []byte) {
-	p.inflight.Inc()
-	defer p.inflight.Dec()
+	p.occupancy.Arrive()
+	defer p.occupancy.Complete()
 	start := time.Now()
 	tr := p.traces.Start(route)
 	w.Header().Set("X-Trace-Id", tr.ID())
@@ -1067,7 +1062,7 @@ func (p *Proxy) forwardStream(w http.ResponseWriter, r *http.Request, route, key
 	b.success()
 	p.requests.With(b.Name, "stream").Inc()
 	// Connection setup only: the stream's lifetime is its client's, not a
-	// latency worth decomposing (mirrors the λ·W exclusion above).
+	// latency worth decomposing (mirrors the occupancy exclusion above).
 	tr.Add("forward", b.Name+" stream", 0, time.Since(connStart))
 
 	h := w.Header()

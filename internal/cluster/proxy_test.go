@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,6 +28,10 @@ type stubBackend struct {
 	status atomic.Int64 // 0 = 200
 	delay  atomic.Int64 // nanoseconds
 	navg   atomic.Int64 // milli-n_avg reported by /healthz
+	// hold, when set before traffic starts, parks every /v1 request until
+	// it is closed — requests genuinely in flight, for as long as a test
+	// needs them.
+	hold chan struct{}
 }
 
 func (s *stubBackend) handler(w http.ResponseWriter, r *http.Request) {
@@ -39,6 +44,9 @@ func (s *stubBackend) handler(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.hits.Add(1)
+	if s.hold != nil {
+		<-s.hold
+	}
 	if d := time.Duration(s.delay.Load()); d > 0 {
 		time.Sleep(d)
 	}
@@ -107,6 +115,19 @@ func newStubCluster(t *testing.T, n int, mutate func(*Config)) (*Proxy, []*stubB
 	return p, stubs
 }
 
+// waitFor polls for a condition the test cannot hook (a request reaching a
+// stub's handler) with a deadline.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func stubByName(stubs []*stubBackend, name string) *stubBackend {
 	for _, s := range stubs {
 		if s.name == name {
@@ -152,43 +173,63 @@ func TestProxyAffinityRoutesConsistently(t *testing.T) {
 	}
 }
 
-// TestProxyOccupancyOverrideSpills: when the affinity owner's estimated
-// n_avg exceeds the ceiling, the request joins the least-loaded backend
-// instead and the override is counted.
+// TestProxyOccupancyOverrideSpills: when the affinity owner's occupancy is
+// past the ceiling, the request joins the least-loaded backend instead and
+// the override is counted. The occupancy is real: requests held in flight
+// at the owner until they reach its ceiling of five (the rule is load ≥
+// ceiling), and the next one spills.
 func TestProxyOccupancyOverrideSpills(t *testing.T) {
 	p, stubs := newStubCluster(t, 3, func(c *Config) { c.OccupancyCeiling = 5 })
-	ts := httptest.NewServer(p.Handler())
-	defer ts.Close()
-
 	req, _ := service.DecodeAnalyzeRequest([]byte(analyzeBody))
 	key, _ := req.AffinityKey()
 	owner := p.backends[p.ring.Owner(key)]
-	// Pump the owner's estimator far past the ceiling: a hot burst with
-	// 100ms observed latency.
-	now := time.Now()
-	for i := 0; i < 2000; i++ {
-		owner.arrive(now)
-		owner.complete(100*time.Millisecond, true)
+	ownerStub := stubByName(stubs, owner.Name)
+	ownerStub.hold = make(chan struct{})
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+
+	post := func() int {
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(analyzeBody))
+		if err != nil {
+			t.Errorf("post: %v", err)
+			return 0
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	if got := owner.navg(now); got < 5 {
-		t.Fatalf("failed to pump owner n_avg past ceiling: %v", got)
+	const held = 5
+	var wg sync.WaitGroup
+	for i := 0; i < held; i++ {
+		// One at a time, so each is routed while the owner is still under
+		// the ceiling: 0..4 in flight on arrival, the last one reaching it.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code := post(); code != http.StatusOK {
+				t.Errorf("held request: status %d", code)
+			}
+		}()
+		waitFor(t, func() bool { return ownerStub.hits.Load() == int64(i+1) })
+	}
+	if got := owner.load(time.Now()); got != held {
+		t.Fatalf("owner load = %v with %d requests parked on it", got, held)
+	}
+	if got := p.overrides.Value(); got != 0 {
+		t.Fatalf("affinity overrides = %d while the owner was under its ceiling", got)
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(analyzeBody))
-	if err != nil {
-		t.Fatalf("post: %v", err)
+	if code := post(); code != http.StatusOK {
+		t.Fatalf("spilled request: status %d", code)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if got := stubByName(stubs, owner.Name).hits.Load(); got != 0 {
-		t.Fatalf("overloaded owner still served the request")
+	if got := ownerStub.hits.Load(); got != held {
+		t.Fatalf("owner with %d in flight (ceiling 5) still took the next request", held)
 	}
 	if got := p.overrides.Value(); got != 1 {
 		t.Fatalf("affinity overrides = %d, want 1", got)
 	}
+	close(ownerStub.hold)
+	wg.Wait()
 }
 
 // TestProxyFailoverOnServerError: a retryable status from the first

@@ -74,9 +74,9 @@ func TestShedThenRecover(t *testing.T) {
 		t.Fatalf("admitted p99 under overload = %s, want <= %s (baseline p99 %s)", p99over, limit, p99base)
 	}
 
-	// Phase 3 — recovery: the same polite client as the baseline. The rate
-	// estimator decays within a few half-lives, so the post-overload server
-	// admits everything again.
+	// Phase 3 — recovery: the same polite client as the baseline. Admission
+	// reads only what is in flight, so the post-overload server admits
+	// everything again at once.
 	rec, err := loadgen.Run(context.Background(), loadgen.Options{
 		URL: ts.URL, Mode: "closed", Concurrency: 2, Duration: time.Second,
 	})

@@ -1,28 +1,21 @@
 // Package limit applies the paper's own metric to the server that computes
-// it: adaptive admission control via Little's Law. The service's /metrics
-// already derives its long-run average concurrency as latency_sum/uptime;
-// this package turns the same quantity into a *live* control signal. A
-// Limiter measures the admitted arrival rate (an exponentially decayed
-// counter, so bursts fade with a configurable half-life) and the per-route
-// service latency (EWMA), combines them as
+// it: admission control via Little's Law. A Limiter counts exactly what it
+// has admitted and not yet seen complete, and gates on that count against
+// an MSHR-style ceiling — the same shape as the paper's
+// occupancy-vs-capacity verdict for a cache level. Arrivals under the
+// ceiling are admitted; arrivals at the ceiling wait in a bounded FIFO with
+// a deadline; arrivals beyond the queue are shed with a drain-time
+// Retry-After hint, exactly as an MSHR-full cache rejects a new miss rather
+// than queueing unboundedly. A queue therefore only ever forms behind
+// requests that are in flight, and every completion hands its slot to the
+// queue's head.
 //
-//	n_avg = Σ_routes λ_route × W_route        (Equation 1, per class)
-//
-// and compares max(in-flight, n_avg) against an MSHR-style ceiling — the
-// same shape as the paper's occupancy-vs-capacity verdict for a cache
-// level. Arrivals under the ceiling are admitted; arrivals at the ceiling
-// wait in a bounded FIFO with a deadline; arrivals beyond the queue are
-// shed with a drain-time Retry-After hint, exactly as an MSHR-full cache
-// rejects a new miss rather than queueing unboundedly. The queue drains on
-// completions and — when the memory term alone holds admission shut with
-// nothing in flight, so no completion is coming — on later arrivals and a
-// decay-horizon timer, so an idle server always recovers.
-//
-// The in-flight count gates hard bursts instantly; the Little's-Law term
-// adds memory, so a burst of admissions against a slow route keeps
-// admission closed even while the instantaneous in-flight count transiently
-// dips. On a stationary server the two agree — Equation 1 observed about
-// the observer, now steering it.
+// Beside the gate the Limiter measures n_avg the way the paper checks
+// Equation 2 — as the windowed time-average of that in-flight count (a
+// queueing.Estimator; DESIGN.md "How every layer measures n_avg"). A
+// measured mean cannot exceed the peak it averages, so it adds nothing to
+// the gate; it is the reported quantity: brownout pressure, /healthz
+// limiter_navg, the proxy's load signal and the Retry-After hint read it.
 package limit
 
 import (
@@ -34,6 +27,7 @@ import (
 	"time"
 
 	"littleslaw/internal/faults"
+	"littleslaw/internal/queueing"
 	"littleslaw/internal/trace"
 )
 
@@ -46,8 +40,8 @@ const FaultSite = "limit.acquire"
 
 // Config tunes a Limiter. Zero values take the documented defaults.
 type Config struct {
-	// Ceiling is the MSHR-style occupancy limit: admission is denied when
-	// max(in-flight, n_avg) reaches it (0 = 64).
+	// Ceiling is the MSHR-style occupancy limit: admission is denied while
+	// this many requests are in flight (0 = 64).
 	Ceiling float64
 	// MaxQueue bounds the admission FIFO where arrivals wait for a slot
 	// once the ceiling is reached (0 = 2×Ceiling rounded up; negative =
@@ -57,18 +51,10 @@ type Config struct {
 	// before being shed (0 = 5s). The request's own context deadline
 	// applies as well, whichever is sooner.
 	QueueTimeout time.Duration
-	// MaxRoutes caps the per-route stats map: once it holds MaxRoutes
-	// entries, further distinct route names share one overflow bucket, so
-	// a client fabricating unique paths can neither grow memory without
-	// bound nor fragment the n_avg estimate into useless slivers (0 = 512).
-	MaxRoutes int
-	// RateHalfLife is the half-life of the decayed arrival-rate estimator:
-	// how quickly the admitted rate — and with it n_avg — forgets a burst
-	// (0 = 10s).
+	// RateHalfLife is the half-life of the window n_avg is averaged over:
+	// how quickly the reported occupancy forgets a burst
+	// (0 = queueing.DefaultHalfLife, 10s).
 	RateHalfLife time.Duration
-	// LatencyAlpha is the per-completion EWMA weight for route service
-	// latency, in (0, 1] (0 = 0.2).
-	LatencyAlpha float64
 	// Now is the clock (tests; nil = time.Now).
 	Now func() time.Time
 }
@@ -85,15 +71,6 @@ func (c *Config) normalize() {
 	}
 	if c.QueueTimeout == 0 {
 		c.QueueTimeout = 5 * time.Second
-	}
-	if c.MaxRoutes <= 0 {
-		c.MaxRoutes = 512
-	}
-	if c.RateHalfLife == 0 {
-		c.RateHalfLife = 10 * time.Second
-	}
-	if c.LatencyAlpha == 0 {
-		c.LatencyAlpha = 0.2
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -118,25 +95,10 @@ func (e *ShedError) Error() string {
 // Is makes errors.Is(err, ErrShed) true for every ShedError.
 func (e *ShedError) Is(target error) bool { return target == ErrShed }
 
-// routeStat is the per-route slice of the estimate: an exponentially
-// decayed admission counter and a service-latency EWMA.
-type routeStat struct {
-	count float64   // decayed admissions; λ = count/τ
-	last  time.Time // time of the last decay
-	lat   float64   // EWMA service latency, seconds
-	seen  bool      // lat holds at least one sample
-}
-
-// waiter is one queued arrival: the route it will be admitted on and the
-// channel closed at grant time.
-type waiter struct {
-	route string
-	grant chan struct{}
-}
-
 // Snapshot is a point-in-time view of the limiter for /metrics.
 type Snapshot struct {
-	// NAvg is the live Little's-Law occupancy estimate Σ λ_r × W_r.
+	// NAvg is the measured occupancy: the windowed time-average of
+	// InFlight.
 	NAvg float64
 	// Ceiling is the configured occupancy limit.
 	Ceiling float64
@@ -156,37 +118,29 @@ type Snapshot struct {
 // methods are safe for concurrent use.
 type Limiter struct {
 	cfg Config
-	tau float64 // decay time constant, seconds (half-life / ln 2)
 
-	mu        sync.Mutex
-	routes    map[string]*routeStat
-	inflight  int
-	queue     []*waiter // FIFO, grant channels closed on admission
-	pumpArmed bool      // a decay-horizon re-evaluation timer is pending
-	admitted  uint64
-	queued    uint64
-	shed      uint64
+	mu       sync.Mutex
+	est      queueing.Estimator // exact in-flight and its windowed mean
+	queue    []chan struct{}    // FIFO of waiters, each closed at grant time
+	admitted uint64
+	queued   uint64
+	shed     uint64
 }
 
 // New builds a Limiter.
 func New(cfg Config) *Limiter {
 	cfg.normalize()
-	return &Limiter{
-		cfg:    cfg,
-		tau:    cfg.RateHalfLife.Seconds() / math.Ln2,
-		routes: map[string]*routeStat{},
-	}
+	return &Limiter{cfg: cfg, est: queueing.NewEstimator(cfg.RateHalfLife, cfg.Now())}
 }
 
-// Ceiling returns the configured occupancy limit.
-func (l *Limiter) Ceiling() float64 { return l.cfg.Ceiling }
-
-// Acquire asks to admit one request on the named route. It returns a
-// release function that must be called exactly once when the request
-// completes (it records the service latency and hands the slot to the
-// queue), plus whether the request waited in the queue before admission.
-// A denial returns a *ShedError (matching ErrShed) when the limiter shed
-// the request, or the context's error when ctx expired while queued.
+// Acquire asks to admit one request. It returns a release function that
+// must be called exactly once when the request completes (it hands the slot
+// to the queue), plus whether the request waited in the queue before
+// admission. A denial returns a *ShedError (matching ErrShed) when the
+// limiter shed the request, or the context's error when ctx expired while
+// queued. The route names the request class for the caller's own decision
+// metrics; the limiter itself keeps one occupancy integral across all of
+// them — a time-integral needs no per-class W.
 func (l *Limiter) Acquire(ctx context.Context, route string) (release func(), waited bool, err error) {
 	// The whole Acquire is queue wait from the request's point of view:
 	// record it as the "limit" stage of the request's trace, noted with
@@ -214,17 +168,12 @@ func (l *Limiter) Acquire(ctx context.Context, route string) (release func(), wa
 	}
 	now := l.cfg.Now()
 	l.mu.Lock()
-	// First grant any queued waiters the decayed occupancy now permits —
-	// a queue formed while nothing was in flight (the n_avg memory term
-	// alone at the ceiling) has no completion coming to drain it, so
-	// arrivals must re-run the grant logic themselves.
-	l.pumpLocked(now)
 	// Admit immediately only past an empty queue (FIFO fairness: a new
 	// arrival never overtakes a queued one).
-	if len(l.queue) == 0 && l.occupancyLocked(now) < l.cfg.Ceiling {
-		l.admitLocked(route, now)
+	if len(l.queue) == 0 && float64(l.est.InFlight()) < l.cfg.Ceiling {
+		l.admitLocked(now)
 		l.mu.Unlock()
-		return l.releaser(route, now), false, nil
+		return l.releaser(), false, nil
 	}
 	if l.cfg.MaxQueue < 0 || len(l.queue) >= l.cfg.MaxQueue {
 		l.shed++
@@ -232,28 +181,27 @@ func (l *Limiter) Acquire(ctx context.Context, route string) (release func(), wa
 		l.mu.Unlock()
 		return nil, false, &ShedError{RetryAfter: hint}
 	}
-	w := &waiter{route: route, grant: make(chan struct{})}
-	l.queue = append(l.queue, w)
+	grant := make(chan struct{})
+	l.queue = append(l.queue, grant)
 	l.queued++
-	l.schedulePumpLocked(now)
 	l.mu.Unlock()
 
 	timer := time.NewTimer(l.cfg.QueueTimeout)
 	defer timer.Stop()
 	select {
-	case <-w.grant:
-		return l.releaser(route, l.cfg.Now()), true, nil
+	case <-grant:
+		return l.releaser(), true, nil
 	case <-ctx.Done():
-		if l.abandon(w) {
+		if l.abandon(grant) {
 			return nil, true, ctx.Err()
 		}
 		// Granted concurrently with cancellation: hand the slot straight
-		// back (without a latency sample — no work was done).
-		<-w.grant
-		l.relinquish()
+		// back (no work was done).
+		<-grant
+		l.release()
 		return nil, true, ctx.Err()
 	case <-timer.C:
-		if l.abandon(w) {
+		if l.abandon(grant) {
 			l.mu.Lock()
 			l.shed++
 			hint := l.retryAfterLocked(l.cfg.Now())
@@ -261,212 +209,64 @@ func (l *Limiter) Acquire(ctx context.Context, route string) (release func(), wa
 			return nil, true, &ShedError{RetryAfter: hint}
 		}
 		// Granted concurrently with the timeout: the slot is ours, use it.
-		<-w.grant
-		return l.releaser(route, l.cfg.Now()), true, nil
+		<-grant
+		return l.releaser(), true, nil
 	}
 }
 
-// admitLocked books one admission on the route: the decayed counter that
-// feeds λ, the in-flight gauge and the decision counter.
-func (l *Limiter) admitLocked(route string, now time.Time) {
-	st := l.route(route)
-	l.decayLocked(st, now)
-	st.count++
-	l.inflight++
+// admitLocked books one admission: the in-flight count (and through it the
+// occupancy integral) and the decision counter.
+func (l *Limiter) admitLocked(now time.Time) {
+	l.est.Arrive(now)
 	l.admitted++
 }
 
 // releaser returns the completion callback for an admitted request.
 // Idempotent: extra calls are no-ops.
-func (l *Limiter) releaser(route string, admittedAt time.Time) func() {
+func (l *Limiter) releaser() func() {
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			lat := l.cfg.Now().Sub(admittedAt).Seconds()
-			if lat < 0 {
-				lat = 0
-			}
-			l.mu.Lock()
-			st := l.route(route)
-			if !st.seen {
-				st.lat, st.seen = lat, true
-			} else {
-				st.lat += l.cfg.LatencyAlpha * (lat - st.lat)
-			}
-			l.inflight--
-			l.grantLocked()
-			l.mu.Unlock()
-		})
-	}
+	return func() { once.Do(l.release) }
 }
 
-// relinquish returns a slot that was granted but never used (the waiter's
-// context expired as the grant arrived). No latency sample is recorded.
-func (l *Limiter) relinquish() {
-	l.mu.Lock()
-	l.inflight--
-	l.grantLocked()
-	l.mu.Unlock()
-}
-
-// grantLocked admits queued waiters while in-flight slots remain. Grants
-// from completions are driven by the hard in-flight gate, not the n_avg
-// estimate, so every completion frees a slot and the queue always drains.
-func (l *Limiter) grantLocked() {
+// release frees one slot and grants queued waiters while slots remain.
+// Every queued waiter sits behind a request in flight (a queue forms only
+// at the ceiling), so completions alone always drain the queue.
+func (l *Limiter) release() {
 	now := l.cfg.Now()
-	for len(l.queue) > 0 && float64(l.inflight) < l.cfg.Ceiling {
-		w := l.queue[0]
+	l.mu.Lock()
+	l.est.Complete(now)
+	for len(l.queue) > 0 && float64(l.est.InFlight()) < l.cfg.Ceiling {
+		close(l.queue[0])
 		l.queue = l.queue[1:]
-		l.admitLocked(w.route, now)
-		close(w.grant)
+		l.admitLocked(now)
 	}
-}
-
-// pumpLocked is the arrival-path twin of grantLocked: it grants queued
-// waiters while the full max(in-flight, n_avg) signal sits under the
-// ceiling. Completions hand their slot over unconditionally via
-// grantLocked; the pump instead covers the queue that formed on the memory
-// term alone — nothing in flight, so no completion is coming — which
-// drains here as the decayed estimate falls back under the ceiling.
-func (l *Limiter) pumpLocked(now time.Time) {
-	for len(l.queue) > 0 && l.occupancyLocked(now) < l.cfg.Ceiling {
-		w := l.queue[0]
-		l.queue = l.queue[1:]
-		l.admitLocked(w.route, now)
-		close(w.grant)
-	}
-}
-
-// schedulePumpLocked arms a one-shot re-evaluation for a queue that cannot
-// rely on either a completion (nothing is in flight) or a future arrival
-// to drain it. The delay is the decay horizon τ·ln(n_avg/Ceiling) — the
-// time Equation 1's memory term needs to fall back to the ceiling —
-// after which the timer pumps and, if still stalled, re-arms.
-func (l *Limiter) schedulePumpLocked(now time.Time) {
-	if len(l.queue) == 0 || l.inflight > 0 || l.pumpArmed {
-		return
-	}
-	d := time.Millisecond
-	if n := l.navgLocked(now); n > l.cfg.Ceiling {
-		d = time.Duration(l.tau * math.Log(n/l.cfg.Ceiling) * float64(time.Second))
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-	}
-	l.pumpArmed = true
-	time.AfterFunc(d, func() {
-		l.mu.Lock()
-		l.pumpArmed = false
-		now := l.cfg.Now()
-		l.pumpLocked(now)
-		l.schedulePumpLocked(now)
-		l.mu.Unlock()
-	})
+	l.mu.Unlock()
 }
 
 // abandon removes a still-queued waiter, reporting whether it was removed
 // (false means the grant already fired and the slot belongs to the caller).
-// Removal re-runs the grant logic: the abandoning waiter may have been the
-// queue head, and the occupancy estimate has decayed since it enqueued.
-func (l *Limiter) abandon(w *waiter) bool {
+func (l *Limiter) abandon(grant chan struct{}) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i, q := range l.queue {
-		if q == w {
+		if q == grant {
 			l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			now := l.cfg.Now()
-			l.pumpLocked(now)
-			l.schedulePumpLocked(now)
 			return true
 		}
 	}
 	return false
 }
 
-// overflowRoute is the shared bucket for route names arriving after the
-// stats map reached Config.MaxRoutes distinct entries.
-const overflowRoute = "!overflow"
-
-// evictBelow is the decayed-count floor under which a route's contribution
-// to n_avg is noise and its entry is dropped (≈20 half-lives after its
-// last admission), so idle or fabricated routes do not accumulate.
-const evictBelow = 1e-6
-
-// route returns the named route's stat, creating it on first use. Once the
-// map holds MaxRoutes entries, new names fold into one overflow bucket so
-// client-chosen paths cannot grow the map without bound. Callers hold l.mu.
-func (l *Limiter) route(name string) *routeStat {
-	if st, ok := l.routes[name]; ok {
-		return st
-	}
-	if len(l.routes) >= l.cfg.MaxRoutes {
-		name = overflowRoute
-		if st, ok := l.routes[name]; ok {
-			return st
-		}
-	}
-	st := &routeStat{last: l.cfg.Now()}
-	l.routes[name] = st
-	return st
-}
-
-// decayLocked ages the route's admission counter to now.
-func (l *Limiter) decayLocked(st *routeStat, now time.Time) {
-	dt := now.Sub(st.last).Seconds()
-	if dt <= 0 {
-		return
-	}
-	st.count *= math.Exp(-dt / l.tau)
-	st.last = now
-}
-
-// navgLocked is the live Little's-Law estimate: Σ_routes λ_r × W_r with
-// λ_r the decayed admitted rate and W_r the latency EWMA.
-func (l *Limiter) navgLocked(now time.Time) float64 {
-	var n float64
-	for name, st := range l.routes {
-		l.decayLocked(st, now)
-		if st.count < evictBelow {
-			delete(l.routes, name)
-			continue
-		}
-		n += st.count / l.tau * st.lat
-	}
-	return n
-}
-
-// occupancyLocked is the admission signal: the directly sampled in-flight
-// count or the Little's-Law estimate, whichever is higher.
-func (l *Limiter) occupancyLocked(now time.Time) float64 {
-	return math.Max(float64(l.inflight), l.navgLocked(now))
-}
-
 // retryAfterLocked estimates when a shed client should retry: the time for
 // the queue (plus this request) to drain at the current service rate.
 // Ceiling slots each turning over every W seconds serve Ceiling/W req/s,
-// so the wait is (depth+1) × W / Ceiling, clamped to [1s, 30s] and rounded
-// up to whole seconds (the Retry-After header's resolution).
+// so the wait is (depth+1) × W / Ceiling with W = n_avg/λ from the measured
+// window, clamped to [1s, 30s] and rounded up to whole seconds (the
+// Retry-After header's resolution).
 func (l *Limiter) retryAfterLocked(now time.Time) time.Duration {
-	var latSum, cntSum float64
-	for _, st := range l.routes {
-		if st.seen {
-			latSum += st.count * st.lat
-			cntSum += st.count
-		}
-	}
-	wait := time.Second
-	if cntSum > 0 {
-		mean := latSum / cntSum
-		est := float64(len(l.queue)+1) * mean / l.cfg.Ceiling
-		wait = time.Duration(math.Ceil(est)) * time.Second
-	}
-	if wait < time.Second {
-		wait = time.Second
-	}
-	if wait > 30*time.Second {
-		wait = 30 * time.Second
-	}
-	return wait
+	est := float64(len(l.queue)+1) * l.est.W(now) / l.cfg.Ceiling
+	wait := time.Duration(math.Ceil(est)) * time.Second
+	return min(max(wait, time.Second), 30*time.Second)
 }
 
 // Snapshot returns the current state for metrics export.
@@ -475,9 +275,9 @@ func (l *Limiter) Snapshot() Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Snapshot{
-		NAvg:       l.navgLocked(now),
+		NAvg:       l.est.NAvg(now),
 		Ceiling:    l.cfg.Ceiling,
-		InFlight:   l.inflight,
+		InFlight:   l.est.InFlight(),
 		QueueDepth: len(l.queue),
 		Admitted:   l.admitted,
 		Queued:     l.queued,

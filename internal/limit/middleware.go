@@ -17,26 +17,14 @@ func RetryAfterSeconds(d time.Duration) string {
 	return fmt.Sprintf("%d", s)
 }
 
-// Handler wraps next with admission control keyed on the request path.
-// Shed requests get 429 with a Retry-After header and a JSON error
-// envelope; a context that expires while queued gets 503. This is the
-// standalone form the end-to-end tests drive; the analysis service calls
-// the Limiter directly from its own instrumentation wrapper for per-route
-// metrics. Raw-path keying is safe against fabricated unique paths — the
-// Limiter folds routes past Config.MaxRoutes into one overflow bucket and
-// evicts entries whose rate has decayed to nothing — but servers that know
-// their route patterns should prefer HandlerWithKey so per-route latency
-// stats are not fragmented across client-chosen URLs.
+// Handler wraps next with admission control. Shed requests get 429 with a
+// Retry-After header and a JSON error envelope; a context that expires
+// while queued gets 503. This is the standalone form the end-to-end tests
+// drive; the analysis service calls the Limiter directly from its own
+// instrumentation wrapper for per-route decision metrics.
 func Handler(l *Limiter, next http.Handler) http.Handler {
-	return HandlerWithKey(l, func(r *http.Request) string { return r.URL.Path }, next)
-}
-
-// HandlerWithKey is Handler with a caller-chosen route key — typically the
-// matched route pattern or handler name rather than the raw path, the same
-// normalization the analysis service uses for its per-handler metrics.
-func HandlerWithKey(l *Limiter, key func(*http.Request) string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		release, _, err := l.Acquire(r.Context(), key(r))
+		release, _, err := l.Acquire(r.Context(), r.URL.Path)
 		if err != nil {
 			status := http.StatusServiceUnavailable
 			if shed, ok := err.(*ShedError); ok {

@@ -9,15 +9,14 @@ import (
 	"time"
 )
 
-// The limiter's n_avg is Equation 1 made operational: Σ_routes λ_r × W_r
-// with λ from an exponentially decayed admission counter and W from a
-// per-route latency EWMA. These property tests pin its algebra on random
-// workloads under a fake clock: the estimate must match the closed form,
-// must not depend on how concurrent admissions interleave, and must scale
-// the way Little's Law says it does. One completion per route keeps the
-// EWMA a plain sample — the EWMA is deliberately order-*dependent* within
-// a route, so cross-route interleaving is exactly the invariance the
-// estimator owes us.
+// The limiter's n_avg is Equation 1 measured rather than forecast: the
+// exponentially windowed time-integral of its own in-flight count over the
+// elapsed part of the window (queueing.Estimator). These property tests pin
+// that algebra through the limiter's public surface on random workloads
+// under a fake clock: the reading must match the integral's closed form,
+// must not depend on how concurrent admissions interleave, must scale the
+// way Little's Law says it does, and must decay to nothing once traffic
+// stops.
 
 // fakeClock is a hand-cranked time source for deterministic limiter runs.
 type fakeClock struct{ now time.Time }
@@ -34,12 +33,12 @@ type op struct {
 	release bool
 }
 
-// runWorkload replays timed ops against a fresh limiter and returns its
-// final n_avg at `end`. The ceiling is set high enough that nothing queues,
-// so the run exercises the estimator, not the gate.
-func runWorkload(t *testing.T, ops []op, end time.Time) float64 {
+// runWorkload replays timed ops against a fresh limiter built at `start`
+// and returns it with the clock at `end`. The ceiling is set high enough
+// that nothing queues, so the run exercises the estimator, not the gate.
+func runWorkload(t *testing.T, start time.Time, ops []op, end time.Time) *Limiter {
 	t.Helper()
-	clk := &fakeClock{now: ops[0].at}
+	clk := &fakeClock{now: start}
 	l := New(Config{Ceiling: 1e9, RateHalfLife: 10 * time.Second, Now: clk.Now})
 	releases := map[string]func(){}
 	for _, o := range ops {
@@ -62,17 +61,16 @@ func runWorkload(t *testing.T, ops []op, end time.Time) float64 {
 	if snap.InFlight != 0 || snap.QueueDepth != 0 {
 		t.Fatalf("workload left inflight=%d queue=%d", snap.InFlight, snap.QueueDepth)
 	}
-	return snap.NAvg
+	return l
 }
 
-// TestNAvgMatchesClosedForm: with one admission and one completion per
-// route, the live estimate at time T has an exact closed form —
+// TestNAvgMatchesClosedForm: a request admitted at a and released at a+W
+// adds ∫ e^(−(T−s)/τ) ds over [a, a+W] to the windowed integral at T, and
+// the elapsed window is τ·(1 − e^(−(T−start)/τ)), so
 //
-//	n_avg(T) = Σ_r e^{-(T − a_r)/τ} / τ × W_r
+//	n_avg(T) = Σ_r (e^(−(T − a_r − W_r)/τ) − e^(−(T − a_r)/τ)) / (1 − e^(−(T − start)/τ))
 //
-// (each route's decayed count is one admission aged from its admit time
-// a_r, and its EWMA is the single latency sample W_r). Random workloads
-// must match it to floating-point accuracy.
+// Random workloads must match it to floating-point accuracy.
 func TestNAvgMatchesClosedForm(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	const halfLife = 10 * time.Second
@@ -97,40 +95,40 @@ func TestNAvgMatchesClosedForm(t *testing.T) {
 		}
 		sort.SliceStable(ops, func(i, j int) bool { return ops[i].at.Before(ops[j].at) })
 		end := base.Add(8 * time.Second)
-		got := runWorkload(t, ops, end)
+		got := runWorkload(t, base, ops, end).Snapshot().NAvg
 		want := 0.0
 		for _, s := range spans {
-			want += math.Exp(-end.Sub(s.admit).Seconds()/tau) / tau * s.lat
+			age := end.Sub(s.admit).Seconds()
+			want += math.Exp(-(age-s.lat)/tau) - math.Exp(-age/tau)
 		}
+		want /= 1 - math.Exp(-end.Sub(base).Seconds()/tau)
 		if diff := math.Abs(got - want); diff > 1e-9*math.Max(1, want) {
-			t.Fatalf("seed %d: n_avg = %g, closed form = %g (n=%d routes)", seed, got, want, n)
+			t.Fatalf("seed %d: n_avg = %g, closed form = %g (n=%d requests)", seed, got, want, n)
 		}
 	}
 }
 
 // TestNAvgInvariantUnderPermutedInterleavings: when several routes admit at
 // the same instant, the order in which their Acquire calls hit the limiter
-// is scheduler luck — the estimate must not depend on it. Same for
-// same-instant completions. Every permutation of the concurrent batch must
-// land on the identical n_avg.
+// is scheduler luck — the reading must not depend on it. Same for
+// same-instant completions. An integral over time cannot see the order of
+// events that share an instant, so every permutation of the concurrent
+// batch must land on the identical n_avg, bit for bit.
 func TestNAvgInvariantUnderPermutedInterleavings(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	routes := []string{"analyze", "advise", "tune", "tables", "characterize"}
 	lats := []time.Duration{120 * time.Millisecond, 340 * time.Millisecond,
-		2 * time.Second, 55 * time.Millisecond, 900 * time.Millisecond}
+		2 * time.Second, 340 * time.Millisecond, 120 * time.Millisecond}
 	end := base.Add(5 * time.Second)
 
 	build := func(admitOrder, releaseOrder []int) []op {
 		var ops []op
-		// All admissions at t=0, in the given order...
+		// All admissions at t=0, in the given order; each route releases at
+		// its own latency, two pairs of routes sharing an instant, so both
+		// the admit batch and the equal-time releases are permuted.
 		for _, i := range admitOrder {
 			ops = append(ops, op{at: base, route: routes[i]})
 		}
-		// ...then all completions at a common later instant, so release
-		// order is also permutable. Each route's latency is still its own:
-		// the limiter computes W from admit→release of *that* route... except
-		// a shared release instant would equalize them. So release each route
-		// at its own time; only equal-time pairs are permuted below.
 		for _, i := range releaseOrder {
 			ops = append(ops, op{at: base.Add(lats[i]), route: routes[i], release: true})
 		}
@@ -139,17 +137,15 @@ func TestNAvgInvariantUnderPermutedInterleavings(t *testing.T) {
 	}
 
 	identity := []int{0, 1, 2, 3, 4}
-	want := runWorkload(t, build(identity, identity), end)
+	want := runWorkload(t, base, build(identity, identity), end).Snapshot().NAvg
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		admitOrder := rng.Perm(len(routes))
 		releaseOrder := rng.Perm(len(routes))
-		got := runWorkload(t, build(admitOrder, releaseOrder), end)
-		// Not exact equality: navgLocked sums over a Go map, whose random
-		// iteration order can shuffle float rounding by an ulp.
-		if math.Abs(got-want) > 1e-12*want {
-			t.Fatalf("trial %d: admit order %v gave n_avg %g, identity gave %g",
-				trial, admitOrder, got, want)
+		got := runWorkload(t, base, build(admitOrder, releaseOrder), end).Snapshot().NAvg
+		if got != want {
+			t.Fatalf("trial %d: admit order %v, release order %v gave n_avg %g, identity gave %g",
+				trial, admitOrder, releaseOrder, got, want)
 		}
 	}
 	if want <= 0 {
@@ -158,14 +154,19 @@ func TestNAvgInvariantUnderPermutedInterleavings(t *testing.T) {
 }
 
 // TestNAvgScalesWithLatency: Little's Law is linear in W — doubling every
-// route's service latency (with admission times fixed) must exactly double
-// the estimate. A metamorphic check that needs no closed form at all.
+// request's service latency (with admission times fixed) must exactly
+// double the time-integral of the in-flight count, and with it the
+// whole-life mean. The windowed reading weights the added, later half of
+// each span a little more than the first (it is more recent), so it grows
+// by a factor between 2 and 2·e^(W_max/τ) — linear to first order in W/τ,
+// and exactly the closed form above.
 func TestNAvgScalesWithLatency(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	end := base.Add(6 * time.Second)
+	lats := []time.Duration{100, 250, 700, 1300}
 	workload := func(scale time.Duration) []op {
 		var ops []op
-		for i, lat := range []time.Duration{100, 250, 700, 1300} {
+		for i, lat := range lats {
 			route := string(rune('a' + i))
 			ops = append(ops,
 				op{at: base.Add(time.Duration(i) * 200 * time.Millisecond), route: route},
@@ -174,19 +175,26 @@ func TestNAvgScalesWithLatency(t *testing.T) {
 		sort.SliceStable(ops, func(a, b int) bool { return ops[a].at.Before(ops[b].at) })
 		return ops
 	}
-	one := runWorkload(t, workload(time.Millisecond), end)
-	two := runWorkload(t, workload(2*time.Millisecond), end)
-	if one <= 0 {
-		t.Fatalf("baseline n_avg = %g, want positive", one)
+	one := runWorkload(t, base, workload(time.Millisecond), end)
+	two := runWorkload(t, base, workload(2*time.Millisecond), end)
+	mean1, mean2 := one.est.Mean(end), two.est.Mean(end)
+	if mean1 <= 0 {
+		t.Fatalf("baseline mean occupancy = %g, want positive", mean1)
 	}
-	if ratio := two / one; math.Abs(ratio-2) > 1e-9 {
-		t.Fatalf("doubling all latencies scaled n_avg by %g, want exactly 2", ratio)
+	if ratio := mean2 / mean1; math.Abs(ratio-2) > 1e-9 {
+		t.Fatalf("doubling all latencies scaled ∫n dt by %g, want exactly 2", ratio)
+	}
+	tau := (10 * time.Second).Seconds() / math.Ln2
+	upper := 2 * math.Exp((1300*time.Millisecond).Seconds()/tau)
+	if ratio := two.Snapshot().NAvg / one.Snapshot().NAvg; ratio < 2 || ratio > upper {
+		t.Fatalf("doubling all latencies scaled windowed n_avg by %g, want within [2, %g]", ratio, upper)
 	}
 }
 
-// TestNAvgDecaysToZero: once traffic stops, the memory term must decay
-// below any threshold within a bounded number of half-lives — the property
-// the recovery phase of the shed/recover e2e rests on.
+// TestNAvgDecaysToZero: once traffic stops, the reading must fall
+// monotonically and below any threshold within a bounded number of
+// half-lives — the property the recovery phase of the shed/recover e2e
+// rests on.
 func TestNAvgDecaysToZero(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	clk := &fakeClock{now: base}
@@ -207,14 +215,14 @@ func TestNAvgDecaysToZero(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		clk.add(time.Second)
 		cur := l.Snapshot().NAvg
-		if cur > prev+1e-12 {
-			t.Fatalf("n_avg rose from %g to %g with no traffic", prev, cur)
+		if cur >= prev {
+			t.Fatalf("n_avg went from %g to %g with no traffic, want strictly falling", prev, cur)
 		}
 		prev = cur
 	}
-	if prev != 0 {
-		// 30 half-lives beyond a 50-admission burst is ~5e-8 of the start;
-		// the evictBelow floor should have zeroed it entirely.
-		t.Fatalf("n_avg = %g after 30 idle half-lives, want exact 0 via eviction", prev)
+	// The integral halves per half-life while the window it is divided by
+	// only grows: 30 idle half-lives leave at most 2^-30 of the busy reading.
+	if limit := busy / (1 << 30); prev > limit {
+		t.Fatalf("n_avg = %g after 30 idle half-lives, want ≤ %g", prev, limit)
 	}
 }

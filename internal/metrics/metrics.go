@@ -3,12 +3,11 @@
 // Prometheus text format.
 //
 // It also closes the loop with the paper: a long-running service is itself
-// a queueing system, so the registry derives the service's own average
-// request concurrency through Little's Law — L = λ·W, which with
-// λ = completed/uptime and W = latency_sum/completed collapses to
-// latency_sum/uptime — and exports it next to the directly-sampled
-// in-flight gauge. On a stationary server the two agree, which is
-// Equation 1 observed about the observer.
+// a queueing system, so Occupancy measures a layer's own n_avg — the
+// windowed time-average of its exact in-flight count, one
+// queueing.Estimator behind a lock — for export next to that in-flight
+// count. On a stationary server the two agree, which is Equation 1
+// observed about the observer.
 package metrics
 
 import (
@@ -19,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"littleslaw/internal/queueing"
 )
 
 // Counter is a monotonically increasing count.
@@ -118,13 +119,11 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics []*metric
 	names   map[string]bool
-	start   time.Time
-	now     func() time.Time // test hook
 }
 
-// NewRegistry returns an empty registry; uptime counts from now.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{names: map[string]bool{}, start: time.Now(), now: time.Now}
+	return &Registry{names: map[string]bool{}}
 }
 
 func (r *Registry) register(name, help, kind string, write func(io.Writer, string)) {
@@ -144,15 +143,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 		fmt.Fprintf(w, "%s %d\n", n, c.Value())
 	})
 	return c
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %d\n", n, g.Value())
-	})
-	return g
 }
 
 // Histogram registers and returns a new histogram with the given bucket
@@ -328,18 +318,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return h
 }
 
-// TotalLatency sums the latency over every child, for Little's-Law
-// derivations across a labeled family.
-func (v *HistogramVec) TotalLatency() (sum float64, count uint64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, h := range v.children {
-		sum += h.Sum()
-		count += h.Count()
-	}
-	return sum, count
-}
-
 func labelKey(labels, values []string) string {
 	s := ""
 	for i, l := range labels {
@@ -405,21 +383,58 @@ func writeHistogram(w io.Writer, name, labels string, h *Histogram) {
 	}
 }
 
-// UptimeSeconds returns the time since the registry was created.
-func (r *Registry) UptimeSeconds() float64 {
-	return r.now().Sub(r.start).Seconds()
+// Occupancy is a request envelope's measured concurrency: a
+// queueing.Estimator on the wall clock, guarded for concurrent use by the
+// layers (the two HTTP envelopes, the simulation runner) that own no lock
+// of their own to put one under.
+type Occupancy struct {
+	mu  sync.Mutex
+	est queueing.Estimator
+	now func() time.Time // test hook
 }
 
-// LittleConcurrency derives the long-run average number of requests in the
-// system via Little's Law from a latency family: L = λ·W =
-// (completed/uptime) × (latency_sum/completed) = latency_sum/uptime.
-func (r *Registry) LittleConcurrency(v *HistogramVec) float64 {
-	up := r.UptimeSeconds()
-	if up <= 0 {
-		return 0
-	}
-	sum, _ := v.TotalLatency()
-	return sum / up
+// NewOccupancy starts measuring now, over the default decay window.
+func NewOccupancy() *Occupancy {
+	return &Occupancy{est: queueing.NewEstimator(0, time.Now()), now: time.Now}
+}
+
+// Arrive records one request entering the layer.
+func (o *Occupancy) Arrive() {
+	now := o.now()
+	o.mu.Lock()
+	o.est.Arrive(now)
+	o.mu.Unlock()
+}
+
+// Complete records one request leaving the layer.
+func (o *Occupancy) Complete() {
+	now := o.now()
+	o.mu.Lock()
+	o.est.Complete(now)
+	o.mu.Unlock()
+}
+
+// InFlight returns the exact number of requests inside the layer.
+func (o *Occupancy) InFlight() int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return int64(o.est.InFlight())
+}
+
+// NAvg returns the windowed time-average of InFlight.
+func (o *Occupancy) NAvg() float64 {
+	now := o.now()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.est.NAvg(now)
+}
+
+// Mean returns busy seconds over uptime since NewOccupancy, undecayed.
+func (o *Occupancy) Mean() float64 {
+	now := o.now()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.est.Mean(now)
 }
 
 // WritePrometheus renders every registered metric in registration order.

@@ -3,14 +3,17 @@ package metrics
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"littleslaw/internal/queueing"
 )
 
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "a counter")
-	g := r.Gauge("g", "a gauge")
+	var g Gauge // gauges register as GaugeVec children; the zero value counts
 	c.Inc()
 	c.Add(4)
 	g.Inc()
@@ -99,16 +102,59 @@ func TestHistogramVecPromOutput(t *testing.T) {
 
 // TestLittleConcurrency pins the paper's law applied to the service
 // itself: with 10 completed requests of 0.2 s each over a 4 s window,
-// λ = 2.5/s, W = 0.2 s, so L = λ·W = 0.5.
+// λ = 2.5/s, W = 0.2 s, so L = λ·W = 0.5 — read off the measured
+// occupancy rather than derived from a latency sum. The undecayed mean is
+// the identity exactly; the windowed n_avg of a process this much younger
+// than its window agrees with it to a few percent.
 func TestLittleConcurrency(t *testing.T) {
-	r := NewRegistry()
-	v := r.HistogramVec("lat_seconds", "latency", nil, "handler")
+	clock := time.Unix(0, 0)
+	o := NewOccupancy()
+	o.est = queueing.NewEstimator(0, clock)
+	o.now = func() time.Time { return clock }
 	for i := 0; i < 10; i++ {
-		v.With("analyze").Observe(0.2)
+		clock = time.Unix(0, 0).Add(time.Duration(i) * 400 * time.Millisecond)
+		o.Arrive()
+		clock = clock.Add(200 * time.Millisecond)
+		o.Complete()
 	}
-	r.now = func() time.Time { return r.start.Add(4 * time.Second) }
-	if got := r.LittleConcurrency(v); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("LittleConcurrency = %g, want 0.5", got)
+	clock = time.Unix(4, 0)
+	if got := o.Mean(); math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("Mean = %g, want λ·W = 0.5", got)
+	}
+	if got := o.NAvg(); math.Abs(got-0.5) > 0.02 {
+		t.Fatalf("NAvg = %g, want ≈ 0.5 on a window this young", got)
+	}
+	if got := o.InFlight(); got != 0 {
+		t.Fatalf("InFlight = %d after every completion, want 0", got)
+	}
+}
+
+// TestOccupancyConcurrent hammers one Occupancy from many goroutines — the
+// race detector's target — and checks the books balance: nothing left in
+// flight, and a mean that never passed the number of goroutines.
+func TestOccupancyConcurrent(t *testing.T) {
+	const workers = 8
+	o := NewOccupancy()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				o.Arrive()
+				if n := o.NAvg(); n > workers {
+					t.Errorf("NAvg = %g with %d goroutines", n, workers)
+				}
+				o.Complete()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := o.InFlight(); got != 0 {
+		t.Fatalf("InFlight = %d after every completion, want 0", got)
+	}
+	if got := o.Mean(); got < 0 || got > workers {
+		t.Fatalf("Mean = %g outside [0, %d]", got, workers)
 	}
 }
 

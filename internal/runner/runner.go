@@ -8,13 +8,11 @@
 // requests for the same canonical configuration share one execution),
 // caches completed results in an LRU keyed on the canonicalized
 // sim.Config, and instruments itself: cache hit/miss/bypass counters, an
-// in-flight gauge, and — in the spirit of the paper it serves — a
-// Little's-Law occupancy gauge. With λ = runs/uptime and W =
-// busy_seconds/runs, L = λ·W collapses to busy_seconds/uptime: the
-// long-run average number of simulations in flight, derived purely from
-// throughput and residence time, compared against the directly-sampled
-// in-flight gauge exactly as the paper compares Equation 2 against true
-// MSHR occupancy.
+// in-flight gauge, and — in the spirit of the paper it serves — its
+// measured occupancy, the time-average of that in-flight count (DESIGN.md
+// "How every layer measures n_avg"), exported beside the directly-sampled
+// gauge exactly as the paper compares Equation 2 against true MSHR
+// occupancy.
 package runner
 
 import (
@@ -123,8 +121,8 @@ type Stats struct {
 	StaleServes uint64
 	Expirations uint64
 	InFlight    int64 // simulations executing right now
-	// Occupancy is the Little's-Law average number of simulations in
-	// flight since the Runner was built: busy_seconds / uptime.
+	// Occupancy is the average number of simulations in flight since the
+	// Runner was built: busy_seconds / uptime, undecayed.
 	Occupancy float64
 }
 
@@ -148,16 +146,14 @@ type Runner struct {
 	fallbacks   metrics.Counter
 	staleServes metrics.Counter
 	expirations metrics.Counter
-	inflight    metrics.Gauge
-	busyNs      atomic.Int64
-	start       time.Time
-	now         func() time.Time // test hook; time.Now by default
+	occupancy   *metrics.Occupancy // simulations executing and their n_avg
+	now         func() time.Time   // test hook; time.Now by default
 }
 
 // New builds a Runner retaining at most capacity completed results
 // (capacity <= 0 means unbounded).
 func New(capacity int) *Runner {
-	return &Runner{cache: engine.NewLRU[Key, entry](capacity), start: time.Now(), now: time.Now}
+	return &Runner{cache: engine.NewLRU[Key, entry](capacity), occupancy: metrics.NewOccupancy(), now: time.Now}
 }
 
 // SetTTL bounds how long a cached result counts as fresh. Zero (the
@@ -290,17 +286,15 @@ func (r *Runner) RunStale(ctx context.Context, cfg sim.Config) (res *sim.Result,
 }
 
 func (r *Runner) execute(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-	r.inflight.Inc()
+	r.occupancy.Arrive()
 	begin := time.Now()
 	defer func() {
-		busy := time.Since(begin)
 		// The kernel is a leaf stage: its span is the measured busy time
-		// itself — the same quantity the occupancy gauge accumulates, so
+		// itself — the same interval the occupancy gauge integrates, so
 		// the trace_stage_navg{stage="sim"} metric and
 		// <prefix>_littles_occupancy must reconcile.
-		trace.Add(ctx, "sim", "", 0, busy)
-		r.busyNs.Add(busy.Nanoseconds())
-		r.inflight.Dec()
+		trace.Add(ctx, "sim", "", 0, time.Since(begin))
+		r.occupancy.Complete()
 	}()
 	switch f := faults.Global().Eval(FaultSite); f.Kind {
 	case faults.KindLatency:
@@ -331,17 +325,9 @@ func (r *Runner) Stats() Stats {
 		Fallbacks:   r.fallbacks.Value(),
 		StaleServes: r.staleServes.Value(),
 		Expirations: r.expirations.Value(),
-		InFlight:    r.inflight.Value(),
-		Occupancy:   r.occupancy(),
+		InFlight:    r.occupancy.InFlight(),
+		Occupancy:   r.occupancy.Mean(),
 	}
-}
-
-func (r *Runner) occupancy() float64 {
-	up := time.Since(r.start).Seconds()
-	if up <= 0 {
-		return 0
-	}
-	return float64(r.busyNs.Load()) / 1e9 / up
 }
 
 // Register exposes the Runner's instrumentation on reg under the given
@@ -367,8 +353,8 @@ func (r *Runner) Register(reg *metrics.Registry, prefix string) {
 		r.expirations.Value)
 	reg.Derived(prefix+"_inflight",
 		"Simulations executing right now (directly sampled).",
-		func() float64 { return float64(r.inflight.Value()) })
+		func() float64 { return float64(r.occupancy.InFlight()) })
 	reg.Derived(prefix+"_littles_occupancy",
-		"Little's-Law average simulations in flight: busy seconds / uptime (L = lambda*W).",
-		r.occupancy)
+		"Measured average simulations in flight: windowed time-average of the in-flight gauge (L = lambda*W).",
+		r.occupancy.NAvg)
 }

@@ -445,10 +445,10 @@ type ErrorResponse struct {
 // HealthzResponse is the readiness body GET /healthz returns. The endpoint
 // keeps its plain-200 liveness contract (it never returns non-200 while the
 // process serves); the body lets a cluster prober distinguish "up" from
-// "drowning" by reading the limiter's live Little's-Law occupancy.
+// "drowning" by reading the limiter's measured occupancy.
 type HealthzResponse struct {
-	// Status is "ok"; "overloaded" when the admission controller's
-	// occupancy estimate has reached its ceiling (requests are queueing or
+	// Status is "ok"; "overloaded" when the admission controller has its
+	// ceiling's worth of requests in flight (new ones are queueing or
 	// shedding; the process is still alive); or "draining" once shutdown
 	// began — draining wins, it tells the prober to route elsewhere now.
 	Status  string `json:"status"`
@@ -458,8 +458,9 @@ type HealthzResponse struct {
 	// that shutdown has begun and new work is being refused.
 	BrownoutMode string `json:"brownout_mode,omitempty"`
 	Draining     bool   `json:"draining,omitempty"`
-	// LimiterNAvg is the admission controller's live n_avg = Σ λ·W
-	// (absent when admission control is disabled).
+	// LimiterNAvg is the admission controller's measured n_avg, the
+	// windowed mean of LimiterInflight (absent when admission control is
+	// disabled).
 	LimiterNAvg     *float64 `json:"limiter_navg,omitempty"`
 	LimiterCeiling  *float64 `json:"limiter_ceiling,omitempty"`
 	LimiterInflight int      `json:"limiter_inflight,omitempty"`

@@ -55,10 +55,10 @@ func shedAt(route string) brownout.Mode {
 }
 
 // pressure is the scalar the brownout controller consumes: the limiter's
-// occupancy estimate normalized by its ceiling. The numerator takes
-// max(inflight+queued, n_avg): n_avg (= Σ λ·W over admitted work) measures
-// service-time occupancy but saturates near the ceiling once admission
-// caps it, while inflight+queued sees the queue building — together they
+// occupancy normalized by its ceiling. The numerator takes
+// max(inflight+queued, n_avg): n_avg (the windowed mean of admitted work in
+// flight) remembers recent load but cannot pass the ceiling admission caps
+// it at, while inflight+queued sees the queue building — together they
 // keep the signal monotone in offered load up to ceiling+queue, which is
 // what gives the upper ladder rungs something to trigger on.
 func (s *Server) pressure() float64 {
@@ -66,11 +66,7 @@ func (s *Server) pressure() float64 {
 		return 0
 	}
 	snap := s.limiter.Snapshot()
-	ceiling := s.limiter.Ceiling()
-	if ceiling <= 0 {
-		return 0
-	}
-	return max(float64(snap.InFlight+snap.QueueDepth), snap.NAvg) / ceiling
+	return max(float64(snap.InFlight+snap.QueueDepth), snap.NAvg) / snap.Ceiling
 }
 
 // observeMode samples pressure into the controller and returns the
@@ -232,7 +228,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // InFlight returns the number of requests currently inside the envelope —
 // the quantity a draining main loop polls to zero.
-func (s *Server) InFlight() int64 { return s.inflight.Value() }
+func (s *Server) InFlight() int64 { return s.occupancy.InFlight() }
 
 // brownoutRetryAfter is the Retry-After hint on tier sheds: the default
 // DwellDown — the soonest the ladder could possibly have descended a rung.

@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"littleslaw/internal/brownout"
 	"littleslaw/internal/experiments"
+	"littleslaw/internal/faults"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
 )
@@ -201,5 +204,88 @@ func TestAdmissionDisabled(t *testing.T) {
 	_, metricsBody := get(t, ts, "/metrics")
 	if strings.Contains(string(metricsBody), "llserved_limiter_navg") {
 		t.Fatal("limiter metrics exported with admission control disabled")
+	}
+}
+
+// TestStallAtDefaultCeilingNeverQueues is the service half of the hit_serve
+// defect, end to end on the default config: two closed-loop clients of
+// cache-cheap requests, a seeded latency fault stalling handler.analyze for
+// 300 ms a handful of times, bounded by request count, not by the clock.
+// A forecast n_avg = λ·W read a late stall — tens of thousands of arrivals
+// on the books, W suddenly 60 ms — as hundreds of requests in the system,
+// queued both clients behind nothing until the 5 s queue deadline shed
+// them, and stepped the brownout ladder up on the same phantom. Measured,
+// two clients are at most two in flight: nothing queues, nothing sheds, and
+// the ladder never leaves B0.
+func TestStallAtDefaultCeilingNeverQueues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives 50k requests through the handler stack")
+	}
+	const (
+		clients   = 2
+		perClient = 25000
+		lateAfter = 30000 // a stall this deep into the run is what the forecast misread
+		seed      = 3
+	)
+	rule := faults.Rule{Site: "handler.analyze", Kind: faults.KindLatency, P: 1.0 / 10000, D: 300 * time.Millisecond}
+	// The site's schedule is a pure function of the seed and its evaluation
+	// count, so a twin injector tells in advance where the stalls land: the
+	// run is only a regression if one lands late.
+	twin, err := faults.New(seed, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := 0
+	for i := 0; i < clients*perClient; i++ {
+		if twin.Eval(rule.Site).Kind == faults.KindLatency && i >= lateAfter {
+			late++
+		}
+	}
+	if late == 0 {
+		t.Fatalf("seed %d places no stall after request %d; pick one that does", seed, lateAfter)
+	}
+
+	inj, err := faults.New(seed, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := &profileStub{}
+	s := New(Config{ProfileFor: stub.fn, FaultInjector: inj})
+	h := s.Handler()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(analyzeBody)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("request %d: status %d: %s", i, rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if fired := inj.FiredTotal(); fired == 0 {
+		t.Fatal("no stall was injected")
+	}
+	snap := s.limiter.Snapshot()
+	if snap.Queued != 0 || snap.Shed != 0 {
+		t.Fatalf("limiter queued %d and shed %d arrivals with at most %d in flight (n_avg %.2f, ceiling %g)",
+			snap.Queued, snap.Shed, clients, snap.NAvg, snap.Ceiling)
+	}
+	for _, decision := range []string{"queued", "shed", "brownout_shed"} {
+		if n := s.admissions.With("analyze", decision).Value(); n != 0 {
+			t.Fatalf("llserved_limiter_decisions_total{decision=%q} = %d, want 0", decision, n)
+		}
+	}
+	if snap.NAvg > clients {
+		t.Fatalf("limiter n_avg = %.2f with only %d clients", snap.NAvg, clients)
+	}
+	if b := s.brownout.Snapshot(); b.Mode != brownout.B0 || b.Transitions != 0 {
+		t.Fatalf("brownout ladder moved: mode %s after %d transitions (pressure %.2f)", b.Mode, b.Transitions, b.Pressure)
 	}
 }

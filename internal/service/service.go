@@ -7,10 +7,10 @@
 // per-request timeouts propagated through context, and an instrumentation
 // registry at /metrics.
 //
-// The service practices what the paper preaches: /metrics derives the
-// server's own average request concurrency via Little's Law
-// (L = λ·W = latency_sum/uptime) next to the directly sampled in-flight
-// gauge, so the law can be checked against the system that computes it.
+// The service practices what the paper preaches: /metrics exports the
+// server's own measured n_avg (the windowed time-average of its in-flight
+// count) next to the directly sampled in-flight gauge, so the law can be
+// checked against the system that computes it.
 package service
 
 import (
@@ -56,14 +56,6 @@ type Config struct {
 	MaxTimeout time.Duration
 	// Workers bounds per-request simulation concurrency (0 = GOMAXPROCS).
 	Workers int
-	// ProfileCacheSize bounds the per-platform profile cache (0 = 8).
-	ProfileCacheSize int
-	// TableCacheSize bounds the per-(table, scale) result cache (0 = 32).
-	TableCacheSize int
-	// RunnerCacheSize bounds the per-scale experiment runners, whose
-	// simulation caches let the six tables of one scale share runs
-	// (0 = 4).
-	RunnerCacheSize int
 	// ProfileFor overrides the X-Mem characterization as the profile
 	// source (tests; the llserved -paper-profiles mode). It must honor
 	// ctx if it blocks, or request timeouts cannot interrupt it.
@@ -79,10 +71,10 @@ type Config struct {
 	// effects are observable per server.
 	SimRunner *runner.Runner
 
-	// LimitCeiling is the admission controller's Little's-Law occupancy
-	// ceiling: requests are admitted while max(in-flight, λ·W) stays under
-	// it, queued briefly at it, and shed with 429 + Retry-After beyond the
-	// queue (0 = 64; negative disables admission control).
+	// LimitCeiling is the admission controller's MSHR-style occupancy
+	// ceiling: requests are admitted while fewer than this many are in
+	// flight, queued briefly at it, and shed with 429 + Retry-After beyond
+	// the queue (0 = 64; negative disables admission control).
 	LimitCeiling float64
 	// LimitQueue bounds the admission FIFO (0 = 2×ceiling; negative =
 	// shed immediately with no queue).
@@ -92,7 +84,7 @@ type Config struct {
 	LimitQueueTimeout time.Duration
 	// Brownout tunes the degradation ladder (zero fields take the
 	// brownout defaults). The controller exists whenever admission control
-	// is on — its pressure signal is the limiter's occupancy estimate —
+	// is on — its pressure signal is the limiter's measured occupancy —
 	// unless DisableBrownout opts out (the binary-shedding baseline).
 	Brownout        brownout.Config
 	DisableBrownout bool
@@ -131,15 +123,6 @@ func (c *Config) normalize() {
 	if c.MaxTimeout == 0 {
 		c.MaxTimeout = 30 * time.Minute
 	}
-	if c.ProfileCacheSize == 0 {
-		c.ProfileCacheSize = 8
-	}
-	if c.TableCacheSize == 0 {
-		c.TableCacheSize = 32
-	}
-	if c.RunnerCacheSize == 0 {
-		c.RunnerCacheSize = 4
-	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
 	}
@@ -162,6 +145,15 @@ func (c *Config) normalize() {
 		c.SimRunner = runner.Default()
 	}
 }
+
+// Cache bounds: per-platform profiles, per-(table, scale) results, and the
+// per-scale experiment runners whose simulation caches let the six tables
+// of one scale share runs.
+const (
+	profileCacheSize = 8
+	tableCacheSize   = 32
+	runnerCacheSize  = 4
+)
 
 // tableKey identifies one cached table regeneration.
 type tableKey struct {
@@ -197,7 +189,7 @@ type Server struct {
 
 	requests    *metrics.CounterVec
 	latency     *metrics.HistogramVec
-	inflight    *metrics.Gauge
+	occupancy   *metrics.Occupancy // the envelope's exact in-flight and its n_avg
 	cacheEvents *metrics.CounterVec
 	admissions  *metrics.CounterVec
 
@@ -217,12 +209,13 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		reg:         cfg.Registry,
-		profiles:    engine.NewLRU[string, *queueing.Curve](cfg.ProfileCacheSize),
-		tables:      engine.NewLRU[tableKey, *experiments.Table](cfg.TableCacheSize),
-		runners:     engine.NewLRU[float64, *experiments.Runner](cfg.RunnerCacheSize),
+		profiles:    engine.NewLRU[string, *queueing.Curve](profileCacheSize),
+		tables:      engine.NewLRU[tableKey, *experiments.Table](tableCacheSize),
+		runners:     engine.NewLRU[float64, *experiments.Runner](runnerCacheSize),
 		watches:     map[string]*stream.Broker{},
 		liveStreams: map[*stream.Broker]struct{}{},
 		faults:      cfg.FaultInjector,
+		occupancy:   metrics.NewOccupancy(),
 	}
 	if cfg.RunnerTTL > 0 {
 		cfg.SimRunner.SetTTL(cfg.RunnerTTL)
@@ -242,7 +235,7 @@ func New(cfg Config) *Server {
 		s.sessions = limit.NewSessions(cfg.MaxStreamClients)
 	}
 	// The brownout controller rides on the limiter: its pressure signal is
-	// the limiter's occupancy estimate, so without admission control there
+	// the limiter's measured occupancy, so without admission control there
 	// is nothing to observe and the ladder stays off.
 	if s.limiter != nil && !cfg.DisableBrownout {
 		ctrl, err := brownout.NewController(cfg.Brownout)
@@ -255,8 +248,9 @@ func New(cfg Config) *Server {
 		"Completed HTTP requests by handler and status code.", "handler", "code")
 	s.latency = s.reg.HistogramVec("llserved_request_seconds",
 		"Request latency by handler.", nil, "handler")
-	s.inflight = s.reg.Gauge("llserved_inflight_requests",
-		"Requests currently being served (the directly sampled occupancy).")
+	s.reg.Derived("llserved_inflight_requests",
+		"Requests currently being served (the directly sampled occupancy).",
+		func() float64 { return float64(s.occupancy.InFlight()) })
 	s.cacheEvents = s.reg.CounterVec("llserved_cache_events_total",
 		"Cache lookups by cache and outcome.", "cache", "event")
 	s.streamSubs = s.reg.GaugeVec("llserved_stream_subscribers",
@@ -266,19 +260,19 @@ func New(cfg Config) *Server {
 	s.streamDropped = s.reg.CounterVec("llserved_stream_dropped_total",
 		"Events dropped (oldest-first) on slow watch subscribers.", "stream")
 	s.reg.Derived("llserved_littles_law_concurrency",
-		"The server's own n_avg from Little's Law: request latency_sum over uptime "+
-			"(Equation 1 applied to the service; compare llserved_inflight_requests).",
-		func() float64 { return s.reg.LittleConcurrency(s.latency) })
+		"The server's own n_avg: windowed time-average of llserved_inflight_requests "+
+			"(Equation 1 measured on the service itself).",
+		s.occupancy.NAvg)
 	s.admissions = s.reg.CounterVec("llserved_limiter_decisions_total",
 		"Admission decisions by handler and outcome (admitted, queued, shed, expired).",
 		"handler", "decision")
 	if s.limiter != nil {
 		s.reg.Derived("llserved_limiter_navg",
-			"The admission controller's live Little's-Law occupancy estimate Σ λ_route × W_route.",
+			"The admission controller's measured occupancy: windowed time-average of llserved_limiter_inflight.",
 			func() float64 { return s.limiter.Snapshot().NAvg })
 		s.reg.Derived("llserved_limiter_ceiling",
 			"The admission controller's MSHR-style occupancy ceiling.",
-			func() float64 { return s.limiter.Ceiling() })
+			func() float64 { return s.limiter.Snapshot().Ceiling })
 		s.reg.Derived("llserved_limiter_inflight",
 			"Requests currently admitted by the limiter and not yet complete.",
 			func() float64 { return float64(s.limiter.Snapshot().InFlight) })
@@ -396,9 +390,8 @@ type admitFunc func(r *http.Request) (release func(), err error)
 
 // instrument wraps a handler with the per-request envelope — timeout
 // context, in-flight gauge, latency histogram, request counter — behind
-// the Little's-Law admission controller: the limiter measures this route's
-// arrival rate and latency, and sheds with 429 + Retry-After when
-// occupancy would pass the ceiling.
+// the Little's-Law admission controller, which sheds with 429 +
+// Retry-After when the requests in flight would pass the ceiling.
 func (s *Server) instrument(name string, fn func(w http.ResponseWriter, r *http.Request) error) http.Handler {
 	return s.envelope(name, fn, func(r *http.Request) (func(), error) {
 		if s.limiter == nil {
@@ -447,8 +440,8 @@ func (s *Server) instrumentStream(name string, fn func(w http.ResponseWriter, r 
 func (s *Server) envelope(name string, fn func(w http.ResponseWriter, r *http.Request) error, admit admitFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.inflight.Inc()
-		defer s.inflight.Dec()
+		s.occupancy.Arrive()
+		defer s.occupancy.Complete()
 
 		// Every request gets a trace; the id header goes out even on errors
 		// so a client holding a 429 or 504 can still fetch the waterfall.
@@ -736,12 +729,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := HealthzResponse{Status: "ok", Version: buildinfo.Version()}
 	if s.limiter != nil {
 		snap := s.limiter.Snapshot()
-		ceiling := s.limiter.Ceiling()
 		h.LimiterNAvg = &snap.NAvg
-		h.LimiterCeiling = &ceiling
+		h.LimiterCeiling = &snap.Ceiling
 		h.LimiterInflight = snap.InFlight
 		h.QueueDepth = snap.QueueDepth
-		if snap.NAvg >= ceiling {
+		if float64(snap.InFlight) >= snap.Ceiling {
 			h.Status = "overloaded"
 		}
 	}

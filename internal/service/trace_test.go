@@ -137,9 +137,10 @@ func TestTraceEndpointsSmoke(t *testing.T) {
 
 // TestTraceStageNavgMatchesOccupancyAt is the per-stage Little's-Law
 // golden test: the sim stage's n_avg from the trace sink (stage seconds
-// over uptime) must agree with (a) the paper pipeline's OccupancyAt over a
-// flat profile at the measured λ and W, and (b) the runner's own occupancy
-// gauge, which accumulates the identical busy seconds independently.
+// per second over its window, which a server this young has not filled)
+// must agree with (a) the paper pipeline's OccupancyAt over a flat profile
+// at the measured λ and W, and (b) the runner's own occupancy, which
+// integrates the identical busy intervals independently.
 func TestTraceStageNavgMatchesOccupancyAt(t *testing.T) {
 	stub := &profileStub{}
 	run := runner.New(64)
@@ -166,8 +167,8 @@ func TestTraceStageNavgMatchesOccupancyAt(t *testing.T) {
 		t.Fatalf("trace sim n_avg = %.5f, OccupancyAt = %.5f (%.1f%% off)", navg["sim"], want, rel*100)
 	}
 
-	// And against the runner's gauge: busy seconds / uptime, accumulated
-	// from the same kernel timings on a clock started microseconds apart.
+	// And against the runner's own books: busy seconds / uptime, integrated
+	// over the same kernel intervals on a clock started microseconds apart.
 	occ := run.Stats().Occupancy
 	if occ <= 0 {
 		t.Fatalf("runner occupancy = %v, want > 0", occ)

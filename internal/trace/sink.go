@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"littleslaw/internal/metrics"
+	"littleslaw/internal/queueing"
 )
 
 // DefaultCapacity bounds the ring when NewSink is given 0.
@@ -23,14 +24,6 @@ type Record struct {
 	Seq      int    `json:"seq"`
 	Trace    View   `json:"trace"`
 	Terminal string `json:"terminal,omitempty"`
-}
-
-// stageStat aggregates one stage across every trace the sink saw: the
-// span count (arrivals) and the total queue+service residence, from which
-// λ, W and n_avg all derive.
-type stageStat struct {
-	count uint64
-	ns    int64
 }
 
 // Sink owns a service's traces: it mints request traces, retains the last
@@ -52,8 +45,18 @@ type Sink struct {
 	next int
 	byID map[string]*Trace
 
+	// stats measures each stage across every trace the sink saw. A stage
+	// learns its residence only when a span ends, so the estimators are fed
+	// by Observe, all from the sink's own start.
 	statsMu sync.Mutex
-	stats   map[string]*stageStat
+	stats   []stageEst
+}
+
+// stageEst is one stage's estimator. Stage names are a handful of literals
+// in the code, so a scanned slice finds one faster than a map would hash it.
+type stageEst struct {
+	stage string
+	est   queueing.Estimator
 }
 
 // NewSink builds a sink retaining up to capacity finished traces
@@ -69,7 +72,6 @@ func NewSink(capacity int) *Sink {
 		prefix:   binary.BigEndian.Uint32(seed[:]),
 		start:    time.Now(),
 		byID:     make(map[string]*Trace, capacity),
-		stats:    make(map[string]*stageStat, 8),
 	}
 }
 
@@ -81,7 +83,7 @@ func (s *Sink) Start(route string) *Trace {
 		return nil
 	}
 	id := fmt.Sprintf("%08x%08x", s.prefix, uint32(s.ctr.Add(1)))
-	return &Trace{id: id, route: route, start: time.Now(), sink: s}
+	return &Trace{id: id, route: route, start: time.Now(), sink: s, spans: make([]Span, 0, typicalSpans)}
 }
 
 // Done retains a finished trace in the ring (evicting the oldest) and
@@ -128,57 +130,51 @@ func (s *Sink) Len() int {
 	return len(s.ring)
 }
 
-// observe feeds one span into the per-stage aggregates.
-func (s *Sink) observe(stage string, residence time.Duration) {
+// observe feeds one span, ending at end, into the per-stage estimators.
+func (s *Sink) observe(stage string, end time.Time, residence time.Duration) {
 	s.statsMu.Lock()
-	st := s.stats[stage]
-	if st == nil {
-		st = &stageStat{}
-		s.stats[stage] = st
+	i := 0
+	for i < len(s.stats) && s.stats[i].stage != stage {
+		i++
 	}
-	st.count++
-	st.ns += residence.Nanoseconds()
+	if i == len(s.stats) {
+		s.stats = append(s.stats, stageEst{stage, queueing.NewEstimator(0, s.start)})
+	}
+	s.stats[i].est.Observe(end, residence)
 	s.statsMu.Unlock()
 }
 
-// StageRates returns per-stage (λ, W, n_avg): span arrivals per second of
-// sink uptime, mean residence seconds, and their product — which collapses
-// to stage-seconds/uptime, the same construction as the runner's occupancy
-// gauge, so the two must reconcile.
+// StageRates returns per-stage (λ, W, n_avg) over the sink's decay window:
+// span arrivals per second, mean residence seconds, and the stage-seconds
+// per second they multiply to — the same measurement as the runner's
+// occupancy gauge, so the two must reconcile.
 func (s *Sink) StageRates() (lambda, w, navg map[string]float64) {
-	up := time.Since(s.start).Seconds()
+	now := time.Now()
 	lambda = map[string]float64{}
 	w = map[string]float64{}
 	navg = map[string]float64{}
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	for stage, st := range s.stats {
-		if st.count == 0 {
-			continue
-		}
-		sec := float64(st.ns) / 1e9
-		w[stage] = sec / float64(st.count)
-		if up > 0 {
-			lambda[stage] = float64(st.count) / up
-			navg[stage] = sec / up
-		}
+	for i := range s.stats {
+		st := &s.stats[i]
+		lambda[st.stage] = st.est.Lambda(now)
+		w[st.stage] = st.est.W(now)
+		navg[st.stage] = st.est.NAvg(now)
 	}
 	return lambda, w, navg
 }
 
 // Register exposes the per-stage Little's-Law decomposition on reg under
 // prefix: <prefix>_stage_lambda, _stage_w_seconds and _stage_navg, each
-// labeled by stage. n_avg = λ·W per stage, derived exactly as the runner's
-// occupancy gauge (busy seconds over uptime) — DESIGN §11's audit pushed
-// down to every stage.
+// labeled by stage and each read off that stage's queueing.Estimator.
 func (s *Sink) Register(reg *metrics.Registry, prefix string) {
 	reg.DerivedVec(prefix+"_stage_lambda",
-		"Per-stage span arrival rate: spans observed per second of uptime.",
+		"Per-stage span arrival rate over the decay window, per second.",
 		"stage", func() map[string]float64 { l, _, _ := s.StageRates(); return l })
 	reg.DerivedVec(prefix+"_stage_w_seconds",
-		"Per-stage mean residence W: queue wait plus service time per span.",
+		"Per-stage mean residence W over the decay window: queue wait plus service time per span.",
 		"stage", func() map[string]float64 { _, w, _ := s.StageRates(); return w })
 	reg.DerivedVec(prefix+"_stage_navg",
-		"Per-stage Little's-Law occupancy n_avg = lambda*W = stage seconds over uptime.",
+		"Per-stage measured occupancy n_avg = lambda*W: windowed stage seconds per second.",
 		"stage", func() map[string]float64 { _, _, n := s.StageRates(); return n })
 }

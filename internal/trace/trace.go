@@ -1,5 +1,5 @@
 // Package trace is the per-request latency decomposition the paper's
-// method implies: if the server publishes its own n_avg = λ·W, a single
+// method implies: if the server publishes its own n_avg, a single
 // request should be able to show *where* its W went. A Trace rides the
 // request context through the full spine — proxy forward, limiter queue,
 // engine pool, runner cache, sim kernel — and each stage records a Span
@@ -31,6 +31,11 @@ import (
 // counted in DroppedSpans (and still feed the sink's stage stats) so a
 // 90-job table fan-out cannot balloon the ring's memory.
 const MaxSpans = 128
+
+// typicalSpans sizes a sink-minted trace's span list up front: a served
+// request records about this many (limit, handler, runner, engine, sim and
+// a marker or two), so the list is allocated once instead of grown.
+const typicalSpans = 8
 
 // Span is one stage's contribution to a request's latency, split into
 // queue wait and service time. Start is the offset from the trace start.
@@ -189,7 +194,10 @@ func (t *Trace) record(sp Span) {
 	}
 	t.mu.Unlock()
 	if t.sink != nil {
-		t.sink.observe(sp.Stage, sp.Queue+sp.Service)
+		// The span's end, rebuilt from its own offsets: reading the clock
+		// again would cost more than the whole observation.
+		residence := sp.Queue + sp.Service
+		t.sink.observe(sp.Stage, t.start.Add(sp.Start+residence), residence)
 	}
 }
 
@@ -233,8 +241,8 @@ type View struct {
 	ID    string `json:"id"`
 	Route string `json:"route"`
 	// Status is the response code, 0 while the request is in flight.
-	Status  int    `json:"status,omitempty"`
-	StartNs int64  `json:"start_unix_ns"`
+	Status  int     `json:"status,omitempty"`
+	StartNs int64   `json:"start_unix_ns"`
 	TotalMs float64 `json:"total_ms"`
 	// AttributedMs sums queue+service over the spans; TotalMs minus this
 	// is the untraced residue the waterfall identity bounds.
