@@ -10,7 +10,7 @@ RACE_PKGS = ./internal/engine/ ./internal/runner/ ./internal/sim/ ./internal/xme
 # with, e.g., go test ./internal/tracefile -fuzz FuzzParse -fuzztime 5m.
 FUZZTIME ?= 10s
 
-.PHONY: all vet build test race test-chaos bench bench-stream bench-json perf perf-compare fuzz lint check loadtest cluster-demo trace-demo brownout-demo
+.PHONY: all vet build test race test-chaos bench bench-stream bench-json perf perf-compare fuzz lint check leftovers scoreboard loadtest cluster-demo trace-demo brownout-demo
 
 all: check
 
@@ -204,5 +204,28 @@ trace-demo:
 	echo "== per-stage Little's Law =="; \
 	curl -sf http://$(TRACE_ADDR)/metrics | grep '^llserved_trace_stage' || true
 
-# check is the tier-1 gate plus the race and chaos jobs.
-check: vet build test race test-chaos
+# leftovers fails if one of the repo's long-running binaries is still alive:
+# a server stranded by a verification run outlives the session and keeps its
+# port. pgrep -x matches the process name exactly (pgrep -f would match the
+# checking shell's own command line), one name at a time because pgrep
+# refuses patterns over 15 characters. It prints nothing when clean.
+leftovers:
+	@found=0; for n in llserved llproxy llload llwatch llbench; do \
+		if pgrep -l -x $$n; then found=1; fi; \
+	done; \
+	if [ $$found = 1 ]; then echo "leftovers: the processes above are still running; stop them" >&2; exit 1; fi
+
+# scoreboard prints the size-and-sediment rows ROADMAP.md's re-anchor table
+# tracks, so the next table is generated rather than counted by hand.
+scoreboard:
+	@gofiles() { git ls-files '*.go' | grep -v '_test\.go$$'; }; \
+	echo "non-test Go lines, all:              $$(gofiles | xargs cat | wc -l)"; \
+	echo "non-test Go lines, outside bench/:   $$(gofiles | grep -v '^bench/' | xargs cat | wc -l)"; \
+	echo "engine.NewLRU sites in product code: $$(gofiles | grep -v '^bench/' | xargs grep -h 'engine\.NewLRU' | wc -l)"; \
+	echo "Go files over 1000 lines:            $$(git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" && $$1 > 1000 { printf "%s%s (%d)", sep, $$2, $$1; sep = ", " } END { if (!sep) printf "none" }')"; \
+	echo "time.Sleep in tests:                 $$(git ls-files '*_test.go' | xargs grep -h 'time\.Sleep(' | wc -l)"; \
+	echo "direct timer sites, non-test:        $$(gofiles | xargs grep -hE 'time\.(After|AfterFunc|NewTimer|NewTicker|Tick)\(' | wc -l)"
+
+# check is the tier-1 gate plus the race and chaos jobs; leftovers goes last
+# so a process any earlier step stranded fails the gate.
+check: vet build test race test-chaos leftovers

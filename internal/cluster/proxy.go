@@ -39,6 +39,7 @@ import (
 	"littleslaw/internal/buildinfo"
 	"littleslaw/internal/client"
 	"littleslaw/internal/faults"
+	"littleslaw/internal/limit"
 	"littleslaw/internal/metrics"
 	"littleslaw/internal/queueing"
 	"littleslaw/internal/service"
@@ -262,81 +263,46 @@ func (p *Proxy) registerMetrics() {
 		"Failed /healthz probes by backend.", "backend")
 	p.streamClients = p.reg.GaugeVec("llproxy_stream_clients",
 		"Live proxied /v1/watch connections by backend.", "backend")
-	p.reg.DerivedVec("llproxy_backend_navg",
+	perBackend := func(name, help string, value func(*Backend) float64) {
+		p.reg.DerivedVec(name, help, "backend", func() map[string]float64 {
+			m := make(map[string]float64, len(p.order))
+			for _, b := range p.order {
+				m[b.Name] = value(b)
+			}
+			return m
+		})
+	}
+	oneIf := func(v bool) float64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	perBackend("llproxy_backend_navg",
 		"Measured per-backend occupancy: windowed time-average of the forwards in flight to it.",
-		"backend", func() map[string]float64 {
-			now := p.cfg.Now()
-			m := make(map[string]float64, len(p.order))
-			for _, b := range p.order {
-				m[b.Name] = b.navg(now)
-			}
-			return m
-		})
-	p.reg.DerivedVec("llproxy_backend_reported_navg",
+		func(b *Backend) float64 { return b.navg(p.cfg.Now()) })
+	perBackend("llproxy_backend_reported_navg",
 		"Each backend's own limiter n_avg from its last /healthz probe body.",
-		"backend", func() map[string]float64 {
-			m := make(map[string]float64, len(p.order))
-			for _, b := range p.order {
-				b.mu.Lock()
-				m[b.Name] = b.reported
-				b.mu.Unlock()
-			}
-			return m
+		func(b *Backend) float64 {
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			return b.reported
 		})
-	p.reg.DerivedVec("llproxy_backend_up",
+	perBackend("llproxy_backend_up",
 		"1 when the backend's last probe or forward succeeded, 0 when it is considered down.",
-		"backend", func() map[string]float64 {
-			m := make(map[string]float64, len(p.order))
-			for _, b := range p.order {
-				if _, healthy := b.snapshotState(); healthy {
-					m[b.Name] = 1
-				} else {
-					m[b.Name] = 0
-				}
-			}
-			return m
-		})
-	p.reg.DerivedVec("llproxy_breaker_state",
+		func(b *Backend) float64 { _, healthy := b.snapshotState(); return oneIf(healthy) })
+	perBackend("llproxy_breaker_state",
 		"Per-backend circuit-breaker state: 0 closed, 1 open, 2 half-open.",
-		"backend", func() map[string]float64 {
-			m := make(map[string]float64, len(p.order))
-			for _, b := range p.order {
-				st, _ := b.snapshotState()
-				m[b.Name] = float64(st)
-			}
-			return m
-		})
-	p.reg.DerivedVec("llproxy_backend_brownout_mode",
+		func(b *Backend) float64 { st, _ := b.snapshotState(); return float64(st) })
+	perBackend("llproxy_backend_brownout_mode",
 		"Each backend's brownout rung from its last /healthz probe (0 = full service, 4 = full shed).",
-		"backend", func() map[string]float64 {
-			m := make(map[string]float64, len(p.order))
-			for _, b := range p.order {
-				mode, _ := b.degradation()
-				m[b.Name] = float64(mode)
-			}
-			return m
-		})
-	p.reg.DerivedVec("llproxy_backend_draining",
+		func(b *Backend) float64 { mode, _ := b.degradation(); return float64(mode) })
+	perBackend("llproxy_backend_draining",
 		"1 when the backend's last probe reported it draining for shutdown.",
-		"backend", func() map[string]float64 {
-			m := make(map[string]float64, len(p.order))
-			for _, b := range p.order {
-				if _, draining := b.degradation(); draining {
-					m[b.Name] = 1
-				} else {
-					m[b.Name] = 0
-				}
-			}
-			return m
-		})
+		func(b *Backend) float64 { _, draining := b.degradation(); return oneIf(draining) })
 	p.reg.Derived("llproxy_draining",
 		"1 once BeginDrain has been called on the proxy itself.",
-		func() float64 {
-			if p.draining.Load() {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return oneIf(p.draining.Load()) })
 	p.reg.Derived("llproxy_littles_law_concurrency",
 		"The proxy's own n_avg: windowed time-average of llproxy_inflight_requests.",
 		p.occupancy.NAvg)
@@ -950,16 +916,8 @@ func (p *Proxy) shedNoBackend(w http.ResponseWriter) {
 	p.noBackend.Inc()
 	// The cooldown is when the next half-open trial can fire; retrying
 	// sooner cannot succeed.
-	w.Header().Set("Retry-After", retryAfterSeconds(p.cfg.BreakerCooldown))
+	w.Header().Set("Retry-After", limit.RetryAfterSeconds(p.cfg.BreakerCooldown))
 	p.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no healthy backends"))
-}
-
-func retryAfterSeconds(d time.Duration) string {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprintf("%d", secs)
 }
 
 func (p *Proxy) writeError(w http.ResponseWriter, status int, err error) {

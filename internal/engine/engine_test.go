@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -102,72 +101,5 @@ func TestMapErrorCancelsRemainingJobs(t *testing.T) {
 	}
 	if started.Load() == int64(len(jobs)-1) {
 		t.Log("note: every job started before cancellation propagated (slow host?)")
-	}
-}
-
-func TestGroupDeduplicatesAndCaches(t *testing.T) {
-	var g Group[string, int]
-	var calls atomic.Int64
-	const callers = 8
-	var wg sync.WaitGroup
-	results := make([]int, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := g.Do(context.Background(), "k", func() (int, error) {
-				calls.Add(1)
-				time.Sleep(10 * time.Millisecond)
-				return 42, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = v
-		}(i)
-	}
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("fn ran %d times, want 1 (singleflight)", n)
-	}
-	for _, v := range results {
-		if v != 42 {
-			t.Fatalf("results = %v", results)
-		}
-	}
-	// Cached: a later call must not re-execute.
-	if v, _ := g.Do(context.Background(), "k", func() (int, error) { calls.Add(1); return 0, nil }); v != 42 {
-		t.Fatalf("cached value = %d", v)
-	}
-	if calls.Load() != 1 {
-		t.Fatal("cached key re-executed")
-	}
-}
-
-func TestGroupDoesNotCacheErrors(t *testing.T) {
-	var g Group[string, int]
-	if _, err := g.Do(context.Background(), "k", func() (int, error) { return 0, errors.New("once") }); err == nil {
-		t.Fatal("error swallowed")
-	}
-	v, err := g.Do(context.Background(), "k", func() (int, error) { return 7, nil })
-	if err != nil || v != 7 {
-		t.Fatalf("retry after error: %d %v", v, err)
-	}
-	if got := g.Keys(); len(got) != 1 || got[0] != "k" {
-		t.Fatalf("keys = %v", got)
-	}
-}
-
-func TestGroupPutAndForget(t *testing.T) {
-	var g Group[string, int]
-	g.Put("seed", 9)
-	v, err := g.Do(context.Background(), "seed", func() (int, error) { return 0, errors.New("must not run") })
-	if err != nil || v != 9 {
-		t.Fatalf("seeded value: %d %v", v, err)
-	}
-	g.Forget("seed")
-	v, err = g.Do(context.Background(), "seed", func() (int, error) { return 11, nil })
-	if err != nil || v != 11 {
-		t.Fatalf("after forget: %d %v", v, err)
 	}
 }

@@ -9,16 +9,18 @@ import (
 	"littleslaw/internal/trace"
 )
 
-// LRU is a bounded Group: singleflight deduplication plus least-recently-
-// used eviction of completed entries. It is the cache a long-running
-// service needs where Group is the cache a batch run needs — Group retains
-// every key for the life of the process, LRU retains at most capacity of
-// them, evicting the coldest completed entry when a new key lands.
+// LRU is a singleflight result cache: the first caller of a key executes
+// the function while concurrent callers of the same key wait for — and
+// share — its result; successful results are retained, failed calls are
+// forgotten and retried by the next caller. With a positive capacity it
+// retains at most that many completed entries, evicting the least recently
+// used when a new key lands (the cache a long-running service needs); at
+// capacity <= 0 it retains every key for the life of the process (the
+// cache a batch run needs).
 //
 // In-flight computations are never evicted (a waiter holds a reference to
 // the flight), so the map can transiently exceed capacity by the number of
-// concurrent distinct misses. Failed computations are forgotten and
-// retried by the next caller, exactly like Group.
+// concurrent distinct misses.
 type LRU[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
@@ -31,9 +33,15 @@ type lruEntry[K comparable, V any] struct {
 	f   *flight[V]
 }
 
-// NewLRU returns a cache retaining at most capacity completed entries.
-// capacity <= 0 means unbounded (equivalent to Group with recency
-// bookkeeping).
+// flight is one computation of a key: done closes when val and err are set.
+type flight[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+// NewLRU returns a cache retaining at most capacity completed entries;
+// capacity <= 0 means unbounded.
 func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	return &LRU[K, V]{capacity: capacity, m: make(map[K]*list.Element), order: list.New()}
 }

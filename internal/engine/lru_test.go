@@ -10,8 +10,20 @@ import (
 	"time"
 )
 
-func TestLRUDoCachesAndReportsHits(t *testing.T) {
-	l := NewLRU[string, int](4)
+// eachCapacity runs a test of the singleflight-and-retain contract on the
+// unbounded cache (capacity 0, the mode batch pipelines use) and on a
+// bounded one: the contract does not depend on eviction.
+func eachCapacity(t *testing.T, test func(t *testing.T, l *LRU[string, int])) {
+	for _, capacity := range []int{0, 4} {
+		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
+			test(t, NewLRU[string, int](capacity))
+		})
+	}
+}
+
+func TestLRUDoCachesAndReportsHits(t *testing.T) { eachCapacity(t, testLRUDoCachesAndReportsHits) }
+
+func testLRUDoCachesAndReportsHits(t *testing.T, l *LRU[string, int]) {
 	calls := 0
 	fn := func(context.Context) (int, error) { calls++; return 42, nil }
 
@@ -58,8 +70,22 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-func TestLRUSingleflight(t *testing.T) {
-	l := NewLRU[string, int](4)
+func TestLRUUnboundedNeverEvicts(t *testing.T) {
+	l := NewLRU[int, int](0)
+	for k := 0; k < 1000; k++ {
+		k := k
+		if _, _, err := l.Do(context.Background(), k, func(context.Context) (int, error) { return k, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.Len() != 1000 {
+		t.Fatalf("Len = %d after 1000 distinct keys, want 1000", l.Len())
+	}
+}
+
+func TestLRUSingleflight(t *testing.T) { eachCapacity(t, testLRUSingleflight) }
+
+func testLRUSingleflight(t *testing.T, l *LRU[string, int]) {
 	var calls atomic.Int64
 	release := make(chan struct{})
 	const waiters = 8
@@ -98,8 +124,9 @@ func TestLRUSingleflight(t *testing.T) {
 	}
 }
 
-func TestLRUFailedCallsAreForgotten(t *testing.T) {
-	l := NewLRU[string, int](4)
+func TestLRUFailedCallsAreForgotten(t *testing.T) { eachCapacity(t, testLRUFailedCallsAreForgotten) }
+
+func testLRUFailedCallsAreForgotten(t *testing.T, l *LRU[string, int]) {
 	calls := 0
 	boom := errors.New("boom")
 	fn := func(context.Context) (int, error) {
@@ -171,8 +198,9 @@ func TestLRUInFlightNotEvicted(t *testing.T) {
 	}
 }
 
-func TestLRUPutAndForget(t *testing.T) {
-	l := NewLRU[string, int](2)
+func TestLRUPutAndForget(t *testing.T) { eachCapacity(t, testLRUPutAndForget) }
+
+func testLRUPutAndForget(t *testing.T, l *LRU[string, int]) {
 	l.Put("k", 5)
 	v, hit, err := l.Do(context.Background(), "k", func(context.Context) (int, error) {
 		return 0, fmt.Errorf("should not run")

@@ -13,7 +13,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"littleslaw/internal/core"
 	"littleslaw/internal/engine"
@@ -82,14 +81,10 @@ type Options struct {
 	// Platforms restricts the run (nil = all three).
 	Platforms []string
 	// ProfileFor supplies the bandwidth→latency curve per platform;
-	// nil means the cached X-Mem characterization (the honest pipeline).
-	// A supplied function must be safe for concurrent calls with distinct
-	// platforms (the Runner already deduplicates same-platform calls).
+	// nil means the process-cached X-Mem characterization (the honest
+	// pipeline). It is called once per platform per table call, possibly
+	// concurrently, so a source that is not free keeps its own results.
 	ProfileFor func(*platform.Platform) (*queueing.Curve, error)
-	// ProfileForContext is ProfileFor for cancellation-aware sources (a
-	// service looking profiles up through its own request-scoped cache).
-	// When set it takes precedence over ProfileFor.
-	ProfileForContext func(context.Context, *platform.Platform) (*queueing.Curve, error)
 	// Workers bounds how many simulations run concurrently. 0 means
 	// runtime.GOMAXPROCS(0); 1 forces serial execution. Table output is
 	// byte-identical for any worker count.
@@ -258,14 +253,13 @@ type runKey struct {
 	threads  int
 }
 
-// Runner executes table regenerations on a bounded worker pool, caching
-// simulated configurations (singleflight per runKey) so that a row and its
-// successor share runs and concurrent pipelines never duplicate work.
+// Runner executes table regenerations on a bounded worker pool. It holds
+// no results between calls: simulations are kept by internal/runner (a row
+// and its successor, concurrent pipelines and later calls all share runs
+// there) and platform profiles by the configured source.
 type Runner struct {
-	opts     Options
-	pool     *engine.Pool
-	cache    engine.Group[runKey, *sim.Result]
-	profiles engine.Group[string, *queueing.Curve]
+	opts Options
+	pool *engine.Pool
 }
 
 // NewRunner builds a Runner.
@@ -275,30 +269,21 @@ func NewRunner(opts Options) *Runner {
 }
 
 func (r *Runner) run(ctx context.Context, w workloads.Workload, p *platform.Platform, v workloads.Variant, threads int) (*sim.Result, error) {
-	key := runKey{workload: w.Name(), plat: p.Name, variant: v, threads: threads}
-	return r.cache.Do(ctx, key, func() (*sim.Result, error) {
-		cfg := w.WithVariant(v).Config(p, threads, r.opts.Scale)
-		res, err := runner.Run(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%s %s: %w", w.Name(), p.Name, v.Label(threads), err)
-		}
-		return res, nil
-	})
+	res, err := runner.Run(ctx, w.WithVariant(v).Config(p, threads, r.opts.Scale))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s/%s %s: %w", w.Name(), p.Name, v.Label(threads), err)
+	}
+	return res, nil
 }
 
-// profile returns the platform's bandwidth→latency curve, deduplicating
-// concurrent requests per platform.
-func (r *Runner) profile(ctx context.Context, p *platform.Platform) (*queueing.Curve, error) {
-	curve, err := r.profiles.Do(ctx, p.Name, func() (*queueing.Curve, error) {
-		switch {
-		case r.opts.ProfileForContext != nil:
-			return r.opts.ProfileForContext(ctx, p)
-		case r.opts.ProfileFor != nil:
-			return r.opts.ProfileFor(p)
-		default:
-			return xmem.ProfileForContext(ctx, p)
-		}
-	})
+// profile returns the platform's bandwidth→latency curve from the
+// configured source.
+func (r *Runner) profile(ctx context.Context, p *platform.Platform) (curve *queueing.Curve, err error) {
+	if r.opts.ProfileFor != nil {
+		curve, err = r.opts.ProfileFor(p)
+	} else {
+		curve, _, err = xmem.DefaultProfiles().Get(ctx, p)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("experiments: profiling %s: %w", p.Name, err)
 	}
@@ -344,39 +329,65 @@ func (r *Runner) tableWork(ids []string) (plats []*platform.Platform, keys []run
 	return plats, keys, nil
 }
 
-// precompute dispatches the tables' profiles and distinct simulations
-// across the worker pool, warming the Runner's caches. Assembly afterwards
-// is pure cache hits, so row order never depends on completion order.
-func (r *Runner) precompute(ctx context.Context, ids []string) error {
+// computed is what one dispatch hands to assembly: every profile and
+// simulation result its tables need. Assembly reads these and looks nothing
+// up again — under a runner TTL a second lookup could find the result just
+// computed already expired, and re-run it serially.
+type computed struct {
+	plats    []*platform.Platform
+	profiles map[string]*queueing.Curve
+	results  map[runKey]*sim.Result
+}
+
+// compute dispatches the tables' profiles and distinct simulations across
+// the worker pool in one flat fan-out. Row order never depends on
+// completion order: Map returns in submission order and assembly walks the
+// ladders in paper order.
+func (r *Runner) compute(ctx context.Context, ids []string) (*computed, error) {
 	plats, keys, err := r.tableWork(ids)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	jobs := make([]func(context.Context) (struct{}, error), 0, len(plats)+len(keys))
+	// One job type for both kinds of work, so they share one dispatch.
+	type product struct {
+		curve *queueing.Curve
+		res   *sim.Result
+	}
+	jobs := make([]func(context.Context) (product, error), 0, len(plats)+len(keys))
 	for _, p := range plats {
 		p := p
-		jobs = append(jobs, func(ctx context.Context) (struct{}, error) {
-			_, err := r.profile(ctx, p)
-			return struct{}{}, err
+		jobs = append(jobs, func(ctx context.Context) (product, error) {
+			curve, err := r.profile(ctx, p)
+			return product{curve: curve}, err
 		})
 	}
 	for _, k := range keys {
 		k := k
-		jobs = append(jobs, func(ctx context.Context) (struct{}, error) {
+		jobs = append(jobs, func(ctx context.Context) (product, error) {
 			w, ok := workloads.ByName(k.workload)
 			if !ok {
-				return struct{}{}, fmt.Errorf("experiments: unknown workload %q", k.workload)
+				return product{}, fmt.Errorf("experiments: unknown workload %q", k.workload)
 			}
 			p, err := platform.ByName(k.plat)
 			if err != nil {
-				return struct{}{}, err
+				return product{}, err
 			}
-			_, err = r.run(ctx, w, p, k.variant, k.threads)
-			return struct{}{}, err
+			res, err := r.run(ctx, w, p, k.variant, k.threads)
+			return product{res: res}, err
 		})
 	}
-	_, err = engine.Map(ctx, r.pool, jobs)
-	return err
+	out, err := engine.Map(ctx, r.pool, jobs)
+	if err != nil {
+		return nil, err
+	}
+	c := &computed{plats: plats, profiles: make(map[string]*queueing.Curve, len(plats)), results: make(map[runKey]*sim.Result, len(keys))}
+	for i, p := range plats {
+		c.profiles[p.Name] = out[i].curve
+	}
+	for i, k := range keys {
+		c.results[k] = out[len(plats)+i].res
+	}
+	return c, nil
 }
 
 // Table regenerates one paper table.
@@ -387,39 +398,24 @@ func (r *Runner) Table(id string) (*Table, error) {
 // TableContext regenerates one paper table, dispatching its distinct runs
 // concurrently while emitting rows in paper order.
 func (r *Runner) TableContext(ctx context.Context, id string) (*Table, error) {
-	if err := r.precompute(ctx, []string{id}); err != nil {
+	c, err := r.compute(ctx, []string{id})
+	if err != nil {
 		return nil, err
 	}
-	return r.assemble(ctx, id)
+	return assemble(id, c)
 }
 
-// assemble builds a table's rows in paper order from the warmed caches.
-func (r *Runner) assemble(ctx context.Context, id string) (*Table, error) {
-	spec, ok := tableSpecs[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown table %q (want IV..IX)", id)
-	}
+// assemble builds a table's rows in paper order from what compute produced
+// for it (compute has already rejected an unknown id or platform).
+func assemble(id string, c *computed) (*Table, error) {
+	spec := tableSpecs[id]
 	w, _ := workloads.ByName(spec.workload)
 	t := &Table{ID: spec.id, Workload: w.Name(), Routine: w.Routine()}
 
-	for _, platName := range r.opts.Platforms {
-		p, err := platform.ByName(platName)
-		if err != nil {
-			return nil, err
-		}
-		profile, err := r.profile(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		steps, ok := spec.steps[platName]
-		if !ok {
-			continue
-		}
-		for _, st := range steps {
-			res, err := r.run(ctx, w, p, st.Variant, st.Threads)
-			if err != nil {
-				return nil, err
-			}
+	for _, p := range c.plats {
+		profile := c.profiles[p.Name]
+		for _, st := range spec.steps[p.Name] {
+			res := c.results[runKey{workload: spec.workload, plat: p.Name, variant: st.Variant, threads: st.Threads}]
 			m := core.Measurement{
 				Routine:                w.Routine(),
 				BandwidthGBs:           res.TotalGBs,
@@ -447,10 +443,7 @@ func (r *Runner) assemble(ctx context.Context, id string) (*Table, error) {
 				PaperSpeedup: st.PaperSpeedup,
 			}
 			if !st.Final {
-				next, err := r.run(ctx, w, p, st.NextVariant, st.NextThreads)
-				if err != nil {
-					return nil, err
-				}
+				next := c.results[runKey{workload: spec.workload, plat: p.Name, variant: st.NextVariant, threads: st.NextThreads}]
 				row.NextOpt = st.NextOpt.String()
 				row.Speedup = next.Throughput / res.Throughput
 				caps := w.WithVariant(st.Variant).Capabilities(p, st.Threads)
@@ -472,26 +465,17 @@ func (r *Runner) AllTables() ([]*Table, error) {
 // dispatch — cross-table parallelism, identical output to the serial path.
 func (r *Runner) AllTablesContext(ctx context.Context) ([]*Table, error) {
 	ids := TableIDs()
-	if err := r.precompute(ctx, ids); err != nil {
+	c, err := r.compute(ctx, ids)
+	if err != nil {
 		return nil, err
 	}
 	var out []*Table
 	for _, id := range ids {
-		t, err := r.assemble(ctx, id)
+		t, err := assemble(id, c)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, t)
 	}
 	return out, nil
-}
-
-// SortedCacheKeys aids debugging/tests.
-func (r *Runner) SortedCacheKeys() []string {
-	var keys []string
-	for _, k := range r.cache.Keys() {
-		keys = append(keys, fmt.Sprintf("%s/%s/%+v/%d", k.workload, k.plat, k.variant, k.threads))
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -146,14 +146,8 @@ func (c *Config) normalize() {
 	}
 }
 
-// Cache bounds: per-platform profiles, per-(table, scale) results, and the
-// per-scale experiment runners whose simulation caches let the six tables
-// of one scale share runs.
-const (
-	profileCacheSize = 8
-	tableCacheSize   = 32
-	runnerCacheSize  = 4
-)
+// tableCacheSize bounds the rendered tables kept per (table, scale).
+const tableCacheSize = 32
 
 // tableKey identifies one cached table regeneration.
 type tableKey struct {
@@ -167,9 +161,11 @@ type Server struct {
 	cfg Config
 	reg *metrics.Registry
 
-	profiles *engine.LRU[string, *queueing.Curve]
-	tables   *engine.LRU[tableKey, *experiments.Table]
-	runners  *engine.LRU[float64, *experiments.Runner]
+	profiles *xmem.Profiles
+	// tables memoizes a rendered view, not simulation results (those live
+	// in internal/runner): a cached table is served as regenerated, whatever
+	// -runner-ttl has since expired beneath it.
+	tables *engine.LRU[tableKey, *experiments.Table]
 
 	limiter  *limit.Limiter
 	sessions *limit.Sessions
@@ -206,12 +202,17 @@ type Server struct {
 // New builds a Server.
 func New(cfg Config) *Server {
 	cfg.normalize()
+	profileSource := cfg.ProfileFor
+	if profileSource == nil {
+		profileSource = func(ctx context.Context, p *platform.Platform) (*queueing.Curve, error) {
+			return xmem.CharacterizeContext(ctx, p, xmem.Options{Workers: cfg.Workers})
+		}
+	}
 	s := &Server{
 		cfg:         cfg,
 		reg:         cfg.Registry,
-		profiles:    engine.NewLRU[string, *queueing.Curve](profileCacheSize),
+		profiles:    xmem.NewProfiles(profileSource),
 		tables:      engine.NewLRU[tableKey, *experiments.Table](tableCacheSize),
-		runners:     engine.NewLRU[float64, *experiments.Runner](runnerCacheSize),
 		watches:     map[string]*stream.Broker{},
 		liveStreams: map[*stream.Broker]struct{}{},
 		faults:      cfg.FaultInjector,
@@ -670,38 +671,15 @@ func readBody(r *http.Request) ([]byte, error) {
 
 // ---- profile and table plumbing ----
 
-// profile returns the platform's bandwidth→latency curve through the
-// LRU+singleflight cache, recording hit/miss metrics.
+// profile returns the platform's bandwidth→latency curve from the server's
+// once-per-platform Profiles, recording hit/miss metrics.
 func (s *Server) profile(ctx context.Context, p *platform.Platform) (*queueing.Curve, bool, error) {
-	curve, hit, err := s.profiles.Do(ctx, p.Name, func(ctx context.Context) (*queueing.Curve, error) {
-		if s.cfg.ProfileFor != nil {
-			return s.cfg.ProfileFor(ctx, p)
-		}
-		return xmem.CharacterizeContext(ctx, p, xmem.Options{Workers: s.cfg.Workers})
-	})
+	curve, hit, err := s.profiles.Get(ctx, p)
 	s.cacheEvent("profile", hit)
 	if err != nil {
 		return nil, hit, fmt.Errorf("characterizing %s: %w", p.Name, err)
 	}
 	return curve, hit, nil
-}
-
-// runner returns the per-scale experiments runner (whose internal caches
-// make the six tables of one scale share simulations).
-func (s *Server) runner(ctx context.Context, scale float64) (*experiments.Runner, error) {
-	r, hit, err := s.runners.Do(ctx, scale, func(context.Context) (*experiments.Runner, error) {
-		return experiments.NewRunner(experiments.Options{
-			Scale:     scale,
-			Workers:   s.cfg.Workers,
-			Platforms: s.cfg.Platforms,
-			ProfileForContext: func(ctx context.Context, p *platform.Platform) (*queueing.Curve, error) {
-				curve, _, err := s.profile(ctx, p)
-				return curve, err
-			},
-		}), nil
-	})
-	s.cacheEvent("runner", hit)
-	return r, err
 }
 
 // Warm characterizes (and caches) the named platform's profile ahead of
@@ -1099,11 +1077,15 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) error {
 	}
 	tab, cached, err := s.tables.Do(r.Context(), tableKey{id: id, scale: scale},
 		func(ctx context.Context) (*experiments.Table, error) {
-			runner, err := s.runner(ctx, scale)
-			if err != nil {
-				return nil, err
-			}
-			return runner.TableContext(ctx, id)
+			return experiments.NewRunner(experiments.Options{
+				Scale:     scale,
+				Workers:   s.cfg.Workers,
+				Platforms: s.cfg.Platforms,
+				ProfileFor: func(p *platform.Platform) (*queueing.Curve, error) {
+					curve, _, err := s.profile(ctx, p)
+					return curve, err
+				},
+			}).TableContext(ctx, id)
 		})
 	s.cacheEvent("table", cached)
 	if err != nil {

@@ -284,14 +284,41 @@ func ReadJSON(r io.Reader) (*Profile, error) {
 	return &pr, nil
 }
 
-// cache deduplicates and retains characterizations by platform name:
-// concurrent ProfileFor calls for the same platform share one run, while
-// different platforms characterize in parallel (the old mutex-over-the-map
-// serialized them).
-var cache engine.Group[string, *queueing.Curve]
+// Profiles keeps each platform's bandwidth→latency curve — the paper's
+// once-per-processor artifact — for the life of the process, keyed on the
+// platform name: concurrent Gets for one platform share one run of the
+// source, different platforms characterize in parallel, and a failed or
+// cancelled run is forgotten and retried by the next caller.
+type Profiles struct {
+	source func(context.Context, *platform.Platform) (*queueing.Curve, error)
+	cache  *engine.LRU[string, *queueing.Curve]
+}
+
+// NewProfiles returns an empty Profiles filled on demand from source, which
+// must honor ctx if it blocks.
+func NewProfiles(source func(context.Context, *platform.Platform) (*queueing.Curve, error)) *Profiles {
+	return &Profiles{source: source, cache: engine.NewLRU[string, *queueing.Curve](0)}
+}
+
+// Get returns p's curve. hit reports that this caller did not pay for the
+// characterization: the curve was already held, or another caller's run
+// was joined.
+func (ps *Profiles) Get(ctx context.Context, p *platform.Platform) (curve *queueing.Curve, hit bool, err error) {
+	return ps.cache.Do(ctx, p.Name, func(ctx context.Context) (*queueing.Curve, error) {
+		return ps.source(ctx, p)
+	})
+}
+
+var std = NewProfiles(func(ctx context.Context, p *platform.Platform) (*queueing.Curve, error) {
+	return CharacterizeContext(ctx, p, Options{})
+})
+
+// DefaultProfiles returns the process-wide Profiles of default
+// characterizations, the one ProfileFor reads.
+func DefaultProfiles() *Profiles { return std }
 
 // ProfileFor returns the (process-cached) default characterization for a
-// platform — the paper's once-per-processor artifact.
+// platform.
 func ProfileFor(p *platform.Platform) (*queueing.Curve, error) {
 	return ProfileForContext(context.Background(), p)
 }
@@ -299,7 +326,6 @@ func ProfileFor(p *platform.Platform) (*queueing.Curve, error) {
 // ProfileForContext is ProfileFor with cancellation; the underlying sweep
 // also fans its operating points across the default worker pool.
 func ProfileForContext(ctx context.Context, p *platform.Platform) (*queueing.Curve, error) {
-	return cache.Do(ctx, p.Name, func() (*queueing.Curve, error) {
-		return CharacterizeContext(ctx, p, Options{})
-	})
+	curve, _, err := std.Get(ctx, p)
+	return curve, err
 }

@@ -2,6 +2,8 @@ package xmem
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -105,10 +107,10 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 }
 
 func TestProfileForCaches(t *testing.T) {
-	// Use the cache with a pre-seeded entry to avoid a full characterization
-	// in unit tests.
-	cache.Put("FAKE", queueing.MustCurve([]queueing.CurvePoint{{BandwidthGBs: 1, LatencyNs: 100}}))
-	defer cache.Forget("FAKE")
+	// Seed the default Profiles to avoid a full characterization in unit
+	// tests.
+	std.cache.Put("FAKE", queueing.MustCurve([]queueing.CurvePoint{{BandwidthGBs: 1, LatencyNs: 100}}))
+	defer std.cache.Forget("FAKE")
 	p := platform.SKL()
 	p.Name = "FAKE"
 	c, err := ProfileFor(p)
@@ -117,6 +119,38 @@ func TestProfileForCaches(t *testing.T) {
 	}
 	if c.IdleLatencyNs() != 100 {
 		t.Fatal("cached profile not returned")
+	}
+}
+
+// TestProfilesCharacterizeOncePerPlatform: the source runs once per platform
+// name, later Gets report a hit, and a failed run is retried, not retained.
+func TestProfilesCharacterizeOncePerPlatform(t *testing.T) {
+	calls := map[string]int{}
+	boom := errors.New("boom")
+	ps := NewProfiles(func(_ context.Context, p *platform.Platform) (*queueing.Curve, error) {
+		calls[p.Name]++
+		if p.Name == "KNL" && calls[p.Name] == 1 {
+			return nil, boom
+		}
+		return queueing.MustCurve([]queueing.CurvePoint{{BandwidthGBs: 1, LatencyNs: 100}}), nil
+	})
+	ctx := context.Background()
+	first, hit, err := ps.Get(ctx, platform.SKL())
+	if err != nil || hit {
+		t.Fatalf("first Get = (hit=%v, %v), want a miss", hit, err)
+	}
+	again, hit, err := ps.Get(ctx, platform.SKL())
+	if err != nil || !hit || again != first {
+		t.Fatalf("second Get = (same=%v, hit=%v, %v), want the held curve", again == first, hit, err)
+	}
+	if _, _, err := ps.Get(ctx, platform.KNL()); !errors.Is(err, boom) {
+		t.Fatalf("failing source: err = %v, want boom", err)
+	}
+	if _, hit, err := ps.Get(ctx, platform.KNL()); err != nil || hit {
+		t.Fatalf("Get after a failed run = (hit=%v, %v), want a fresh miss", hit, err)
+	}
+	if calls["SKL"] != 1 || calls["KNL"] != 2 {
+		t.Fatalf("source calls = %v, want SKL once and KNL twice", calls)
 	}
 }
 
