@@ -72,14 +72,15 @@ bench-json:
 # perf-compare holds two such files against BENCHMARK.json's bounds and
 # exits 1 when B regressed: make perf PERF_OUT=a.json on one commit,
 # PERF_OUT=b.json on the other, then make perf-compare A=a.json B=b.json.
-# PERF_TRACE=1 gives the per-layer rows (bench/README.md) instead.
+# PERF_TRACE=1 gives the per-layer rows (bench/README.md) instead. Each run
+# is cut off after 150 s, so a hung run cannot outlive the caller.
 PERF_OUT ?= perf.json
 PERF_SEED ?= 42
 PERF_TRACE ?= 0
 perf:
 	@rm -f $(PERF_OUT)
 	@for w in hit_serve miss_serve fleet_zipf; do \
-		bash bench/run.sh --workload $$w --seed $(PERF_SEED) --trace $(PERF_TRACE) -out $(PERF_OUT) || exit 1; \
+		timeout 150 bash bench/run.sh --workload $$w --seed $(PERF_SEED) --trace $(PERF_TRACE) -out $(PERF_OUT) || exit 1; \
 	done
 
 perf-compare:
@@ -204,16 +205,22 @@ trace-demo:
 	echo "== per-stage Little's Law =="; \
 	curl -sf http://$(TRACE_ADDR)/metrics | grep '^llserved_trace_stage' || true
 
-# leftovers fails if one of the repo's long-running binaries is still alive:
-# a server stranded by a verification run outlives the session and keeps its
-# port. pgrep -x matches the process name exactly (pgrep -f would match the
-# checking shell's own command line), one name at a time because pgrep
-# refuses patterns over 15 characters. It prints nothing when clean.
+# leftovers fails if a process this repo builds is still alive: a server,
+# load generator, tool or test binary stranded by a verification run
+# outlives the session (and a server keeps its port). It matches every cmd/
+# binary plus bench (go run ./bench) and llbench (bench/run.sh) by process
+# name, and any go test binary by argv[0] ending in .test, since the kernel
+# truncates the name itself to 15 characters (experiments.test shows up as
+# experiments.tes). awk reads only the name and argv[0] columns, so unlike
+# pgrep -f it cannot match the checking shell's own command line. It prints
+# nothing when clean.
+LEFTOVER_NAMES = $(notdir $(wildcard cmd/*)) bench llbench
 leftovers:
-	@found=0; for n in llserved llproxy llload llwatch llbench; do \
-		if pgrep -l -x $$n; then found=1; fi; \
-	done; \
-	if [ $$found = 1 ]; then echo "leftovers: the processes above are still running; stop them" >&2; exit 1; fi
+	@ps -eo pid=,comm=,args= | awk -v names="$(LEFTOVER_NAMES)" ' \
+		BEGIN { n = split(names, list, " "); for (i = 1; i <= n; i++) want[list[i]] = 1 } \
+		{ k = split($$3, argv0, "/") } \
+		want[$$2] || argv0[k] ~ /\.test$$/ { print; found = 1 } \
+		END { if (found) { print "leftovers: the processes above are still running; stop them" > "/dev/stderr"; exit 1 } }'
 
 # scoreboard prints the size-and-sediment rows ROADMAP.md's re-anchor table
 # tracks, so the next table is generated rather than counted by hand.

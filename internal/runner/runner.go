@@ -18,6 +18,8 @@ package runner
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,11 +56,29 @@ type Key struct {
 // String renders the key as a single stable line — the identity a routing
 // tier hashes on so identical analyses land on the backend whose runner
 // cache already holds the result. Two configs share a String exactly when
-// they share a cache entry.
+// they share a cache entry. The bytes are those of the format
+// "%s|%s|c%d|t%d|w%d|g%g|wf%g|ss%g|se%g", appended without reflection
+// because a proxy and a backend both render it on every request.
 func (k Key) String() string {
-	return fmt.Sprintf("%s|%s|c%d|t%d|w%d|g%g|wf%g|ss%g|se%g",
-		k.Plat, k.Fingerprint, k.Cores, k.Threads, k.Window,
-		k.GapScale, k.WarmupFrac, k.SMTShare, k.SMTExponent)
+	b := make([]byte, 0, len(k.Plat)+len(k.Fingerprint)+96)
+	b = append(b, k.Plat...)
+	b = append(b, '|')
+	b = append(b, k.Fingerprint...)
+	b = append(b, "|c"...)
+	b = strconv.AppendInt(b, int64(k.Cores), 10)
+	b = append(b, "|t"...)
+	b = strconv.AppendInt(b, int64(k.Threads), 10)
+	b = append(b, "|w"...)
+	b = strconv.AppendInt(b, int64(k.Window), 10)
+	b = append(b, "|g"...)
+	b = strconv.AppendFloat(b, k.GapScale, 'g', -1, 64)
+	b = append(b, "|wf"...)
+	b = strconv.AppendFloat(b, k.WarmupFrac, 'g', -1, 64)
+	b = append(b, "|ss"...)
+	b = strconv.AppendFloat(b, k.SMTShare, 'g', -1, 64)
+	b = append(b, "|se"...)
+	b = strconv.AppendFloat(b, k.SMTExponent, 'g', -1, 64)
+	return string(b)
 }
 
 // KeyOf canonicalizes cfg into its cache key. cacheable is false — and the
@@ -94,7 +114,23 @@ func keyOfNormalized(norm sim.Config) (Key, bool, error) {
 // PlatformFingerprint renders every simulation-relevant field of p,
 // dereferencing the optional L3 and memory-side-cache blocks so two
 // distinct platform values with equal contents fingerprint equally.
+//
+// The three paper platforms are rendered once, at package init: a p whose
+// contents equal one of them gets that string back without a rendering.
+// Anything else (an ablation's mutated copy) is rendered per call.
 func PlatformFingerprint(p *platform.Platform) string {
+	c := contentsOf(p)
+	for i := range canonical {
+		if canonical[i].contents == c {
+			return canonical[i].fingerprint
+		}
+	}
+	return renderPlatform(p)
+}
+
+// renderPlatform is the fingerprint format itself: p's fields as %+v, then
+// the optional blocks' fields when present.
+func renderPlatform(p *platform.Platform) string {
 	flat := *p
 	flat.L3, flat.MemCache = nil, nil
 	s := fmt.Sprintf("%+v", flat)
@@ -105,6 +141,43 @@ func PlatformFingerprint(p *platform.Platform) string {
 		s += fmt.Sprintf("|MC=%+v", *p.MemCache)
 	}
 	return s
+}
+
+// platformContents is a platform's contents as one comparable value: the
+// optional blocks are dereferenced, so two platforms with equal contents
+// compare equal whatever their pointers. A NaN field never compares equal.
+type platformContents struct {
+	flat         platform.Platform // L3 and MemCache nil
+	l3           platform.CacheConfig
+	mc           platform.MemCacheConfig
+	hasL3, hasMC bool
+}
+
+func contentsOf(p *platform.Platform) platformContents {
+	c := platformContents{flat: *p}
+	c.flat.L3, c.flat.MemCache = nil, nil
+	if p.L3 != nil {
+		c.l3, c.hasL3 = *p.L3, true
+	}
+	if p.MemCache != nil {
+		c.mc, c.hasMC = *p.MemCache, true
+	}
+	return c
+}
+
+// canonical holds the fingerprints of platform.All(), fixed at init: a
+// table of three that never grows, not a memo.
+var canonical = func() []canonicalPlatform {
+	var t []canonicalPlatform
+	for _, p := range platform.All() {
+		t = append(t, canonicalPlatform{contentsOf(p), renderPlatform(p)})
+	}
+	return t
+}()
+
+type canonicalPlatform struct {
+	contents    platformContents
+	fingerprint string
 }
 
 // Stats is a snapshot of a Runner's self-instrumentation.
@@ -127,10 +200,63 @@ type Stats struct {
 }
 
 // entry is a cached result plus its completion time, so a TTL can
-// distinguish fresh from expired without a second map.
+// distinguish fresh from expired without a second map, plus the encodings
+// rendered from that result. Eviction, expiry and Forget drop all three.
 type entry struct {
-	res *sim.Result
-	at  time.Time
+	res   *sim.Result
+	at    time.Time
+	views *views // nil on results no cache entry holds (bypass, fallback)
+}
+
+// views are the encodings RunRendered produced from one entry's result, at
+// most one per owner and at most maxViews in all.
+type views struct {
+	mu   sync.Mutex
+	list []view
+}
+
+type view struct {
+	owner any
+	body  []byte
+}
+
+// maxViews bounds the owners one entry keeps bytes for. A server is one
+// owner per platform, and a process runs one server (a few in tests); a
+// further owner still gets its answer, rendered per call.
+const maxViews = 4
+
+// get returns owner's encoding of res, rendering and keeping it on first
+// use. render runs outside the lock; of concurrent first uses, the first
+// to finish is kept and the others return it.
+func (vs *views) get(owner any, res *sim.Result, render func(*sim.Result) ([]byte, error)) ([]byte, error) {
+	vs.mu.Lock()
+	body, ok := vs.find(owner)
+	vs.mu.Unlock()
+	if ok {
+		return body, nil
+	}
+	body, err := render(res)
+	if err != nil {
+		return nil, err
+	}
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	if kept, ok := vs.find(owner); ok {
+		return kept, nil
+	}
+	if len(vs.list) < maxViews {
+		vs.list = append(vs.list, view{owner, body})
+	}
+	return body, nil
+}
+
+func (vs *views) find(owner any) ([]byte, bool) {
+	for _, v := range vs.list {
+		if v.owner == owner {
+			return v.body, true
+		}
+	}
+	return nil, false
 }
 
 // Runner executes node simulations through a singleflight LRU cache.
@@ -195,6 +321,30 @@ func Run(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 // a ConfigureHierarchy hook) execute directly. The returned result may be
 // shared with other callers; treat it as immutable.
 func (r *Runner) Run(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	e, err := r.run(ctx, cfg)
+	return e.res, err
+}
+
+// RunRendered is Run for a caller that answers with an encoding of the
+// result: render(result) is kept beside the cached result, once per owner,
+// and later runs of the same canonical config return the kept bytes
+// without calling render. owner names what else the encoding depends on
+// (a server's profile curve) and must be comparable. A result no cache
+// entry holds (bypass, fault fallback) is rendered on every call. The
+// bytes are shared; treat them as immutable.
+func (r *Runner) RunRendered(ctx context.Context, cfg sim.Config, owner any, render func(*sim.Result) ([]byte, error)) ([]byte, error) {
+	e, err := r.run(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if e.views == nil {
+		return render(e.res)
+	}
+	return e.views.get(owner, e.res, render)
+}
+
+// run is Run and RunRendered's shared lookup, returning the whole entry.
+func (r *Runner) run(ctx context.Context, cfg sim.Config) (entry, error) {
 	// The "runner" span is the spine's own (exclusive) overhead —
 	// canonicalization and cache bookkeeping — noted with the cache
 	// outcome; the kernel itself reports as the "sim" stage from execute.
@@ -204,17 +354,18 @@ func (r *Runner) Run(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	norm, err := cfg.Normalized()
 	if err != nil {
 		note = "error"
-		return nil, err
+		return entry{}, err
 	}
 	key, cacheable, err := keyOfNormalized(norm)
 	if err != nil {
 		note = "error"
-		return nil, err
+		return entry{}, err
 	}
 	if !cacheable {
 		note = "bypass"
 		r.bypasses.Inc()
-		return r.execute(ctx, norm)
+		res, err := r.execute(ctx, norm)
+		return entry{res: res}, err
 	}
 	// The retry loop exists only for TTL expiry: a hit on an expired entry
 	// drops it and goes around once more, which then misses and recomputes.
@@ -223,7 +374,7 @@ func (r *Runner) Run(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	for attempt := 0; ; attempt++ {
 		e, hit, err := r.cache.Do(ctx, key, func(ctx context.Context) (entry, error) {
 			res, err := r.execute(ctx, norm)
-			return entry{res: res, at: r.now()}, err
+			return entry{res: res, at: r.now(), views: new(views)}, err
 		})
 		if err != nil {
 			// Graceful degradation: a flight that failed because the fault
@@ -234,10 +385,11 @@ func (r *Runner) Run(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 			if faults.IsFault(err) && ctx.Err() == nil {
 				note = "fallback"
 				r.fallbacks.Inc()
-				return r.execute(ctx, norm)
+				res, err := r.execute(ctx, norm)
+				return entry{res: res}, err
 			}
 			note = "error"
-			return nil, err
+			return entry{}, err
 		}
 		if hit && r.expired(e) && attempt < 3 {
 			r.expirations.Inc()
@@ -250,7 +402,7 @@ func (r *Runner) Run(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		} else {
 			r.misses.Inc()
 		}
-		return e.res, nil
+		return e, nil
 	}
 }
 

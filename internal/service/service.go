@@ -14,6 +14,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -621,11 +622,25 @@ func hardenHeaders(h http.Header, contentType string, noStore bool) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	hardenHeaders(w.Header(), "application/json", true)
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	writeBody(w, status, encodeJSON(v))
+}
+
+// encodeJSON renders v as every JSON response body is written: indented
+// two spaces, newline-terminated. A value that cannot be encoded renders as
+// an empty body, as it always has.
+func encodeJSON(v any) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+	return b.Bytes()
+}
+
+// writeBody writes an encoded JSON body under the hardened headers.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	hardenHeaders(w.Header(), "application/json", true)
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // statusWriter records the first status code written and gives the
@@ -829,23 +844,9 @@ func (s *Server) resolveAnalyze(ctx context.Context, req *AnalyzeRequest) (*plat
 	if req.Measurement != nil {
 		return p, req.Measurement.Measurement(), nil, nil, deg, nil
 	}
-	w, ok := workloads.ByName(req.Workload)
-	if !ok {
-		return nil, core.Measurement{}, nil, nil, deg, failWith(http.StatusNotFound,
-			fmt.Errorf("unknown workload %q", req.Workload))
-	}
-	w = w.WithVariant(req.Variant.Variant())
-	threads := req.ThreadsPerCore
-	if threads == 0 {
-		threads = 1
-	}
-	if threads > p.SMTWays {
-		return nil, core.Measurement{}, nil, nil, deg, failWith(http.StatusBadRequest,
-			fmt.Errorf("platform %s supports at most %d threads per core", p.Name, p.SMTWays))
-	}
-	scale := req.Scale
-	if scale == 0 {
-		scale = 0.1
+	w, threads, scale, err := resolveWorkload(p, req)
+	if err != nil {
+		return nil, core.Measurement{}, nil, nil, deg, err
 	}
 	mode := modeFrom(ctx)
 
@@ -876,7 +877,36 @@ func (s *Server) resolveAnalyze(ctx context.Context, req *AnalyzeRequest) (*plat
 	if err != nil {
 		return nil, core.Measurement{}, nil, nil, degradation{}, err
 	}
-	m := core.Measurement{
+	return p, measured(w, res), res, w, deg, nil
+}
+
+// resolveWorkload resolves a workload-bodied request on p to what it asks
+// to simulate, applying the defaults (threads 1, scale 0.1).
+func resolveWorkload(p *platform.Platform, req *AnalyzeRequest) (w workloads.Workload, threads int, scale float64, err error) {
+	w, ok := workloads.ByName(req.Workload)
+	if !ok {
+		return nil, 0, 0, failWith(http.StatusNotFound, fmt.Errorf("unknown workload %q", req.Workload))
+	}
+	w = w.WithVariant(req.Variant.Variant())
+	threads = req.ThreadsPerCore
+	if threads == 0 {
+		threads = 1
+	}
+	if threads > p.SMTWays {
+		return nil, 0, 0, failWith(http.StatusBadRequest,
+			fmt.Errorf("platform %s supports at most %d threads per core", p.Name, p.SMTWays))
+	}
+	scale = req.Scale
+	if scale == 0 {
+		scale = 0.1
+	}
+	return w, threads, scale, nil
+}
+
+// measured shapes a workload's simulated run as the measurement the
+// analysis consumes.
+func measured(w workloads.Workload, res *sim.Result) core.Measurement {
+	return core.Measurement{
 		Routine:                w.Routine(),
 		BandwidthGBs:           res.TotalGBs,
 		ActiveCores:            res.Cores,
@@ -884,7 +914,6 @@ func (s *Server) resolveAnalyze(ctx context.Context, req *AnalyzeRequest) (*plat
 		PrefetchedReadFraction: res.PrefetchedReadFraction,
 		RandomAccess:           w.RandomAccess(),
 	}
-	return p, m, res, w, deg, nil
 }
 
 // analyticMeasurement is the B2 path: predict the workload's operating
@@ -933,6 +962,17 @@ func (s *Server) analyzeOne(ctx context.Context, req *AnalyzeRequest) (*AnalyzeR
 	if err != nil {
 		return nil, err
 	}
+	resp, err := analyzeResponse(p, profile, m, res)
+	if err != nil {
+		return nil, err
+	}
+	deg.stampAnalyze(resp)
+	return resp, nil
+}
+
+// analyzeResponse is the full-fidelity answer to one analysis; res is nil
+// for a measurement-bodied request.
+func analyzeResponse(p *platform.Platform, profile *queueing.Curve, m core.Measurement, res *sim.Result) (*AnalyzeResponse, error) {
 	rep, err := core.Analyze(p, profile, m)
 	if err != nil {
 		return nil, failWith(http.StatusBadRequest, err)
@@ -941,8 +981,34 @@ func (s *Server) analyzeOne(ctx context.Context, req *AnalyzeRequest) (*AnalyzeR
 	if res != nil {
 		resp.Run = runJSON(res)
 	}
-	deg.stampAnalyze(resp)
 	return resp, nil
+}
+
+// analyzeView answers a workload-bodied analysis at full fidelity from the
+// runner entry's kept encoding, so a cache hit is a lookup. A miss renders
+// exactly the body analyzeOne and writeJSON would write. The owner is the
+// profile curve the answer was rendered against: servers sharing a runner
+// with different profile sources each get their own bytes.
+func (s *Server) analyzeView(ctx context.Context, req *AnalyzeRequest) ([]byte, error) {
+	p, err := platform.ByName(req.Platform)
+	if err != nil {
+		return nil, failWith(http.StatusNotFound, err)
+	}
+	w, threads, scale, err := resolveWorkload(p, req)
+	if err != nil {
+		return nil, err
+	}
+	profile, _, err := s.profile(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	return s.cfg.SimRunner.RunRendered(ctx, w.Config(p, threads, scale), profile, func(res *sim.Result) ([]byte, error) {
+		resp, err := analyzeResponse(p, profile, measured(w, res), res)
+		if err != nil {
+			return nil, err
+		}
+		return encodeJSON(resp), nil
+	})
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
@@ -953,6 +1019,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 	req, err := DecodeAnalyzeRequest(body)
 	if err != nil {
 		return failWith(http.StatusBadRequest, err)
+	}
+	// A full-fidelity workload answer is served from the runner entry it was
+	// rendered from; measurement bodies and degraded answers are built here.
+	if req.Measurement == nil && modeFrom(r.Context()) == brownout.B0 {
+		out, err := s.analyzeView(r.Context(), req)
+		if err != nil {
+			return err
+		}
+		s.armWrite(w)
+		writeBody(w, http.StatusOK, out)
+		return nil
 	}
 	resp, err := s.analyzeOne(r.Context(), req)
 	if err != nil {

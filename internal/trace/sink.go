@@ -3,7 +3,6 @@ package trace
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,8 +81,21 @@ func (s *Sink) Start(route string) *Trace {
 	if s == nil {
 		return nil
 	}
-	id := fmt.Sprintf("%08x%08x", s.prefix, uint32(s.ctr.Add(1)))
+	id := hexID(s.prefix, uint32(s.ctr.Add(1)))
 	return &Trace{id: id, route: route, start: time.Now(), sink: s, spans: make([]Span, 0, typicalSpans)}
+}
+
+// hexID renders prefix and n as fmt's "%08x%08x" would: sixteen lowercase
+// hex digits.
+func hexID(prefix, n uint32) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	v := uint64(prefix)<<32 | uint64(n)
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
 }
 
 // Done retains a finished trace in the ring (evicting the oldest) and

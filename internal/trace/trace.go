@@ -21,8 +21,7 @@ package trace
 
 import (
 	"context"
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -296,25 +295,35 @@ func (t *Trace) Summary() string {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var b strings.Builder
+	b := make([]byte, 0, 32*len(t.spans)+24)
 	for _, sp := range t.spans {
-		if b.Len() > 0 {
-			b.WriteString("; ")
+		if len(b) > 0 {
+			b = append(b, "; "...)
 		}
-		b.WriteString(sp.Stage)
+		b = append(b, sp.Stage...)
 		if sp.Note != "" {
-			b.WriteByte('=')
-			b.WriteString(sp.Note)
+			b = append(b, '=')
+			b = append(b, sp.Note...)
 		}
-		fmt.Fprintf(&b, " %.1f+%.1f", float64(sp.Queue)/ms, float64(sp.Service)/ms)
+		b = append(b, ' ')
+		b = appendMs(b, sp.Queue)
+		b = append(b, '+')
+		b = appendMs(b, sp.Service)
 	}
 	total := t.total
 	if !t.done {
 		total = time.Since(t.start)
 	}
-	if b.Len() > 0 {
-		b.WriteString("; ")
+	if len(b) > 0 {
+		b = append(b, "; "...)
 	}
-	fmt.Fprintf(&b, "total %.1fms", float64(total)/ms)
-	return b.String()
+	b = append(b, "total "...)
+	b = appendMs(b, total)
+	b = append(b, "ms"...)
+	return string(b)
+}
+
+// appendMs appends d in milliseconds as fmt's %.1f would.
+func appendMs(b []byte, d time.Duration) []byte {
+	return strconv.AppendFloat(b, float64(d)/ms, 'f', 1, 64)
 }

@@ -17,8 +17,8 @@
 package workloads
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"littleslaw/internal/core"
 	"littleslaw/internal/cpu"
@@ -29,9 +29,30 @@ import (
 // fingerprint renders the generator identity a workload Config declares
 // for the runner cache: the workload, its full variant state and the work
 // scale determine the emitted operation stream (the platform and the
-// scalar sim fields are keyed separately by the runner).
+// scalar sim fields are keyed separately by the runner). The bytes are
+// those of the format "workloads/%s|%+v|scale=%g", appended without
+// reflection because every served analysis renders it.
 func fingerprint(name string, v Variant, scale float64) string {
-	return fmt.Sprintf("workloads/%s|%+v|scale=%g", name, v, scale)
+	b := make([]byte, 0, 160)
+	b = append(b, "workloads/"...)
+	b = append(b, name...)
+	b = append(b, "|{Vectorized:"...)
+	b = strconv.AppendBool(b, v.Vectorized)
+	b = append(b, " SWPrefetchL2:"...)
+	b = strconv.AppendBool(b, v.SWPrefetchL2)
+	b = append(b, " SWPrefetchL1:"...)
+	b = strconv.AppendBool(b, v.SWPrefetchL1)
+	b = append(b, " PrefetchDistance:"...)
+	b = strconv.AppendInt(b, int64(v.PrefetchDistance), 10)
+	b = append(b, " Tiled:"...)
+	b = strconv.AppendBool(b, v.Tiled)
+	b = append(b, " UnrollJam:"...)
+	b = strconv.AppendBool(b, v.UnrollJam)
+	b = append(b, " NoFuse:"...)
+	b = strconv.AppendBool(b, v.NoFuse)
+	b = append(b, "}|scale="...)
+	b = strconv.AppendFloat(b, scale, 'g', -1, 64)
+	return string(b)
 }
 
 // Variant selects the optimization state of a workload, mirroring the
