@@ -42,7 +42,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"net/http"
@@ -154,18 +153,10 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Drain first, listener open: an upstream balancer's probe sees
-	// "draining" and reroutes before this process stops answering.
-	p.BeginDrain()
-	log.Printf("llproxy: draining (up to %s for %d in-flight requests, listener open)", *drainTimeout, p.InFlight())
-	drainDeadline := time.Now().Add(*drainTimeout)
-	for p.InFlight() > 0 && time.Now().Before(drainDeadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	log.Printf("llproxy: shutting down (waiting up to %s for in-flight requests)", *shutdownGrace)
-	shCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
-	defer cancel()
-	if err := httpSrv.Shutdown(shCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	// Drain first, listener open: the prober sees "draining" and reroutes
+	// before this process stops answering.
+	logf := func(format string, args ...any) { log.Printf("llproxy: "+format, args...) }
+	if err := p.DrainAndShutdown(httpSrv, *drainTimeout, *shutdownGrace, logf); err != nil {
 		log.Printf("llproxy: shutdown: %v", err)
 		os.Exit(1)
 	}

@@ -58,7 +58,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"net/http"
@@ -180,20 +179,10 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Drain first, listener open: /healthz flips to "draining" so a proxy's
-	// prober reroutes before this process stops answering, new work sheds
-	// with 503 + Retry-After, live streams hear a terminal shutdown event,
-	// and in-flight requests get -drain-timeout to finish.
-	srv.BeginDrain()
-	log.Printf("llserved: draining (up to %s for %d in-flight requests, listener open)", *drainTimeout, srv.InFlight())
-	drainDeadline := time.Now().Add(*drainTimeout)
-	for srv.InFlight() > 0 && time.Now().Before(drainDeadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	log.Printf("llserved: shutting down (waiting up to %s for in-flight requests)", *shutdownGrace)
-	shCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
-	defer cancel()
-	if err := httpSrv.Shutdown(shCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	// Drain first, listener open: the prober sees "draining" and reroutes
+	// before this process stops answering.
+	logf := func(format string, args ...any) { log.Printf("llserved: "+format, args...) }
+	if err := srv.DrainAndShutdown(httpSrv, *drainTimeout, *shutdownGrace, logf); err != nil {
 		log.Printf("llserved: shutdown: %v", err)
 		os.Exit(1)
 	}

@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -282,4 +286,114 @@ func TestChaosRollingRestart(t *testing.T) {
 	}
 	t.Logf("rolling restart: %d requests, 0 failures; %s served %d forwards, drained, restarted and served %d more",
 		okCount.Load(), name, forwardsBeforeBounce, p.latency.With(name).Count()-forwardsAtRestart)
+}
+
+// TestProxyDrainLifecycle walks the proxy's BeginDrain the way
+// TestDrainLifecycle walks llserved's: healthz stays 200 and reads
+// "draining", unary and stream forwards shed 503 + Retry-After without
+// reaching a backend, a live trace tail ends in the terminal record, and
+// nothing is left in flight. BeginDrain is idempotent.
+func TestProxyDrainLifecycle(t *testing.T) {
+	p, stubs := newStubCluster(t, 2, nil)
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+
+	tailResp, err := http.Get(ts.URL + "/v1/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tailResp.Body.Close()
+	if tailResp.StatusCode != http.StatusOK {
+		t.Fatalf("trace tail = %d", tailResp.StatusCode)
+	}
+	tailDone := make(chan []string, 1)
+	go func() {
+		var lines []string
+		sc := bufio.NewScanner(tailResp.Body)
+		for sc.Scan() {
+			if line := strings.TrimSpace(sc.Text()); line != "" {
+				lines = append(lines, line)
+			}
+		}
+		tailDone <- lines
+	}()
+
+	// One forwarded request, so the tail has a normal record before the
+	// terminal one.
+	if code := postStatus(t, ts.URL+"/v1/analyze", analyzeBody); code != http.StatusOK {
+		t.Fatalf("pre-drain analyze = %d", code)
+	}
+
+	p.BeginDrain()
+	p.BeginDrain() // idempotent
+	if !p.Draining() {
+		t.Fatal("Draining() = false after BeginDrain")
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h HealthResponse
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || h.Status != "draining" || !h.Draining {
+		t.Fatalf("draining healthz = %d %+v (%v), want 200 and status draining", resp.StatusCode, h, err)
+	}
+
+	for _, req := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/analyze", analyzeBody},
+		{http.MethodPost, "/v1/watch", `{"stream":"s1"}`},
+		{http.MethodGet, "/v1/watch/s1", ""},
+	} {
+		r, err := http.NewRequest(req.method, ts.URL+req.path, strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+			t.Fatalf("draining %s %s = %d, Retry-After %q; want 503 with Retry-After 1",
+				req.method, req.path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	hits := int64(0)
+	for _, s := range stubs {
+		hits += s.hits.Load()
+	}
+	if hits != 1 {
+		t.Fatalf("backends served %d requests, want only the pre-drain one", hits)
+	}
+
+	select {
+	case lines := <-tailDone:
+		if len(lines) < 2 {
+			t.Fatalf("trace tail = %q, want a record and then the terminal one", lines)
+		}
+		var last struct {
+			Terminal string `json:"terminal"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Terminal != "shutdown" {
+			t.Fatalf("last tail record = %s, want terminal shutdown", lines[len(lines)-1])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("trace tail did not end after the drain")
+	}
+	if n := p.InFlight(); n != 0 {
+		t.Fatalf("InFlight = %d, want 0", n)
+	}
+}
+
+func postStatus(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
 }

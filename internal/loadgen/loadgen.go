@@ -14,8 +14,9 @@
 // treatment — per-attempt timeout, capped jittered backoff on 429/5xx, and
 // Retry-After honoring against the service's admission controller.
 //
-// cmd/llload wraps it as a CLI; the internal/limit end-to-end tests drive
-// it against httptest servers to prove the shed-then-recover behavior.
+// cmd/llload wraps it as a CLI; internal/service's TestShedThenRecover
+// drives it against a real llserved to prove the shed-then-recover
+// behavior.
 package loadgen
 
 import (

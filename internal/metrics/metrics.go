@@ -385,8 +385,8 @@ func writeHistogram(w io.Writer, name, labels string, h *Histogram) {
 
 // Occupancy is a request envelope's measured concurrency: a
 // queueing.Estimator on the wall clock, guarded for concurrent use by the
-// layers (the two HTTP envelopes, the simulation runner) that own no lock
-// of their own to put one under.
+// layers (the request envelope of each binary, the simulation runner) that
+// own no lock of their own to put one under.
 type Occupancy struct {
 	mu  sync.Mutex
 	est queueing.Estimator

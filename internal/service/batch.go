@@ -64,7 +64,7 @@ type BatchAnalyzeResponse struct {
 }
 
 func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) error {
-	body, err := readBody(r)
+	body, err := ReadBody(r)
 	if err != nil {
 		return err
 	}
@@ -108,6 +108,6 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) erro
 		// markers stay in the body.
 		w.Header().Set("X-Degraded", "true")
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteJSON(w, http.StatusOK, resp)
 	return nil
 }

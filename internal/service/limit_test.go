@@ -13,6 +13,7 @@ import (
 	"littleslaw/internal/brownout"
 	"littleslaw/internal/experiments"
 	"littleslaw/internal/faults"
+	"littleslaw/internal/loadgen"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
 )
@@ -287,5 +288,87 @@ func TestStallAtDefaultCeilingNeverQueues(t *testing.T) {
 	}
 	if b := s.brownout.Snapshot(); b.Mode != brownout.B0 || b.Transitions != 0 {
 		t.Fatalf("brownout ladder moved: mode %s after %d transitions (pressure %.2f)", b.Mode, b.Transitions, b.Pressure)
+	}
+}
+
+// TestShedThenRecover is the end-to-end acceptance run, in miniature: a
+// route that takes ~20ms (an injected handler.platforms latency) behind a
+// ceiling of 4 (capacity ≈ 200 req/s) is driven open-loop at roughly 4×
+// capacity through the real envelope. The limiter must shed the excess
+// with 429 + Retry-After while keeping admitted latency bounded near the
+// queue budget, and once the overload stops, a polite closed-loop client
+// must see no sheds at all.
+func TestShedThenRecover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives multi-second load phases")
+	}
+	inj, err := faults.New(1, faults.Rule{Site: "handler.platforms", Kind: faults.KindLatency, P: 1, D: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{
+		LimitCeiling:      4,
+		LimitQueue:        2,
+		LimitQueueTimeout: 15 * time.Millisecond,
+		DisableBrownout:   true,
+		FaultInjector:     inj,
+	})
+	url := ts.URL + "/v1/platforms"
+
+	// Phase 1 — unloaded baseline: two closed-loop clients, well under the
+	// ceiling, everything admitted.
+	base, err := loadgen.Run(context.Background(), loadgen.Options{
+		URL: url, Mode: "closed", Concurrency: 2, Duration: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Shed != 0 || base.Failed != 0 || base.OK == 0 {
+		t.Fatalf("baseline: %s", base)
+	}
+	p99base := base.Quantile(0.99)
+
+	// Phase 2 — open-loop overload at ~4× capacity. The open loop keeps
+	// offering regardless of responses; that is the discipline that forces
+	// the shed path.
+	over, err := loadgen.Run(context.Background(), loadgen.Options{
+		URL: url, Mode: "open", Rate: 800, Duration: 1500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over.Shed == 0 {
+		t.Fatalf("overload produced no sheds: %s", over)
+	}
+	if over.RetryAfterSeen != over.Shed {
+		t.Fatalf("sheds %d but Retry-After hints %d — every 429 must carry one", over.Shed, over.RetryAfterSeen)
+	}
+	if over.OK == 0 {
+		t.Fatalf("overload admitted nothing: %s", over)
+	}
+	// Admitted requests stay fast: worst case is the service time plus the
+	// queue budget; the acceptance bar is 2× the unloaded p99 (with a small
+	// allowance for scheduler noise on a loaded test machine).
+	p99over := over.Quantile(0.99)
+	if limit := 2*p99base + 20*time.Millisecond; p99over > limit {
+		t.Fatalf("admitted p99 under overload = %s, want <= %s (baseline p99 %s)", p99over, limit, p99base)
+	}
+
+	// Phase 3 — recovery: the same polite client as the baseline. Admission
+	// reads only what is in flight, so the post-overload server admits
+	// everything again at once.
+	rec, err := loadgen.Run(context.Background(), loadgen.Options{
+		URL: url, Mode: "closed", Concurrency: 2, Duration: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Shed != 0 || rec.Failed != 0 || rec.OK == 0 {
+		t.Fatalf("recovery still shedding: %s", rec)
+	}
+
+	snap := s.limiter.Snapshot()
+	if snap.Shed == 0 || snap.Admitted == 0 || snap.InFlight != 0 || snap.QueueDepth != 0 {
+		t.Fatalf("final snapshot = %+v", snap)
 	}
 }

@@ -31,7 +31,7 @@ func slowKernel(p, w string) bool {
 }
 
 // normalAnswer is what the per-request path writes for req: analyzeOne's
-// response through writeJSON.
+// response through WriteJSON.
 func normalAnswer(t *testing.T, s *Server, req *AnalyzeRequest) []byte {
 	t.Helper()
 	resp, err := s.analyzeOne(context.Background(), req)
@@ -39,7 +39,7 @@ func normalAnswer(t *testing.T, s *Server, req *AnalyzeRequest) []byte {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, resp)
+	s.WriteJSON(rec, http.StatusOK, resp)
 	return rec.Body.Bytes()
 }
 
