@@ -70,6 +70,19 @@ func readAll(t *testing.T, resp *http.Response) string {
 	return sb.String()
 }
 
+// waitUntil polls for a condition the test cannot hook (a disconnect
+// reaching the server, a handler parking) with a deadline.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, body := get(t, ts, "/healthz")

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -283,6 +284,78 @@ func TestWatchValidation(t *testing.T) {
 	// The finished stream still replays for late subscribers.
 	if resp, out := get(t, ts, "/v1/watch/dup"); resp.StatusCode != http.StatusOK || len(out) == 0 {
 		t.Fatalf("late subscribe = %d %q", resp.StatusCode, out)
+	}
+}
+
+// TestStreamCapSheds pins -max-streams: with a cap of one, a held
+// subscriber takes the only slot, the next is shed with 429, a Retry-After
+// hint and the JSON error envelope, the shed is counted, and the slot comes
+// back the moment the holder leaves.
+func TestStreamCapSheds(t *testing.T) {
+	cfg := streamCurveConfig()
+	cfg.MaxStreamClients = 1
+	s, ts := newTestServer(t, cfg)
+	// A named broker that never closes: a subscriber stays until it leaves.
+	if err := s.registerWatch("held", stream.NewBroker(4)); err != nil {
+		t.Fatal(err)
+	}
+	subscribe := func() (*http.Response, context.CancelFunc) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/watch/held", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		return resp, func() { cancel(); resp.Body.Close() }
+	}
+	streamClients := func() int {
+		t.Helper()
+		_, body := get(t, ts, "/healthz")
+		var h HealthzResponse
+		if err := json.Unmarshal(body, &h); err != nil {
+			t.Fatal(err)
+		}
+		return h.StreamClients
+	}
+
+	holder, leave := subscribe()
+	defer leave()
+	if holder.StatusCode != http.StatusOK {
+		t.Fatalf("first subscriber = %d, want 200", holder.StatusCode)
+	}
+
+	shed, done := subscribe()
+	body := readAll(t, shed)
+	done()
+	if shed.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second subscriber = %d %s, want 429", shed.StatusCode, body)
+	}
+	if ra, err := strconv.Atoi(shed.Header.Get("Retry-After")); err != nil || ra < 1 {
+		t.Fatalf("Retry-After = %q, want whole seconds >= 1", shed.Header.Get("Retry-After"))
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error == "" {
+		t.Fatalf("shed body = %q, want the JSON error envelope", body)
+	}
+	_, metrics := get(t, ts, "/metrics")
+	if n := metricValue(t, metrics, "llserved_stream_denied_total"); n != 1 {
+		t.Fatalf("llserved_stream_denied_total = %g, want 1", n)
+	}
+	if n := streamClients(); n != 1 {
+		t.Fatalf("stream_clients = %d with one subscriber held, want 1", n)
+	}
+
+	leave()
+	waitUntil(t, func() bool { return streamClients() == 0 })
+	next, leaveNext := subscribe()
+	defer leaveNext()
+	if next.StatusCode != http.StatusOK {
+		t.Fatalf("subscriber after the holder left = %d, want 200", next.StatusCode)
 	}
 }
 
