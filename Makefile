@@ -231,6 +231,7 @@ scoreboard:
 	echo "non-test Go lines, outside bench/:   $$(gofiles | grep -v '^bench/' | xargs cat | wc -l)"; \
 	echo "engine.NewLRU sites in product code: $$(gofiles | grep -v '^bench/' | xargs grep -h 'engine\.NewLRU' | wc -l)"; \
 	echo "Go files over 1000 lines:            $$(git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" && $$1 > 1000 { printf "%s%s (%d)", sep, $$2, $$1; sep = ", " } END { if (!sep) printf "none" }')"; \
+	echo "largest non-test Go file in internal/service, internal/cluster: $$(gofiles | grep -E '^internal/(service|cluster)/' | xargs wc -l | awk '$$2 != "total" && $$1 > n { n = $$1; f = $$2 } END { printf "%s (%d)", f, n }')"; \
 	echo "time.Sleep in tests:                 $$(git ls-files '*_test.go' | xargs grep -h 'time\.Sleep(' | wc -l)"; \
 	echo "ResponseWriter wrappers, non-test:   $$(gofiles | xargs grep -hE '^\s+http\.ResponseWriter$$' | wc -l)"; \
 	echo "X-Content-Type-Options sets, non-test: $$(gofiles | xargs grep -h 'Set("X-Content-Type-Options"' | wc -l)"; \

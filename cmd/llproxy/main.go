@@ -2,9 +2,9 @@
 // proxy sharding /v1/* across llserved backends. Requests route by cache
 // affinity — a consistent hash of the canonical analysis identity, so
 // identical work revisits the backend whose runner LRU already holds the
-// result — and spill to the least-loaded backend (by measured per-backend
-// occupancy: forwards in flight and their windowed mean n_avg) when the
-// affinity owner is at the occupancy ceiling. Backends are health-checked
+// result — and spill to the backend with the fewest forwards in flight when
+// the affinity owner has the occupancy ceiling's worth in flight (their
+// windowed mean n_avg is reported, not routed on). Backends are health-checked
 // via /healthz behind per-backend circuit breakers; idempotent GETs are
 // hedged.
 //
@@ -60,8 +60,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8000", "listen address")
 	backends := flag.String("backends", "", "comma-separated llserved base URLs (required)")
-	ceiling := flag.Float64("occupancy-ceiling", 32, "per-backend load (forwards in flight, their windowed mean n_avg, or the backend's own reported n_avg) at which affinity is overridden and requests spill to the least-loaded backend")
-	halfLife := flag.Duration("rate-halflife", 10*time.Second, "half-life of the window each backend's measured n_avg is averaged over")
+	ceiling := flag.Float64("occupancy-ceiling", 32, "forwards in flight to the affinity owner at which affinity is overridden and requests spill to the backend with the fewest in flight")
+	halfLife := flag.Duration("rate-halflife", 10*time.Second, "half-life of the window each backend's reported n_avg is averaged over")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "background /healthz probe spacing (negative disables probing)")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe deadline")
 	breakerFailures := flag.Int("breaker-failures", 3, "consecutive transport failures that open a backend's circuit breaker")

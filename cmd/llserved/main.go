@@ -45,11 +45,13 @@
 // admission controller that applies the paper's own law to the server:
 // it counts the requests in flight, reports their windowed mean as n_avg,
 // and sheds with 429 + Retry-After once -limit-ceiling of them are in
-// flight and the queue behind them is full (cmd/llload drives it). On top
-// of the limiter sits the brownout ladder (internal/brownout): sustained
-// pressure steps the server through stale serving, analytic fallback and
-// selective shedding before anything fails outright; -no-brownout turns
-// it off. Shutdown is graceful and drain-aware: SIGINT/SIGTERM flips
+// flight and the queue behind them is full (cmd/llload drives it);
+// /v1/watch connections pass a second limiter of the same kind
+// (-max-streams). On top of the limiter sits the brownout ladder
+// (internal/brownout): sustained pressure — in flight plus queued, over
+// the ceiling — steps the server through stale serving, analytic fallback
+// and selective shedding before anything fails outright; -no-brownout
+// turns it off. Shutdown is graceful and drain-aware: SIGINT/SIGTERM flips
 // /healthz to "draining" (llproxy stops routing here), sheds new work
 // with 503 + Retry-After, sends a terminal shutdown event to live
 // streams, waits up to -drain-timeout for in-flight requests with the
@@ -90,7 +92,7 @@ func main() {
 	limitCeiling := flag.Float64("limit-ceiling", 64, "admission ceiling: most requests in flight at once, arrivals past it queue then shed (negative disables admission control)")
 	limitQueue := flag.Int("limit-queue", 0, "admission queue depth (0 = 2×ceiling, negative = shed immediately)")
 	limitQueueTimeout := flag.Duration("limit-queue-timeout", 5*time.Second, "longest a request waits in the admission queue")
-	maxStreams := flag.Int("max-streams", 64, "max concurrent /v1/watch connections (negative disables the cap)")
+	maxStreams := flag.Int("max-streams", 64, "ceiling of the /v1/watch limiter: most connections open at once, arrivals past it shed with 429 + Retry-After, no queue (negative disables the cap)")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "http.Server read timeout (full request including body)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "http.Server keep-alive idle timeout")
 	writeTimeout := flag.Duration("write-timeout", time.Minute, "per-write response deadline, re-armed before every write (bounds stalled clients without cutting long-lived streams)")

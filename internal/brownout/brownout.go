@@ -99,9 +99,9 @@ func Parse(s string) (Mode, error) {
 // Config parameterizes the ladder. Enter[i] is the pressure at or above
 // which mode Mode(i) escalates to Mode(i+1); Exit[i] is the pressure below
 // which Mode(i+1) de-escalates back to Mode(i). Pressure is the caller's
-// normalized occupancy — the service uses
-// max(inflight+queued, n_avg) / ceiling, so 1.0 means "at the admission
-// ceiling" and ~3.0 means "ceiling plus a full queue".
+// normalized occupancy — the service uses (inflight+queued) / ceiling, so
+// 1.0 means "at the admission ceiling" and 3.0 means "ceiling plus a full
+// queue".
 type Config struct {
 	Enter [NumModes - 1]float64 // escalation thresholds; strictly increasing
 	Exit  [NumModes - 1]float64 // de-escalation thresholds; Exit[i] < Enter[i]

@@ -1,9 +1,9 @@
 // Per-backend state: the spillover half of the routing algebra. Each
-// backend carries the measured occupancy of the forwards this proxy has
-// outstanding to it — a queueing.Estimator, the same type internal/limit
-// reads on a single server, lifted to the fleet — plus a consecutive-failure
-// circuit breaker and the health view the prober maintains from /healthz
-// bodies.
+// backend counts the forwards this proxy has outstanding to it — the
+// spill signal — in a queueing.Estimator, the same type internal/limit
+// keeps on a single server, which also reports their windowed n_avg. Beside
+// it: a consecutive-failure circuit breaker and the health view the prober
+// maintains from /healthz bodies.
 package cluster
 
 import (
@@ -59,7 +59,7 @@ type Backend struct {
 	est queueing.Estimator
 	// Health, from the prober.
 	healthy  bool
-	reported float64 // backend's own limiter n_avg from its last /healthz body
+	reported float64 // backend's own limiter n_avg from its last /healthz body (reported only)
 	mode     brownout.Mode
 	draining bool
 	// Breaker.
@@ -92,14 +92,15 @@ func (b *Backend) navg(now time.Time) float64 {
 	return b.est.NAvg(now)
 }
 
-// load is the routing signal: the worst of the instantaneous in-flight
-// count (a burst counts the moment it lands), its windowed mean (memory of
-// recent behavior) and the backend's own reported limiter occupancy
-// (covers load arriving outside this proxy).
-func (b *Backend) load(now time.Time) float64 {
+// load is the routing signal: the forwards this proxy has in flight to the
+// backend. A burst counts the moment it lands and stops counting the moment
+// it completes; load the proxy cannot see is answered by 429 failover and
+// the B2+ reroute, not by a reported mean. It takes the clock like the
+// backend's other readings (navg, allow), though a count has no window.
+func (b *Backend) load(time.Time) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return max(float64(b.est.InFlight()), b.est.NAvg(now), b.reported)
+	return float64(b.est.InFlight())
 }
 
 // allow reports whether the breaker admits a request at now, transitioning
@@ -148,8 +149,8 @@ func (b *Backend) failure(now time.Time) {
 }
 
 // probeOK records a healthy probe and what the backend reported about
-// itself: its limiter occupancy, its brownout rung, and whether it is
-// draining for shutdown.
+// itself: its limiter n_avg (a gauge and /healthz field), its brownout
+// rung, and whether it is draining for shutdown.
 func (b *Backend) probeOK(reportedNAvg float64, mode brownout.Mode, draining bool) {
 	b.success()
 	b.mu.Lock()

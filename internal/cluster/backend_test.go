@@ -90,34 +90,33 @@ func TestBackendNAvgDecays(t *testing.T) {
 	}
 }
 
-// TestBackendLoadTakesWorstSignal: the routing load is the max of in-flight
-// count, its windowed mean and the backend's self-reported occupancy.
-func TestBackendLoadTakesWorstSignal(t *testing.T) {
+// TestBackendLoadIsInFlight: the routing load is the forwards in flight to
+// the backend. A burst counts the moment it lands and stops counting the
+// moment it completes, while the windowed mean — reported, not routed on —
+// still remembers it; a probe-reported n_avg does not move the load.
+func TestBackendLoadIsInFlight(t *testing.T) {
 	b := testBackend(time.Second, 3, time.Second)
 	now := time.Unix(0, 0)
 	if got := b.load(now); got != 0 {
 		t.Fatalf("idle load = %v, want 0", got)
 	}
-	// A burst counts the moment it lands, before any time has passed for
-	// the mean to see it.
 	b.arrive(now)
 	b.arrive(now)
 	if got := b.load(now); got != 2 {
 		t.Fatalf("load with 2 in flight = %v, want 2", got)
 	}
-	// Once it completes, the windowed mean still remembers it: 2 in flight
-	// for the whole of a window one second old.
 	now = now.Add(time.Second)
 	b.complete(now)
 	b.complete(now)
-	if got := b.load(now); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("load just after the burst = %v, want its mean 2", got)
+	if got := b.load(now); got != 0 {
+		t.Fatalf("load just after the burst completed = %v, want 0", got)
 	}
-	// A probe reporting the backend's own limiter occupancy dominates when
-	// it is the largest term (load this proxy cannot see).
+	if n := b.navg(now); math.Abs(n-2) > 1e-9 {
+		t.Fatalf("n_avg just after the burst = %v, want its mean 2", n)
+	}
 	b.probeOK(7.5, brownout.B0, false)
-	if got := b.load(now); got != 7.5 {
-		t.Fatalf("load with reported n_avg 7.5 = %v, want 7.5", got)
+	if got := b.load(now); got != 0 {
+		t.Fatalf("load with reported n_avg 7.5 and nothing in flight = %v, want 0", got)
 	}
 }
 
@@ -153,6 +152,70 @@ func TestBackendStallNeverSpills(t *testing.T) {
 		if n := owner.navg(clock); n > 2 {
 			t.Fatalf("round %d: owner n_avg = %g with only 2 clients", round, n)
 		}
+	}
+	if got := p.overrides.Value(); got != 0 {
+		t.Fatalf("affinity overrides = %d, want 0", got)
+	}
+}
+
+// TestSpillEndsWithTheBurst: spill follows what is in flight at the owner,
+// not what was. Five forwards parked at the owner for three half-lives put
+// it at its ceiling of five and the sixth request spills; the moment all
+// five complete, the owner takes its key back, although its windowed n_avg
+// still reads five.
+func TestSpillEndsWithTheBurst(t *testing.T) {
+	clock := time.Unix(0, 0)
+	p, _ := newStubCluster(t, 3, func(c *Config) {
+		c.OccupancyCeiling = 5
+		c.Now = func() time.Time { return clock }
+	})
+	req, _ := service.DecodeAnalyzeRequest([]byte(analyzeBody))
+	key, _ := req.AffinityKey()
+	owner := p.backends[p.ring.Owner(key)]
+	for i := 0; i < 5; i++ {
+		owner.arrive(clock)
+	}
+	clock = clock.Add(3 * queueing.DefaultHalfLife)
+	if cands, decision := p.candidates(key, false); decision != "spill" || cands[0] == owner {
+		t.Fatalf("6th request with 5 parked at the owner: routed %q to %s, want a spill off %s",
+			decision, cands[0].Name, owner.Name)
+	}
+	for i := 0; i < 5; i++ {
+		owner.complete(clock)
+	}
+	if cands, decision := p.candidates(key, false); decision != "owner" || cands[0] != owner {
+		t.Fatalf("burst completed: routed %q to %s with nothing in flight at owner %s (its n_avg %.2f)",
+			decision, cands[0].Name, owner.Name, owner.navg(clock))
+	}
+	if got := p.overrides.Value(); got != 1 {
+		t.Fatalf("affinity overrides = %d, want 1 (the spill during the burst)", got)
+	}
+}
+
+// TestOwnerLeadingAtCeilingIsNotASpill: with every backend at the ceiling
+// and the owner the least loaded, the request goes to its owner, so the
+// route span says "owner" — not "spill <owner>" — and no override counts.
+func TestOwnerLeadingAtCeilingIsNotASpill(t *testing.T) {
+	clock := time.Unix(0, 0)
+	p, _ := newStubCluster(t, 3, func(c *Config) {
+		c.OccupancyCeiling = 2
+		c.Now = func() time.Time { return clock }
+	})
+	req, _ := service.DecodeAnalyzeRequest([]byte(analyzeBody))
+	key, _ := req.AffinityKey()
+	owner := p.backends[p.ring.Owner(key)]
+	for _, b := range p.order {
+		n := 3
+		if b == owner {
+			n = 2
+		}
+		for i := 0; i < n; i++ {
+			b.arrive(clock)
+		}
+	}
+	if cands, decision := p.candidates(key, false); decision != "owner" || cands[0] != owner {
+		t.Fatalf("every backend at the ceiling, owner least loaded: routed %q to %s, want owner %s",
+			decision, cands[0].Name, owner.Name)
 	}
 	if got := p.overrides.Value(); got != 0 {
 		t.Fatalf("affinity overrides = %d, want 0", got)

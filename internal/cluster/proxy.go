@@ -7,11 +7,14 @@
 //     profile work, table×scale for tables) onto a consistent-hash ring, so
 //     identical analyses revisit the backend whose caches already hold the
 //     answer.
-//   - Occupancy: each backend carries the measured n_avg of the forwards
-//     outstanding to it (a queueing.Estimator — internal/limit's
-//     accounting, lifted to the fleet). When the affinity owner's load
-//     reaches the configured ceiling, the request spills to the
-//     least-loaded backend instead: Equation 1 as the spillover signal.
+//   - Occupancy: each backend counts the forwards this proxy has in flight
+//     to it (a queueing.Estimator — internal/limit's accounting, lifted to
+//     the fleet). When that count at the affinity owner reaches the
+//     configured ceiling, the request spills to the backend holding the
+//     fewest instead: the MSHR rule, one tier up. The windowed n_avg of
+//     the same count, and each backend's own probe-reported one, are
+//     reported (llproxy_backend_navg, _reported_navg, /healthz), never
+//     routed on.
 //
 // Around that core: /healthz-driven probing with a per-backend circuit
 // breaker (open on consecutive transport failures, half-open trials),
@@ -54,13 +57,12 @@ type Config struct {
 	// Backends are the llserved base URLs to shard across (required,
 	// distinct hosts).
 	Backends []string
-	// OccupancyCeiling is the per-backend load — forwards in flight, their
-	// windowed mean n_avg, or the backend's own reported n_avg, whichever
-	// is highest — at which affinity is overridden and the request spills
-	// to the least-loaded backend (0 = 32).
+	// OccupancyCeiling is the number of forwards in flight to the affinity
+	// owner at which affinity is overridden and the request spills to the
+	// backend with the fewest in flight (0 = 32).
 	OccupancyCeiling float64
-	// RateHalfLife is the half-life of the window each backend's n_avg is
-	// averaged over (0 = queueing.DefaultHalfLife, 10s).
+	// RateHalfLife is the half-life of the window each backend's reported
+	// n_avg is averaged over (0 = queueing.DefaultHalfLife, 10s).
 	RateHalfLife time.Duration
 	// ProbeInterval spaces background /healthz probes (0 = 2s; negative
 	// disables the background prober — tests drive ProbeAll directly).
@@ -367,8 +369,8 @@ func (p *Proxy) ProbeAll(ctx context.Context) {
 
 // probe is one /healthz check: a single unretried GET under ProbeTimeout.
 // Any 200 closes the breaker (up, even if drowning); the JSON body's
-// limiter n_avg feeds the routing signal so a backend overloaded by
-// traffic this proxy cannot see still repels spillover.
+// brownout rung and draining flag steer routing, and its limiter n_avg is
+// reported (llproxy_backend_reported_navg, /healthz reported_navg).
 func (p *Proxy) probe(ctx context.Context, b *Backend) {
 	switch f := p.faults.Eval(ProbeFaultSite); f.Kind {
 	case faults.KindLatency:

@@ -317,15 +317,54 @@ func TestProxyBreakerIsolatesDeadBackend(t *testing.T) {
 	}
 }
 
-// TestProxyProbeReportsBackendOccupancy: a 200 probe folds the backend's
-// self-reported limiter n_avg into its load signal.
+// TestProxyProbeReportsBackendOccupancy: a 200 probe carries the backend's
+// self-reported limiter n_avg to llproxy_backend_reported_navg and the
+// proxy's /healthz reported_navg — and leaves routing as it was: the load
+// is what this proxy has in flight there.
 func TestProxyProbeReportsBackendOccupancy(t *testing.T) {
 	p, stubs := newStubCluster(t, 2, nil)
-	stubs[0].navg.Store(7250) // /healthz reports limiter_navg 7.25
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+	before, _ := p.candidates("", false)
+	head := stubByName(stubs, before[0].Name)
+	head.navg.Store(7250) // /healthz reports limiter_navg 7.25
 	p.ProbeAll(t.Context())
-	b := p.backends[stubs[0].name]
-	if got := b.load(time.Now()); got != 7.25 {
-		t.Fatalf("load after probe = %v, want reported 7.25", got)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	metricsBody, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("llproxy_backend_reported_navg{backend=%q} 7.25\n", head.name); !strings.Contains(string(metricsBody), want) {
+		t.Fatalf("/metrics missing %q", want)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz: %v", err)
+	}
+	var h HealthResponse
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("healthz body: %v", err)
+	}
+	for _, b := range h.Backends {
+		want := 0.0
+		if b.Name == head.name {
+			want = 7.25
+		}
+		if b.ReportedNAvg != want {
+			t.Fatalf("healthz backend %s reported_navg = %v, want %v", b.Name, b.ReportedNAvg, want)
+		}
+	}
+
+	after, _ := p.candidates("", false)
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("candidate %d after the probe = %s, before = %s: a reported n_avg moved routing",
+				i, after[i].Name, before[i].Name)
+		}
 	}
 }
 

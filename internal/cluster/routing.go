@@ -10,18 +10,20 @@ import (
 )
 
 // candidates returns the backends that may serve a request with the given
-// affinity key, in preference order: the ring owner first (unless its
-// load has reached the occupancy ceiling, or it has browned out past B2
-// while a full-fidelity backend is available, and the request is not
-// pinned), then the remaining eligible backends — non-degraded before
-// degraded, ascending load within each class. Backends whose last probe
-// reported draining are skipped entirely while any alternative exists:
-// their listener is about to close. Pinned requests (streams) always put
-// the owner first — a subscriber must reach the broker's host — and only
-// breaker or drain ineligibility reroutes them.
+// affinity key, in preference order: the ring owner first (unless the
+// forwards in flight to it have reached the occupancy ceiling, or it has
+// browned out past B2 while a full-fidelity backend is available, and the
+// request is not pinned), then the remaining eligible backends —
+// non-degraded before degraded, fewest in flight first within each class.
+// Backends whose last probe reported draining are skipped entirely while
+// any alternative exists: their listener is about to close. Pinned
+// requests (streams) always put the owner first — a subscriber must reach
+// the broker's host — and only breaker or drain ineligibility reroutes
+// them.
 //
 // The decision string names which rule chose the head candidate — "owner"
-// (affinity), "pinned", "spill" (owner over the occupancy ceiling),
+// (affinity; also an owner at the ceiling that is still the least loaded),
+// "pinned", "spill" (owner at the ceiling, another backend leads),
 // "degraded" (owner browned out, fuller backend preferred), "load" (no
 // affinity identity) — and becomes the trace's route span.
 func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, string) {
@@ -98,13 +100,12 @@ func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, string) {
 		p.degradedReroutes.Inc()
 		return out, "degraded"
 	}
-	if !pinned && elig[oi].load >= p.cfg.OccupancyCeiling {
-		// Join-least-n_avg spillover: the owner is drowning, the sorted
-		// order already leads with the least-loaded backend; the owner
-		// stays available as a later failover candidate.
-		if oi != 0 {
-			p.overrides.Inc()
-		}
+	if !pinned && oi != 0 && elig[oi].load >= p.cfg.OccupancyCeiling {
+		// Join-least-loaded spillover: the owner is drowning and the
+		// sorted order already leads with a backend holding fewer; the
+		// owner stays available as a later failover candidate. An owner at
+		// the ceiling that still leads goes on as "owner" below.
+		p.overrides.Inc()
 		return out, "spill"
 	}
 	if oi != 0 {

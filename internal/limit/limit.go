@@ -8,14 +8,15 @@
 // Retry-After hint, exactly as an MSHR-full cache rejects a new miss rather
 // than queueing unboundedly. A queue therefore only ever forms behind
 // requests that are in flight, and every completion hands its slot to the
-// queue's head.
+// queue's head. llserved runs two: one in front of its unary routes and
+// one, with no queue, capping /v1/watch subscribers.
 //
 // Beside the gate the Limiter measures n_avg the way the paper checks
 // Equation 2 — as the windowed time-average of that in-flight count (a
-// queueing.Estimator; DESIGN.md "How every layer measures n_avg"). A
-// measured mean cannot exceed the peak it averages, so it adds nothing to
-// the gate; it is the reported quantity: brownout pressure, /healthz
-// limiter_navg, the proxy's load signal and the Retry-After hint read it.
+// queueing.Estimator over queueing.DefaultHalfLife; DESIGN.md "How every
+// layer measures n_avg"). It explains a stall afterwards; it decides
+// nothing. Only the Retry-After hint reads it (as W); /metrics and
+// /healthz report it.
 package limit
 
 import (
@@ -51,10 +52,6 @@ type Config struct {
 	// before being shed (0 = 5s). The request's own context deadline
 	// applies as well, whichever is sooner.
 	QueueTimeout time.Duration
-	// RateHalfLife is the half-life of the window n_avg is averaged over:
-	// how quickly the reported occupancy forgets a burst
-	// (0 = queueing.DefaultHalfLife, 10s).
-	RateHalfLife time.Duration
 	// Now is the clock (tests; nil = time.Now).
 	Now func() time.Time
 }
@@ -130,7 +127,7 @@ type Limiter struct {
 // New builds a Limiter.
 func New(cfg Config) *Limiter {
 	cfg.normalize()
-	return &Limiter{cfg: cfg, est: queueing.NewEstimator(cfg.RateHalfLife, cfg.Now())}
+	return &Limiter{cfg: cfg, est: queueing.NewEstimator(queueing.DefaultHalfLife, cfg.Now())}
 }
 
 // Acquire asks to admit one request. It returns a release function that

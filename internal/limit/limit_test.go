@@ -192,14 +192,10 @@ func TestNAvgMatchesOccupancyAt(t *testing.T) {
 		lambda    = 200.0                 // arrivals per second
 		service   = 25 * time.Millisecond // constant service time W
 		lineBytes = 64
-		duration  = 5 * time.Second
+		duration  = 30 * time.Second
 	)
 	clock := time.Unix(0, 0)
-	l := New(Config{
-		Ceiling:      64,
-		RateHalfLife: 500 * time.Millisecond,
-		Now:          func() time.Time { return clock },
-	})
+	l := New(Config{Ceiling: 64, Now: func() time.Time { return clock }})
 
 	// Event-driven replay: arrivals every 1/λ, each releasing after W.
 	type event struct {
@@ -223,8 +219,8 @@ func TestNAvgMatchesOccupancyAt(t *testing.T) {
 		}
 		pending = append(pending, event{at: at.Add(service), release: rel})
 	}
-	// Read n_avg at the last arrival instant — the steady-state signal an
-	// admission decision would see. (Draining the tail first would average
+	// Read n_avg at the last arrival instant — the steady-state reading
+	// /metrics would report. (Draining the tail first would average
 	// the emptying system into the window, which is the estimator being
 	// honest about an ended trace, not an error.)
 	got := l.Snapshot().NAvg
@@ -252,28 +248,25 @@ func TestNAvgMatchesOccupancyAt(t *testing.T) {
 }
 
 // TestNAvgDecaysWithHalfLife: the reported occupancy has memory — it
-// forgets a finished run of work at the configured half-life, not at once.
+// forgets a finished run of work at queueing.DefaultHalfLife, not at once.
 func TestNAvgDecaysWithHalfLife(t *testing.T) {
 	clock := time.Unix(0, 0)
-	l := New(Config{
-		Ceiling:      4,
-		RateHalfLife: 1 * time.Second,
-		Now:          func() time.Time { return clock },
-	})
-	// 40 one-by-one admissions, each taking 100ms: λ≈steady, W=0.1s.
+	l := New(Config{Ceiling: 4, Now: func() time.Time { return clock }})
+	// 40 one-by-one admissions, each taking 1s: λ≈steady, W=1s, four
+	// half-lives of load.
 	for i := 0; i < 40; i++ {
 		rel, _, err := l.Acquire(context.Background(), "r")
 		if err != nil {
 			t.Fatalf("admission %d: %v", i, err)
 		}
-		clock = clock.Add(100 * time.Millisecond)
+		clock = clock.Add(time.Second)
 		rel()
 	}
 	n0 := l.Snapshot().NAvg
 	if n0 <= 0 {
 		t.Fatalf("n_avg = %v after sustained load, want > 0", n0)
 	}
-	clock = clock.Add(2 * time.Second) // two half-lives
+	clock = clock.Add(2 * queueing.DefaultHalfLife)
 	n1 := l.Snapshot().NAvg
 	if n1 >= n0/3 || n1 <= 0 {
 		t.Fatalf("n_avg decayed %v → %v; want roughly a quarter after two half-lives", n0, n1)

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"littleslaw/internal/queueing"
 )
 
 // The limiter's n_avg is Equation 1 measured rather than forecast: the
@@ -39,7 +41,7 @@ type op struct {
 func runWorkload(t *testing.T, start time.Time, ops []op, end time.Time) *Limiter {
 	t.Helper()
 	clk := &fakeClock{now: start}
-	l := New(Config{Ceiling: 1e9, RateHalfLife: 10 * time.Second, Now: clk.Now})
+	l := New(Config{Ceiling: 1e9, Now: clk.Now})
 	releases := map[string]func(){}
 	for _, o := range ops {
 		if o.at.Before(clk.now) {
@@ -73,8 +75,7 @@ func runWorkload(t *testing.T, start time.Time, ops []op, end time.Time) *Limite
 // Random workloads must match it to floating-point accuracy.
 func TestNAvgMatchesClosedForm(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
-	const halfLife = 10 * time.Second
-	tau := halfLife.Seconds() / math.Ln2
+	tau := queueing.DefaultHalfLife.Seconds() / math.Ln2
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(30)
@@ -184,7 +185,7 @@ func TestNAvgScalesWithLatency(t *testing.T) {
 	if ratio := mean2 / mean1; math.Abs(ratio-2) > 1e-9 {
 		t.Fatalf("doubling all latencies scaled ∫n dt by %g, want exactly 2", ratio)
 	}
-	tau := (10 * time.Second).Seconds() / math.Ln2
+	tau := queueing.DefaultHalfLife.Seconds() / math.Ln2
 	upper := 2 * math.Exp((1300*time.Millisecond).Seconds()/tau)
 	if ratio := two.Snapshot().NAvg / one.Snapshot().NAvg; ratio < 2 || ratio > upper {
 		t.Fatalf("doubling all latencies scaled windowed n_avg by %g, want within [2, %g]", ratio, upper)
@@ -198,7 +199,7 @@ func TestNAvgScalesWithLatency(t *testing.T) {
 func TestNAvgDecaysToZero(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	clk := &fakeClock{now: base}
-	l := New(Config{Ceiling: 1e9, RateHalfLife: time.Second, Now: clk.Now})
+	l := New(Config{Ceiling: 1e9, Now: clk.Now})
 	for i := 0; i < 50; i++ {
 		rel, _, err := l.Acquire(context.Background(), "burst")
 		if err != nil {
@@ -213,7 +214,7 @@ func TestNAvgDecaysToZero(t *testing.T) {
 	}
 	prev := busy
 	for i := 0; i < 30; i++ {
-		clk.add(time.Second)
+		clk.add(queueing.DefaultHalfLife)
 		cur := l.Snapshot().NAvg
 		if cur >= prev {
 			t.Fatalf("n_avg went from %g to %g with no traffic, want strictly falling", prev, cur)

@@ -444,8 +444,9 @@ type ErrorResponse struct {
 
 // HealthzResponse is the readiness body GET /healthz returns. The endpoint
 // keeps its plain-200 liveness contract (it never returns non-200 while the
-// process serves); the body lets a cluster prober distinguish "up" from
-// "drowning" by reading the limiter's measured occupancy.
+// process serves); the body tells a cluster prober "overloaded", the
+// brownout rung and "draining" apart from "up", and reports the limiter's
+// measured n_avg.
 type HealthzResponse struct {
 	// Status is "ok"; "overloaded" when the admission controller has its
 	// ceiling's worth of requests in flight (new ones are queueing or
@@ -467,6 +468,7 @@ type HealthzResponse struct {
 	QueueDepth      int      `json:"queue_depth,omitempty"`
 	// ActiveStreams counts named /v1/watch brokers currently registered.
 	ActiveStreams int `json:"active_streams"`
-	// StreamClients counts live watch connections against the session cap.
+	// StreamClients counts live watch connections held by the stream
+	// limiter (ceiling -max-streams).
 	StreamClients int `json:"stream_clients"`
 }

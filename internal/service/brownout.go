@@ -53,19 +53,17 @@ func shedAt(route string) brownout.Mode {
 	return brownout.B3
 }
 
-// pressure is the scalar the brownout controller consumes: the limiter's
-// occupancy normalized by its ceiling. The numerator takes
-// max(inflight+queued, n_avg): n_avg (the windowed mean of admitted work in
-// flight) remembers recent load but cannot pass the ceiling admission caps
-// it at, while inflight+queued sees the queue building — together they
-// keep the signal monotone in offered load up to ceiling+queue, which is
-// what gives the upper ladder rungs something to trigger on.
+// pressure is the scalar the brownout controller consumes: what the
+// limiter holds and the queue behind it, over its ceiling — 1.0 at the
+// ceiling, 3.0 at ceiling plus the default full queue. The windowed n_avg
+// is not in it: it never passes the ceiling, so it could only hold B1 after
+// the load has gone, and the ladder's memory is DwellDown.
 func (s *Server) pressure() float64 {
 	if s.limiter == nil {
 		return 0
 	}
 	snap := s.limiter.Snapshot()
-	return max(float64(snap.InFlight+snap.QueueDepth), snap.NAvg) / snap.Ceiling
+	return float64(snap.InFlight+snap.QueueDepth) / snap.Ceiling
 }
 
 // observeMode samples pressure into the controller and returns the

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -323,6 +325,56 @@ func TestBrownoutAnalyticGolden(t *testing.T) {
 			t.Errorf("%s analytic %.2f GB/s vs sim %.2f GB/s (ratio %.2f) outside tolerance",
 				platformName, anaBW, simBW, ratio)
 		}
+	}
+}
+
+// TestLadderLeavesB1WhenLoadLeaves: the ladder reads what the limiter holds
+// now. The ceiling's worth of requests, held for most of the server's life,
+// climbs it to B1; once they complete and DwellDown has passed, one sample
+// brings it back to B0, although the limiter's windowed n_avg still
+// remembers the load above the 0.7 exit threshold. (The ladder runs on a
+// fake clock; the limiter's n_avg on the real one, where a young server
+// reads ∫n dt ÷ uptime.)
+func TestLadderLeavesB1WhenLoadLeaves(t *testing.T) {
+	const ceiling = 2
+	var clock atomic.Int64 // the ladder's clock, in ns since the epoch
+	bp := newBlockingProfile()
+	defer bp.once.Do(func() { close(bp.release) })
+	s, ts := newTestServer(t, Config{
+		ProfileFor:   bp.fn,
+		LimitCeiling: ceiling,
+		Brownout:     brownout.Config{Now: func() time.Time { return time.Unix(0, clock.Load()) }},
+	})
+
+	var held sync.WaitGroup
+	for i := 0; i < ceiling; i++ {
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(analyzeBody))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+		}()
+	}
+	waitUntil(t, func() bool { return s.limiter.Snapshot().InFlight == ceiling })
+	waitUntil(t, func() bool { return s.limiter.Snapshot().NAvg >= 0.98*ceiling })
+
+	clock.Store(int64(600 * time.Millisecond)) // past DwellUp
+	if m := s.observeMode(); m != brownout.B1 {
+		t.Fatalf("mode = %s with the ceiling's worth in flight, want B1", m)
+	}
+
+	bp.once.Do(func() { close(bp.release) })
+	held.Wait()
+	waitUntil(t, func() bool { return s.limiter.Snapshot().InFlight == 0 })
+	clock.Store(int64(600*time.Millisecond + 2100*time.Millisecond)) // past DwellDown
+	if m := s.observeMode(); m != brownout.B0 {
+		snap := s.limiter.Snapshot()
+		t.Fatalf("mode = %s with nothing in flight or queued after DwellDown, want B0 (limiter n_avg %.2f, ceiling %g)",
+			m, snap.NAvg, snap.Ceiling)
 	}
 }
 

@@ -394,62 +394,13 @@ func ReadBody(r *http.Request) ([]byte, error) {
 
 // ---- llserved's part of a request ----
 
-// admitFunc asks an admission gate for permission to run a request,
-// returning the release callback to invoke on completion.
-type admitFunc func(r *http.Request) (release func(), err error)
-
-// instrument puts a route behind the Little's-Law admission controller,
-// which sheds with 429 + Retry-After when the requests in flight would pass
-// the ceiling.
-func (s *Server) instrument(name string, fn func(w http.ResponseWriter, r *http.Request) error) http.Handler {
-	return s.route(name, fn, func(r *http.Request) (func(), error) {
-		if s.limiter == nil {
-			return func() {}, nil
-		}
-		release, waited, err := s.limiter.Acquire(r.Context(), name)
-		if err != nil {
-			var shed *limit.ShedError
-			if errors.As(err, &shed) {
-				s.admissions.With(name, "shed").Inc()
-				return nil, Fail(http.StatusTooManyRequests,
-					fmt.Errorf("admission denied: server occupancy at ceiling"), shed.RetryAfter)
-			}
-			// The request's own deadline expired while queued; the usual
-			// context mapping (504/499) applies.
-			s.admissions.With(name, "expired").Inc()
-			return nil, err
-		}
-		if waited {
-			s.admissions.With(name, "queued").Inc()
-		}
-		s.admissions.With(name, "admitted").Inc()
-		return release, nil
-	})
-}
-
-// instrumentStream is instrument for the streaming routes: /v1/watch
-// connections are long-lived, so a latency-based limiter would misread
-// them — they are capped by concurrent subscriber count instead.
-func (s *Server) instrumentStream(name string, fn func(w http.ResponseWriter, r *http.Request) error) http.Handler {
-	return s.route(name, fn, func(r *http.Request) (func(), error) {
-		if s.sessions == nil {
-			return func() {}, nil
-		}
-		release, ok := s.sessions.Acquire()
-		if !ok {
-			s.admissions.With(name, "shed").Inc()
-			return nil, Fail(http.StatusTooManyRequests,
-				fmt.Errorf("stream client limit (%d) reached", s.sessions.Max()), 5*time.Second)
-		}
-		s.admissions.With(name, "admitted").Inc()
-		return release, nil
-	})
-}
-
 // route is llserved's own part of a request, run inside the envelope: the
-// ?timeout= deadline, the brownout ladder, admission, and the
-// handler.<route> fault site in front of the handler body.
-func (s *Server) route(name string, fn func(w http.ResponseWriter, r *http.Request) error, admit admitFunc) http.Handler {
+// ?timeout= deadline, the brownout ladder, admission through gate (nil =
+// admission control off), and the handler.<route> fault site in front of
+// the handler body. Unary routes pass the server's limiter and /v1/watch
+// the stream limiter; both gate on what they hold in flight against their
+// ceiling and shed with 429 + the limiter's Retry-After.
+func (s *Server) route(name string, gate *limit.Limiter, fn func(w http.ResponseWriter, r *http.Request) error) http.Handler {
 	return s.Wrap(name, func(w http.ResponseWriter, r *http.Request) error {
 		ctx, cancel, err := s.requestContext(r)
 		if err != nil {
@@ -479,11 +430,32 @@ func (s *Server) route(name string, fn func(w http.ResponseWriter, r *http.Reque
 		// waits at most min(queue deadline, request deadline) — and under
 		// the trace, so the limiter records its queue wait as a span. The
 		// release is deferred, so a panicking handler returns its slot too.
-		release, err := admit(r)
-		if err != nil {
-			return err
+		if gate != nil {
+			release, waited, err := gate.Acquire(r.Context(), name)
+			if err != nil {
+				// Unless shed, the request's own deadline expired while
+				// queued and the usual context mapping (504/499) applies.
+				// One return here keeps route's defers open-coded.
+				decision := "expired"
+				var shed *limit.ShedError
+				if errors.As(err, &shed) {
+					decision = "shed"
+					what := "server occupancy"
+					if gate == s.streams {
+						what = "stream clients"
+					}
+					err = Fail(http.StatusTooManyRequests,
+						fmt.Errorf("admission denied: %s at ceiling", what), shed.RetryAfter)
+				}
+				s.admissions.With(name, decision).Inc()
+				return err
+			}
+			defer release()
+			if waited {
+				s.admissions.With(name, "queued").Inc()
+			}
+			s.admissions.With(name, "admitted").Inc()
 		}
-		defer release()
 
 		h := tr.Begin("handler")
 		defer h.End("")

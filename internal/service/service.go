@@ -76,7 +76,7 @@ type Config struct {
 	LimitQueueTimeout time.Duration
 	// Brownout tunes the degradation ladder (zero fields take the
 	// brownout defaults). The controller exists whenever admission control
-	// is on — its pressure signal is the limiter's measured occupancy —
+	// is on — its pressure signal is what the limiter holds and queues —
 	// unless DisableBrownout opts out (the binary-shedding baseline).
 	Brownout        brownout.Config
 	DisableBrownout bool
@@ -86,9 +86,9 @@ type Config struct {
 	// differs from B0 for entries that never expire, i.e. not at all, so
 	// set a TTL when enabling brownout).
 	RunnerTTL time.Duration
-	// MaxStreamClients caps concurrent /v1/watch connections — streams are
-	// limited by subscriber count, not latency, because a healthy stream
-	// lasts as long as its client (0 = 64; negative disables the cap).
+	// MaxStreamClients is the ceiling of the /v1/watch limiter: connections
+	// are admitted while fewer are open and shed with 429 at it, never
+	// queued (0 = 64; negative disables the cap).
 	MaxStreamClients int
 	// WriteTimeout is the per-write deadline armed immediately before each
 	// response write (0 = 1m). It bounds how long a stalled client can
@@ -161,8 +161,8 @@ type Server struct {
 	// -runner-ttl has since expired beneath it.
 	tables *engine.LRU[tableKey, *experiments.Table]
 
-	limiter  *limit.Limiter
-	sessions *limit.Sessions
+	limiter  *limit.Limiter // unary routes
+	streams  *limit.Limiter // /v1/watch connections
 	faults   *faults.Injector
 	brownout *brownout.Controller
 
@@ -223,10 +223,10 @@ func New(cfg Config) *Server {
 		})
 	}
 	if cfg.MaxStreamClients > 0 {
-		s.sessions = limit.NewSessions(cfg.MaxStreamClients)
+		s.streams = limit.New(limit.Config{Ceiling: float64(cfg.MaxStreamClients), MaxQueue: -1})
 	}
 	// The brownout controller rides on the limiter: its pressure signal is
-	// the limiter's measured occupancy, so without admission control there
+	// what the limiter holds and queues, so without admission control there
 	// is nothing to observe and the ladder stays off.
 	if s.limiter != nil && !cfg.DisableBrownout {
 		ctrl, err := brownout.NewController(cfg.Brownout)
@@ -273,7 +273,7 @@ func New(cfg Config) *Server {
 	if s.brownout != nil {
 		s.brownout.Register(s.reg, "llserved_brownout")
 		s.reg.Derived("llserved_brownout_pressure",
-			"The brownout controller's input: max(inflight+queued, n_avg) / ceiling.",
+			"The brownout controller's input: (inflight+queued) / ceiling.",
 			s.pressure)
 	}
 	// The simulation spine's own instrumentation: analyze requests bottom
@@ -298,27 +298,27 @@ func New(cfg Config) *Server {
 	s.reg.DerivedCounter("llserved_faults_injected_total",
 		"Faults fired across every instrumented site since the injector was configured.",
 		s.faults.FiredTotal)
-	if s.sessions != nil {
+	if s.streams != nil {
 		s.reg.Derived("llserved_stream_clients",
-			"Live /v1/watch connections counted against the subscriber cap.",
-			func() float64 { return float64(s.sessions.Active()) })
+			"Live /v1/watch connections admitted by the stream limiter (ceiling -max-streams).",
+			func() float64 { return float64(s.streams.Snapshot().InFlight) })
 		s.reg.DerivedCounter("llserved_stream_denied_total",
-			"/v1/watch connections rejected at the subscriber cap.",
-			func() uint64 { return s.sessions.Denied() })
+			"/v1/watch connections shed at the stream limiter's ceiling.",
+			func() uint64 { return s.streams.Snapshot().Shed })
 	}
 
 	s.mux = http.NewServeMux()
 	s.mux.Handle("GET /healthz", http.HandlerFunc(s.handleHealthz))
 	s.mux.Handle("GET /metrics", http.HandlerFunc(s.handleMetrics))
-	s.mux.Handle("GET /v1/platforms", s.instrument("platforms", s.handlePlatforms))
-	s.mux.Handle("POST /v1/characterize", s.instrument("characterize", s.handleCharacterize))
-	s.mux.Handle("POST /v1/analyze", s.instrument("analyze", s.handleAnalyze))
-	s.mux.Handle("POST /v1/analyze/batch", s.instrument("analyze_batch", s.handleAnalyzeBatch))
-	s.mux.Handle("POST /v1/advise", s.instrument("advise", s.handleAdvise))
-	s.mux.Handle("POST /v1/tune", s.instrument("tune", s.handleTune))
-	s.mux.Handle("GET /v1/tables/{id}", s.instrument("tables", s.handleTable))
-	s.mux.Handle("POST /v1/watch", s.instrumentStream("watch", s.handleWatch))
-	s.mux.Handle("GET /v1/watch/{stream}", s.instrumentStream("watch_subscribe", s.handleWatchSubscribe))
+	s.mux.Handle("GET /v1/platforms", s.route("platforms", s.limiter, s.handlePlatforms))
+	s.mux.Handle("POST /v1/characterize", s.route("characterize", s.limiter, s.handleCharacterize))
+	s.mux.Handle("POST /v1/analyze", s.route("analyze", s.limiter, s.handleAnalyze))
+	s.mux.Handle("POST /v1/analyze/batch", s.route("analyze_batch", s.limiter, s.handleAnalyzeBatch))
+	s.mux.Handle("POST /v1/advise", s.route("advise", s.limiter, s.handleAdvise))
+	s.mux.Handle("POST /v1/tune", s.route("tune", s.limiter, s.handleTune))
+	s.mux.Handle("GET /v1/tables/{id}", s.route("tables", s.limiter, s.handleTable))
+	s.mux.Handle("POST /v1/watch", s.route("watch", s.streams, s.handleWatch))
+	s.mux.Handle("GET /v1/watch/{stream}", s.route("watch_subscribe", s.streams, s.handleWatchSubscribe))
 	// The faults admin endpoints sit outside the admission controller on
 	// purpose: during a chaos run the limiter may be shedding everything,
 	// and the kill switch must still answer.
@@ -404,8 +404,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.watchMu.Lock()
 	h.ActiveStreams = len(s.watches)
 	s.watchMu.Unlock()
-	if s.sessions != nil {
-		h.StreamClients = s.sessions.Active()
+	if s.streams != nil {
+		h.StreamClients = s.streams.Snapshot().InFlight
 	}
 	// Always 200: this is liveness plus telemetry, not a gate — the proxy's
 	// prober reads the body to weigh a drowning backend, existing checks
