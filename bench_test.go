@@ -11,6 +11,7 @@
 package littleslaw_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,6 +21,8 @@ import (
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
+	"littleslaw/internal/sim"
+	"littleslaw/internal/workloads"
 	"littleslaw/internal/xmem"
 )
 
@@ -158,6 +161,48 @@ func BenchmarkXMemOperatingPoint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkKernel times one simulation of each kernel the serving
+// benchmark's miss_serve workload asks for — {SKL,KNL,A64FX} x {ISx,HPCG,
+// PENNANT,CoMD} and SNAP on A64FX, at scale 0.005, where the workloads'
+// operation budget is at its floor as in every miss_serve request — and
+// KNL MiniGhost at the golden tables' scale 0.05, their costliest run. One
+// op is one sim.RunContext with no cache in front: the discrete-event
+// kernel alone.
+func BenchmarkKernel(b *testing.B) {
+	type kernel struct {
+		plat, workload string
+		scale          float64
+	}
+	var ks []kernel
+	for _, p := range []string{"SKL", "KNL", "A64FX"} {
+		for _, w := range []string{"ISx", "HPCG", "PENNANT", "CoMD"} {
+			ks = append(ks, kernel{p, w, 0.005})
+		}
+	}
+	ks = append(ks, kernel{"A64FX", "SNAP", 0.005}, kernel{"KNL", "MiniGhost", 0.05})
+	for _, k := range ks {
+		p, err := platform.ByName(k.plat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w, ok := workloads.ByName(k.workload)
+		if !ok {
+			b.Fatalf("no workload %q", k.workload)
+		}
+		b.Run(k.plat+"_"+k.workload, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := sim.RunContext(context.Background(), w.Config(p, 1, k.scale))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Throughput <= 0 {
+					b.Fatal("no work measured")
+				}
+			}
+		})
 	}
 }
 

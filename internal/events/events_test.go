@@ -289,3 +289,192 @@ func TestTypedEventsKeepTheSchedulerContracts(t *testing.T) {
 		t.Fatal("Call(nil) must be the zero Callback and Call(fn) a valid one")
 	}
 }
+
+// spanProbe is orderProbe at the reach of a bucketed queue. Its deltas are
+// log-uniform over 1 ps to 2^24 ps, so one schedule spans thousands of
+// fixed-width time buckets, wraps any ring of them and runs past its
+// horizon; and it repeats the time of an event still pending, so equal
+// times meet with seqs scheduled far apart. pending lists the ids not yet
+// fired, so the test can find the next event without asking the queue.
+type spanProbe struct {
+	s       Scheduler
+	rng     *rand.Rand
+	at      []Time // at[id] = the time event id was scheduled for
+	pending []int
+	fired   []int
+	quota   int // events still allowed to be scheduled
+}
+
+func (p *spanProbe) delta() Duration {
+	return Duration(1 + p.rng.Int63n(int64(1)<<p.rng.Intn(25)))
+}
+
+func (p *spanProbe) schedule(t Time) {
+	if p.quota == 0 {
+		return
+	}
+	p.quota--
+	id := len(p.at)
+	p.at = append(p.at, t)
+	p.pending = append(p.pending, id)
+	if p.rng.Intn(2) == 0 {
+		p.s.Schedule(t, Callback{Target: p, Kind: uint32(id % 5), Arg: uint64(id)})
+	} else {
+		p.s.At(t, func() { p.Fire(0, uint64(id)) })
+	}
+}
+
+// next returns the earliest time still pending.
+func (p *spanProbe) next() Time {
+	t := p.at[p.pending[0]]
+	for _, id := range p.pending[1:] {
+		t = min(t, p.at[id])
+	}
+	return t
+}
+
+func (p *spanProbe) Fire(_ uint32, arg uint64) {
+	id := int(arg)
+	p.fired = append(p.fired, id)
+	for i, q := range p.pending {
+		if q == id {
+			p.pending[i] = p.pending[len(p.pending)-1]
+			p.pending = p.pending[:len(p.pending)-1]
+			break
+		}
+	}
+	now := p.s.Now()
+	switch p.rng.Intn(5) {
+	case 0: // a scatter
+		for n := p.rng.Intn(4); n > 0; n-- {
+			p.schedule(now + p.delta())
+		}
+	case 1: // one successor, so chains run on
+		p.schedule(now + p.delta())
+	case 2: // again at the time of a pending event (one a wrong queue
+		// has let fall behind now is left to fail the order check)
+		if len(p.pending) > 0 {
+			t := p.at[p.pending[p.rng.Intn(len(p.pending))]]
+			for n := 1 + p.rng.Intn(3); n > 0 && t >= now; n-- {
+				p.schedule(t)
+			}
+		}
+	case 3: // a burst at one later instant
+		t := now + p.delta()
+		for n := p.rng.Intn(4); n > 0; n-- {
+			p.schedule(t)
+		}
+	}
+}
+
+// TestFiringOrderMatchesStableSortAcrossBuckets is
+// TestFiringOrderMatchesStableSort where a bucketed queue can go wrong:
+// schedules cross many buckets, wrap the ring and pass its horizon, and
+// RunUntil deadlines fall in empty stretches, each followed by events
+// scheduled between the deadline and the next pending event. A queue that
+// moved its cursor on to that next event would file them behind it.
+func TestFiringOrderMatchesStableSortAcrossBuckets(t *testing.T) {
+	seeds := []int64{42, 123, 456}
+	for seed := int64(1); seed <= 300; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for _, seed := range seeds {
+		p := &spanProbe{rng: rand.New(rand.NewSource(seed)), quota: 3000}
+		for n := 1 + p.rng.Intn(60); n > 0; n-- {
+			p.schedule(p.delta())
+		}
+		for p.s.Pending() > 0 {
+			switch p.rng.Intn(3) {
+			case 0: // a few steps
+				for n := p.rng.Intn(20); n > 0; n-- {
+					p.s.Step()
+				}
+			case 1: // a deadline anywhere
+				p.s.RunUntil(p.s.Now() + p.delta())
+			case 2: // a deadline before the next event, then events up to it
+				now, next := p.s.Now(), p.next()
+				if next-now < 2 {
+					continue
+				}
+				fired := len(p.fired)
+				p.s.RunUntil(now + Time(p.rng.Int63n(int64(next-now))))
+				if len(p.fired) != fired {
+					t.Fatalf("seed %d: RunUntil(%d) fired event %d, due at %d", seed, p.s.Now(), p.fired[fired], p.at[p.fired[fired]])
+				}
+				now = p.s.Now()
+				for n := 1 + p.rng.Intn(4); n > 0; n-- {
+					p.schedule(now + Time(p.rng.Int63n(int64(next-now)+1)))
+				}
+				if p.rng.Intn(2) == 0 {
+					p.schedule(now)
+				}
+			}
+		}
+		if len(p.fired) != len(p.at) || len(p.pending) != 0 {
+			t.Fatalf("seed %d: fired %d of %d scheduled", seed, len(p.fired), len(p.at))
+		}
+		want := make([]int, len(p.at))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return p.at[want[i]] < p.at[want[j]] })
+		for i := range want {
+			if p.fired[i] != want[i] {
+				t.Fatalf("seed %d: firing #%d was event %d (t=%d), reference order has %d (t=%d)",
+					seed, i, p.fired[i], p.at[p.fired[i]], want[i], p.at[want[i]])
+			}
+		}
+	}
+}
+
+// succession keeps a fixed number of events pending: each, when it fires,
+// schedules its successor a delta ahead, the deltas taken in turn from a
+// table of 2^k.
+type succession struct {
+	s      *Scheduler
+	deltas []Duration
+	i      int
+}
+
+func (m *succession) Fire(uint32, uint64) {
+	m.i++
+	m.s.ScheduleAfter(m.deltas[m.i&(len(m.deltas)-1)], Callback{Target: m})
+}
+
+// deltaOctaves is how far ahead of now the thirteen kernels of the serving
+// benchmark's miss_serve workload schedule their events, measured over
+// their 1.78 M events at scale 0.005 with about 300 pending on average:
+// deltaOctaves[k] events in 10 000 are 2^(k-1) to 2^k ps ahead, the few
+// nearer than 2^8 ps folded into octave 9. No event is scheduled at now.
+var deltaOctaves = [...]int{9: 15, 10: 132, 11: 629, 12: 1532, 13: 286, 14: 1042,
+	15: 1541, 16: 2849, 17: 1441, 18: 393, 19: 27, 20: 53, 21: 53}
+
+// BenchmarkSchedulerMix measures the queue alone at the kernels' shape:
+// 300 events pending, each scheduling its successor a delta ahead drawn
+// from deltaOctaves. One op is one event dispatched and one scheduled.
+func BenchmarkSchedulerMix(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	var octaves []int
+	for k, n := range deltaOctaves {
+		for ; n > 0; n-- {
+			octaves = append(octaves, k)
+		}
+	}
+	deltas := make([]Duration, 1<<12)
+	for i := range deltas {
+		k := octaves[rng.Intn(len(octaves))]
+		deltas[i] = Duration(1)<<(k-1) + Duration(rng.Int63n(int64(1)<<(k-1)))
+	}
+	var s Scheduler
+	m := &succession{s: &s, deltas: deltas}
+	for i := 0; i < 300; i++ {
+		s.ScheduleAfter(deltas[rng.Intn(len(deltas))], Callback{Target: m})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+}
+
