@@ -10,7 +10,7 @@ RACE_PKGS = ./internal/engine/ ./internal/runner/ ./internal/sim/ ./internal/xme
 # with, e.g., go test ./internal/tracefile -fuzz FuzzParse -fuzztime 5m.
 FUZZTIME ?= 10s
 
-.PHONY: all vet build test race test-chaos bench bench-stream bench-json perf perf-compare fuzz lint check leftovers scoreboard loadtest cluster-demo trace-demo brownout-demo
+.PHONY: all vet build test race test-chaos bench bench-stream bench-json perf perf-compare fuzz lint check leftovers tier1-time scoreboard loadtest cluster-demo trace-demo brownout-demo
 
 all: check
 
@@ -74,15 +74,19 @@ bench-json:
 # exits 1 when B regressed: make perf PERF_OUT=a.json on one commit,
 # PERF_OUT=b.json on the other, then make perf-compare A=a.json B=b.json.
 # PERF_TRACE=1 gives the per-layer rows (bench/README.md) instead. Each run
-# is cut off after 150 s, so a hung run cannot outlive the caller.
+# is cut off after 150 s, so a hung run cannot outlive the caller. The
+# leftovers check runs before the first workload and after the last, also
+# after a failed one: a process an earlier command stranded, or one a cut-off
+# run left behind, fails the perf run itself instead of skewing it.
 PERF_OUT ?= perf.json
 PERF_SEED ?= 42
 PERF_TRACE ?= 0
-perf:
+perf: leftovers
 	@rm -f $(PERF_OUT)
-	@for w in hit_serve miss_serve fleet_zipf; do \
-		timeout 150 bash bench/run.sh --workload $$w --seed $(PERF_SEED) --trace $(PERF_TRACE) -out $(PERF_OUT) || exit 1; \
-	done
+	@status=0; for w in hit_serve miss_serve fleet_zipf; do \
+		timeout 150 bash bench/run.sh --workload $$w --seed $(PERF_SEED) --trace $(PERF_TRACE) -out $(PERF_OUT) \
+			|| { status=1; break; }; \
+	done; $(LEFTOVERS) && exit $$status
 
 perf-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make perf-compare A=a.json B=b.json"; exit 2; }
@@ -206,22 +210,52 @@ trace-demo:
 	echo "== per-stage Little's Law =="; \
 	curl -sf http://$(TRACE_ADDR)/metrics | grep '^llserved_trace_stage' || true
 
-# leftovers fails if a process this repo builds is still alive: a server,
-# load generator, tool or test binary stranded by a verification run
-# outlives the session (and a server keeps its port). It matches every cmd/
-# binary plus bench (go run ./bench) and llbench (bench/run.sh) by process
-# name, and any go test binary by argv[0] ending in .test, since the kernel
-# truncates the name itself to 15 characters (experiments.test shows up as
-# experiments.tes). awk reads only the name and argv[0] columns, so unlike
-# pgrep -f it cannot match the checking shell's own command line. It prints
-# nothing when clean.
-LEFTOVER_NAMES = $(notdir $(wildcard cmd/*)) bench llbench
-leftovers:
-	@ps -eo pid=,comm=,args= | awk -v names="$(LEFTOVER_NAMES)" ' \
+# leftovers fails if a process this repo builds, or the toolchain building
+# it, is still alive: a server, load generator, tool or test binary stranded
+# by a verification run outlives the session (and a server keeps its port).
+# It matches every cmd/ binary plus bench (go run ./bench) and llbench
+# (bench/run.sh) by process name, and any go test binary by argv[0] ending in
+# .test, since the kernel truncates the name itself to 15 characters
+# (experiments.test shows up as experiments.tes). It also matches go itself
+# and the tools it runs (compile, link, asm, vet, cgo): a go test ./... cut
+# off between two packages has no .test binary alive, only go, which would
+# go on to build and run the rest. awk reads only the name and argv[0]
+# columns, so unlike pgrep -f it cannot match the checking shell's own
+# command line. It prints nothing when clean. LEFTOVERS is the check as one
+# shell command, so perf runs it inline.
+LEFTOVER_NAMES = $(notdir $(wildcard cmd/*)) bench llbench go compile link asm vet cgo
+LEFTOVERS = ps -eo pid=,comm=,args= | awk -v names="$(LEFTOVER_NAMES)" ' \
 		BEGIN { n = split(names, list, " "); for (i = 1; i <= n; i++) want[list[i]] = 1 } \
 		{ k = split($$3, argv0, "/") } \
 		want[$$2] || argv0[k] ~ /\.test$$/ { print; found = 1 } \
 		END { if (found) { print "leftovers: the processes above are still running; stop them" > "/dev/stderr"; exit 1 } }'
+leftovers:
+	@$(LEFTOVERS)
+
+# tier1-time runs tier-1 (go test -count=1 ./...) TIER1_RUNS times and
+# prints each package's median time and spread (slowest minus fastest run),
+# slowest package first, with one more row for the whole run's wall time.
+# Each run is under timeout -k 10 900, so a run whose caller was cut off
+# dies on its own. A failing run still counts; its FAIL lines are printed
+# and the target exits 1.
+TIER1_RUNS ?= 3
+tier1-time:
+	@tmp=$$(mktemp -d); trap 'rm -rf "'"$$tmp"'"' EXIT; status=0; \
+	for i in $$(seq $(TIER1_RUNS)); do \
+		start=$$(date +%s.%N); \
+		timeout -k 10 900 $(GO) test -count=1 ./... > $$tmp/run$$i 2>&1 || status=1; \
+		echo "wall $$start $$(date +%s.%N)" >> $$tmp/run$$i; \
+	done; \
+	cat $$tmp/run* | awk ' \
+		($$1 == "ok" || $$1 == "FAIL") && $$3 ~ /^[0-9.]+s$$/ { t[$$2] = t[$$2] " " $$3 + 0 } \
+		$$1 == "wall" { t["(all of tier-1, wall)"] = t["(all of tier-1, wall)"] " " $$3 - $$2 } \
+		END { for (p in t) { n = split(t[p], v, " "); \
+			for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j] < v[j-1]; j--) { x = v[j]; v[j] = v[j-1]; v[j-1] = x } \
+			m = n % 2 ? v[(n+1)/2] : (v[n/2] + v[n/2+1]) / 2; \
+			printf "%8.1f %8.1f  %d  %s\n", m, v[n] - v[1], n, p } }' \
+	| sort -rn | awk 'BEGIN { print "  median   spread  runs  package (seconds)" } { print }'; \
+	if [ $$status -ne 0 ]; then grep -h -E '^(FAIL|--- FAIL|panic:)' $$tmp/run*; fi; \
+	exit $$status
 
 # scoreboard prints the size-and-sediment rows ROADMAP.md's re-anchor table
 # tracks, so the next table is generated rather than counted by hand.
