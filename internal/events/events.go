@@ -169,11 +169,9 @@ type far struct {
 //
 // Any correct priority queue over the total order (at, seq) pops the same
 // sequence, which is all the determinism this repository's results rest
-// on. A same-instant FIFO lane would serve no event (none is scheduled at
-// now), and a 4-ary heap measured 8 % slower than the binary one this
-// wheel replaced. Callbacks sit in a side slab with a free list; every
-// array is reused for the life of the scheduler, so steady-state
-// scheduling allocates nothing.
+// on. Callbacks sit in a side slab with a free list; every array is reused
+// for the life of the scheduler, so steady-state scheduling allocates
+// nothing.
 type Scheduler struct {
 	now        Time
 	seq        uint64
