@@ -212,7 +212,8 @@ trace-demo:
 
 # leftovers fails if a process this repo builds, or the toolchain building
 # it, is still alive: a server, load generator, tool or test binary stranded
-# by a verification run outlives the session (and a server keeps its port).
+# by a verification run outlives the shell that started it (and a server
+# keeps its port).
 # It matches every cmd/ binary plus bench (go run ./bench) and llbench
 # (bench/run.sh) by process name, and any go test binary by argv[0] ending in
 # .test, since the kernel truncates the name itself to 15 characters
