@@ -222,7 +222,10 @@ trace-demo:
 # off between two packages has no .test binary alive, only go, which would
 # go on to build and run the rest. awk reads only the name and argv[0]
 # columns, so unlike pgrep -f it cannot match the checking shell's own
-# command line. It prints nothing when clean. LEFTOVERS is the check as one
+# command line. The names are matched in every directory, not only this
+# checkout, because a go test stranded in a second checkout outlives the
+# session just the same; so an unrelated go build running beside it trips
+# the check too. It prints nothing when clean. LEFTOVERS is the check as one
 # shell command, so perf runs it inline.
 LEFTOVER_NAMES = $(notdir $(wildcard cmd/*)) bench llbench go compile link asm vet cgo
 LEFTOVERS = ps -eo pid=,comm=,args= | awk -v names="$(LEFTOVER_NAMES)" ' \
@@ -233,30 +236,26 @@ LEFTOVERS = ps -eo pid=,comm=,args= | awk -v names="$(LEFTOVER_NAMES)" ' \
 leftovers:
 	@$(LEFTOVERS)
 
-# tier1-time runs tier-1 (go test -count=1 ./...) TIER1_RUNS times and
-# prints each package's median time and spread (slowest minus fastest run),
-# slowest package first, with one more row for the whole run's wall time.
-# Each run is under timeout -k 10 900, so a run whose caller was cut off
-# dies on its own. A failing run still counts; its FAIL lines are printed
-# and the target exits 1.
-TIER1_RUNS ?= 3
+# tier1-time runs tier-1 (go test -count=1 ./...) three times and prints
+# each package's median time and spread (slowest minus fastest run), slowest
+# package first, with one more row for the whole run's wall time. Each run is
+# under timeout -k 10 900, so a run whose caller was cut off dies on its own.
+# A failing run still counts; its FAIL lines are printed and the target
+# exits 1.
 tier1-time:
 	@tmp=$$(mktemp -d); trap 'rm -rf "'"$$tmp"'"' EXIT; status=0; \
-	for i in $$(seq $(TIER1_RUNS)); do \
+	for i in 1 2 3; do \
 		start=$$(date +%s.%N); \
 		timeout -k 10 900 $(GO) test -count=1 ./... > $$tmp/run$$i 2>&1 || status=1; \
 		echo "wall $$start $$(date +%s.%N)" >> $$tmp/run$$i; \
 	done; \
-	cat $$tmp/run* | awk ' \
-		($$1 == "ok" || $$1 == "FAIL") && $$3 ~ /^[0-9.]+s$$/ { t[$$2] = t[$$2] " " $$3 + 0 } \
-		$$1 == "wall" { t["(all of tier-1, wall)"] = t["(all of tier-1, wall)"] " " $$3 - $$2 } \
-		END { for (p in t) { n = split(t[p], v, " "); \
-			for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j] < v[j-1]; j--) { x = v[j]; v[j] = v[j-1]; v[j-1] = x } \
-			m = n % 2 ? v[(n+1)/2] : (v[n/2] + v[n/2+1]) / 2; \
-			printf "%8.1f %8.1f  %d  %s\n", m, v[n] - v[1], n, p } }' \
-	| sort -rn | awk 'BEGIN { print "  median   spread  runs  package (seconds)" } { print }'; \
-	if [ $$status -ne 0 ]; then grep -h -E '^(FAIL|--- FAIL|panic:)' $$tmp/run*; fi; \
-	exit $$status
+	echo "  median   spread  package (seconds)"; \
+	cat $$tmp/run* | awk '($$1 == "ok" || $$1 == "FAIL") && $$3 ~ /^[0-9.]+s$$/ { print $$2, $$3 + 0 } \
+		$$1 == "wall" { print "(tier-1-wall-time)", $$3 - $$2 }' \
+	| sort -k1,1 -k2,2n \
+	| awk '$$1 != p { n = 0; p = $$1 } { v[++n] = $$2 } n == 3 { printf "%8.1f %8.1f  %s\n", v[2], v[3] - v[1], p }' \
+	| sort -rn; \
+	grep -h -E '^(FAIL|--- FAIL|panic:)' $$tmp/run*; exit $$status
 
 # scoreboard prints the size-and-sediment rows ROADMAP.md's re-anchor table
 # tracks, so the next table is generated rather than counted by hand.
