@@ -27,9 +27,10 @@ import (
 // killed mid-run. The proxy must (a) open the dead backend's breaker and
 // rehash its keys onto the survivors with zero client-visible failures,
 // and (b) keep per-backend occupancy books that agree with the paper
-// pipeline: each survivor's llproxy_backend_navg gauge must match
-// queueing.Curve.OccupancyAt at that backend's measured arrival rate and
-// latency within 5%.
+// pipeline: over one steady window, each survivor's measured n_avg — the
+// ∫n dt of the forwards in flight to it, divided by the window — must match
+// queueing.Curve.OccupancyAt at the arrival rate and latency the proxy's
+// histogram saw over the same window, within 5%.
 func TestChaosClusterFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run takes ~10s of wall-clock traffic")
@@ -55,9 +56,7 @@ func TestChaosClusterFailover(t *testing.T) {
 		Backends: urls,
 		// High ceiling: this run exercises failover; the affinity-override
 		// policy has its own test and must not blur the occupancy books.
-		OccupancyCeiling: 1000,
-		// A short half-life so the estimator tracks each phase of the run.
-		RateHalfLife:      time.Second,
+		OccupancyCeiling:  1000,
 		ProbeInterval:     200 * time.Millisecond,
 		ProbeTimeout:      500 * time.Millisecond,
 		BreakerFailures:   3,
@@ -212,62 +211,52 @@ func TestChaosClusterFailover(t *testing.T) {
 		postOK(t, proxyTS.URL+"/v1/analyze", body)
 	}
 
+	// A snapshot is one survivor's books at one instant: the latency
+	// histogram the proxy keeps, and the undecayed ∫n dt of its in-flight
+	// estimator. Differences of two snapshots are exact over the window
+	// between them, so the audit needs no decay to forget the warm-up.
 	type snap struct {
 		count uint64
 		sum   float64
+		busy  float64 // ∫n dt, seconds
 	}
-	snapshot := func() map[string]snap {
+	snapshot := func() (map[string]snap, time.Time) {
 		m := make(map[string]snap, len(survivors))
+		at := time.Now()
 		for _, name := range survivors {
 			h := p.latency.With(name)
-			m[name] = snap{count: h.Count(), sum: h.Sum()}
+			b := p.backends[name]
+			b.mu.Lock()
+			busy := b.est.Busy(at)
+			b.mu.Unlock()
+			m[name] = snap{count: h.Count(), sum: h.Sum(), busy: busy}
 		}
-		return m
+		return m, at
 	}
 
 	// ~20 arrivals/s, uniform, round-robin over the key set: open loop, so
 	// λ is set by the clock, not by backend speed. The rate must keep each
 	// survivor's λ·W safely under its admission ceiling even when -race
 	// overhead inflates W — past the ceiling, shed-and-spill feedback makes
-	// λ and W co-fluctuate and a point estimate of λ·W stops matching the
-	// windowed product (legitimately: Little's Law needs stationarity). Low
-	// rate, wide window: counting noise is 1/Δcount per survivor.
+	// λ and W co-fluctuate. Low rate, wide window: counting noise is
+	// 1/Δcount per survivor.
 	const (
 		interval  = 50 * time.Millisecond
 		steadyFor = 9 * time.Second
-		measureAt = 2 * time.Second // histogram window start: steady from here
-		// Gauge sampling starts later than the histogram window: the
-		// estimator's window (τ ≈ 1.44s) still remembers the slower warmup
-		// traffic at 2s; by 4s its residual is under 1%. The histogram
-		// window tolerates the earlier start because λ and W are constant
-		// across the steady phase.
-		gaugeFrom = 4 * time.Second
+		measureAt = 2 * time.Second // the window opens once traffic is steady
 		lineBytes = 64
 		minLambda = 5.0  // don't audit backends the traffic barely touched
-		tolerance = 0.05 // the acceptance bound: gauges within 5% of OccupancyAt
+		tolerance = 0.05 // the acceptance bound: n_avg within 5% of OccupancyAt
 	)
 	var loadWG sync.WaitGroup
 	var snap1 map[string]snap
 	var snap1At time.Time
-	// The audit compares window averages on both sides: λ and W from
-	// histogram deltas, and the gauge sampled periodically through the
-	// window (an instantaneous read is biased by the phase of the
-	// deterministic key cycle; the 5-tick stride is coprime to the
-	// per-backend arrival period, so samples sweep every phase).
-	gaugeSamples := make(map[string][]float64, len(survivors))
 	begin := time.Now()
 	ticker := time.NewTicker(interval)
 	for i := 0; time.Since(begin) < steadyFor; i++ {
 		<-ticker.C
 		if snap1 == nil && time.Since(begin) >= measureAt {
-			snap1 = snapshot()
-			snap1At = time.Now()
-		}
-		if i%5 == 0 && time.Since(begin) >= gaugeFrom {
-			at := time.Now()
-			for _, name := range survivors {
-				gaugeSamples[name] = append(gaugeSamples[name], p.backends[name].navg(at))
-			}
+			snap1, snap1At = snapshot()
 		}
 		loadWG.Add(1)
 		go func(body string) {
@@ -280,21 +269,11 @@ func TestChaosClusterFailover(t *testing.T) {
 		}(steadyBodies[i%len(steadyBodies)])
 	}
 	ticker.Stop()
-	// Close the books at the instant traffic stops: the estimator decays
-	// the moment arrivals cease, so the histogram window ends here too.
-	now := time.Now()
-	snap2 := snapshot()
-	gauges := make(map[string]float64, len(survivors))
-	for _, name := range survivors {
-		sum := 0.0
-		for _, v := range gaugeSamples[name] {
-			sum += v
-		}
-		if n := len(gaugeSamples[name]); n > 0 {
-			gauges[name] = sum / float64(n)
-		}
-	}
-	window := now.Sub(snap1At)
+	// Close the books while traffic is still in flight, as it was when
+	// they opened: a request straddling either edge is counted by the
+	// histogram whole and by ∫n dt in part, and the two edges cancel.
+	snap2, snap2At := snapshot()
+	window := snap2At.Sub(snap1At)
 	loadWG.Wait()
 
 	if snap1 == nil {
@@ -321,12 +300,12 @@ func TestChaosClusterFailover(t *testing.T) {
 			{BandwidthGBs: 100, LatencyNs: w * 1e9},
 		})
 		want := curve.OccupancyAt(lambda*lineBytes/1e9, lineBytes)
-		got := gauges[name]
+		got := (snap2[name].busy - snap1[name].busy) / window.Seconds()
 		diff := math.Abs(got-want) / want
-		t.Logf("survivor %s: λ=%.1f/s W=%.0fms gauge n_avg=%.2f OccupancyAt=%.2f (Δ %.1f%%)",
+		t.Logf("survivor %s: λ=%.1f/s W=%.0fms n_avg=%.3f OccupancyAt=%.3f (Δ %.2f%%)",
 			name, lambda, w*1000, got, want, diff*100)
 		if diff > tolerance {
-			t.Errorf("survivor %s: llproxy_backend_navg=%.3f vs OccupancyAt=%.3f diverges %.1f%% (> %.0f%%)",
+			t.Errorf("survivor %s: measured n_avg=%.3f vs OccupancyAt=%.3f diverges %.1f%% (> %.0f%%)",
 				name, got, want, diff*100, tolerance*100)
 		}
 		audited++

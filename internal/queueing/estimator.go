@@ -135,6 +135,11 @@ func (e *Estimator) W(now time.Time) float64 {
 	return e.area / e.arrivals
 }
 
+// Busy returns the undecayed ∫n dt since start, in seconds. Its difference
+// between two instants over their distance is the exact n_avg of that
+// window, whatever the half-life.
+func (e *Estimator) Busy(now time.Time) float64 { e.advance(now); return e.total }
+
 // Mean returns the undecayed ∫n dt ÷ uptime since start — busy seconds
 // over uptime, the quantity OccupancyStat.Mean reports in simulated time.
 func (e *Estimator) Mean(now time.Time) float64 {

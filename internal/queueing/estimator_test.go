@@ -97,9 +97,9 @@ func TestEstimatorNAvgNeverExceedsPeakInFlight(t *testing.T) {
 
 // TestEstimatorMatchesOccupancyStatOnDrainedWindow: driven by the same
 // schedule, the estimator's undecayed mean is OccupancyStat.Mean — the
-// kernel's exact time-integral — and on the drained window Little's Law
-// holds as an identity: mean occupancy = (arrivals ÷ window) × mean
-// residence, to float noise.
+// kernel's exact time-integral, its Busy is the residences' sum — and on
+// the drained window Little's Law holds as an identity: mean occupancy =
+// (arrivals ÷ window) × mean residence, to float noise.
 func TestEstimatorMatchesOccupancyStatOnDrainedWindow(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -132,6 +132,9 @@ func TestEstimatorMatchesOccupancyStatOnDrainedWindow(t *testing.T) {
 		got, want := e.Mean(estBase.Add(window)), o.Mean(ps(window))
 		if math.Abs(got-want) > 1e-9*want {
 			t.Fatalf("seed %d: Estimator.Mean = %.12g, OccupancyStat.Mean = %.12g", seed, got, want)
+		}
+		if busy := e.Busy(estBase.Add(window)); math.Abs(busy-residence.Seconds()) > 1e-9*busy {
+			t.Fatalf("seed %d: Estimator.Busy = %.12g s, residences sum to %.12g s", seed, busy, residence.Seconds())
 		}
 		if r := o.LittleResidual(ps(window)); r > 1e-9 {
 			t.Fatalf("seed %d: OccupancyStat Little residual = %g", seed, r)

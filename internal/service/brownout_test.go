@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"littleslaw/internal/brownout"
+	"littleslaw/internal/runner"
 	"littleslaw/internal/stream"
 )
 
@@ -236,7 +237,10 @@ func TestBrownoutStaleServing(t *testing.T) {
 	ps := &profileStub{}
 	cfg := brownoutTestConfig(ps)
 	// Everything expires immediately: any revisit under B1 is a stale serve.
+	// The TTL lands on the process-wide runner; later tests get it back
+	// without one.
 	cfg.RunnerTTL = time.Nanosecond
+	t.Cleanup(func() { runner.Default().SetTTL(0) })
 	_, ts := newTestServer(t, cfg)
 	analyzeBody := `{"platform":"SKL","workload":"ISx","scale":0.02}`
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"littleslaw/internal/experiments"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
+	"littleslaw/internal/runner"
 )
 
 // paperProfileCtx adapts the published anchor curves to the service's
@@ -389,6 +391,36 @@ func TestTableEndpoint(t *testing.T) {
 	}
 	if resp, _ := get(t, ts, "/v1/tables/IV?scale=-1"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad scale: status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// getTable GETs one table and decodes it, failing the test on a non-200.
+func getTable(t *testing.T, ts *httptest.Server, path string) TableResponse {
+	t.Helper()
+	resp, body := get(t, ts, path)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status = %d: %s", path, resp.StatusCode, body)
+	}
+	var out TableResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestTableServedFromRunner: a table is rendered from the runner's results
+// on every request, so a repeat returns the same rows and simulates
+// nothing. Tables simulate through the process-wide runner.
+func TestTableServedFromRunner(t *testing.T) {
+	_, ts := newTestServer(t, Config{ProfileFor: (&profileStub{}).fn, Platforms: []string{"SKL"}})
+	first := getTable(t, ts, "/v1/tables/IV?scale=0.02")
+	misses := runner.Default().Stats().Misses
+	second := getTable(t, ts, "/v1/tables/IV?scale=0.02")
+	if got := runner.Default().Stats().Misses - misses; got != 0 {
+		t.Fatalf("repeat table request ran %d simulations, want 0", got)
+	}
+	if len(first.Rows) == 0 || !reflect.DeepEqual(first.Rows, second.Rows) {
+		t.Fatalf("repeat table rows differ:\n  %+v\n  %+v", first.Rows, second.Rows)
 	}
 }
 
