@@ -20,12 +20,16 @@ vet:
 build:
 	$(GO) build ./...
 
+# test, race and test-chaos run each go test under timeout -k 10 <budget>,
+# as tier1-time does, so a run whose caller was cut off dies on its own. Each
+# budget is above the go test -timeout the step already has (the default
+# 10m, or test-chaos's 15m; 30 min is also the soak job's limit).
 test:
-	$(GO) test ./...
+	timeout -k 10 900 $(GO) test ./...
 
 race:
-	$(GO) test -race -short $(RACE_PKGS)
-	$(GO) test -race -run 'Determin' ./internal/experiments/ ./internal/autotune/
+	timeout -k 10 900 $(GO) test -race -short $(RACE_PKGS)
+	timeout -k 10 900 $(GO) test -race -run 'Determin' ./internal/experiments/ ./internal/autotune/
 
 # test-chaos drives llserved's full handler stack under a fixed-seed fault
 # storm (injected latency/errors/panics at every site) with the resilient
@@ -39,10 +43,10 @@ race:
 # n_avg), so a relapse is loud without multiplying the whole -race storm.
 CHAOS_COUNT ?= 1
 test-chaos:
-	$(GO) test -race -count $(CHAOS_COUNT) -timeout 15m \
+	timeout -k 10 1800 $(GO) test -race -count $(CHAOS_COUNT) -timeout 15m \
 		-run 'TestChaos|TestFaultsDisabledIsNoOp|HandlerPanic' \
 		./internal/service/ ./internal/cluster/ ./internal/brownout/
-	$(GO) test -count=5 -run 'TestChaosRollingRestart|TestChaosLadderRecoversToFull' \
+	timeout -k 10 900 $(GO) test -count=5 -run 'TestChaosRollingRestart|TestChaosLadderRecoversToFull' \
 		./internal/cluster/ ./internal/brownout/
 
 bench:
@@ -264,6 +268,11 @@ scoreboard:
 	echo "non-test Go lines, all:              $$(gofiles | xargs cat | wc -l)"; \
 	echo "non-test Go lines, outside bench/:   $$(gofiles | grep -v '^bench/' | xargs cat | wc -l)"; \
 	echo "engine.NewLRU sites in product code: $$(gofiles | grep -v '^bench/' | xargs grep -h 'engine\.NewLRU' | wc -l)"; \
+	echo "flags defined with package flag in cmd/: $$(gofiles | grep '^cmd/' | xargs grep -hoE '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(' | wc -l)"; \
+	echo "Config fields, service/cluster/sim/limit: $$(for p in service cluster sim limit; do \
+		git ls-files "internal/$$p/*.go" | grep -v '_test\.go$$' | xargs cat \
+		| awk '/^type Config struct \{/ { c = 1; next } c && /^\}/ { c = 0 } c && /^\t[A-Z][A-Za-z0-9_]*([ \t]|,)/ { n++ } END { printf "%d", n }'; \
+		[ $$p = limit ] || printf /; done)"; \
 	echo "Go files over 1000 lines:            $$(git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" && $$1 > 1000 { printf "%s%s (%d)", sep, $$2, $$1; sep = ", " } END { if (!sep) printf "none" }')"; \
 	echo "largest non-test Go file in internal/service, internal/cluster: $$(gofiles | grep -E '^internal/(service|cluster)/' | xargs wc -l | awk '$$2 != "total" && $$1 > n { n = $$1; f = $$2 } END { printf "%s (%d)", f, n }')"; \
 	echo "time.Sleep in tests:                 $$(git ls-files '*_test.go' | xargs grep -h 'time\.Sleep(' | wc -l)"; \

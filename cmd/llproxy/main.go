@@ -20,7 +20,7 @@
 //
 //	GET /healthz        per-backend breaker state, health and measured occupancy
 //	GET /metrics        llproxy_* per-backend metrics (requests, breaker state,
-//	                    measured and reported n_avg, hedges, failovers)
+//	                    measured n_avg, hedges, failovers)
 //	GET /v1/trace/{id}  the proxy's own waterfall for one forwarded request
 //	GET /v1/traces      NDJSON tail of the proxy's finished traces
 //
@@ -61,7 +61,6 @@ func main() {
 	addr := flag.String("addr", ":8000", "listen address")
 	backends := flag.String("backends", "", "comma-separated llserved base URLs (required)")
 	ceiling := flag.Float64("occupancy-ceiling", 32, "forwards in flight to the affinity owner at which affinity is overridden and requests spill to the backend with the fewest in flight")
-	halfLife := flag.Duration("rate-halflife", 10*time.Second, "half-life of the window each backend's reported n_avg is averaged over")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "background /healthz probe spacing (negative disables probing)")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe deadline")
 	breakerFailures := flag.Int("breaker-failures", 3, "consecutive transport failures that open a backend's circuit breaker")
@@ -106,7 +105,6 @@ func main() {
 	p, err := cluster.New(cluster.Config{
 		Backends:          urls,
 		OccupancyCeiling:  *ceiling,
-		RateHalfLife:      *halfLife,
 		ProbeInterval:     *probeInterval,
 		ProbeTimeout:      *probeTimeout,
 		BreakerFailures:   *breakerFailures,

@@ -87,7 +87,7 @@ func main() {
 	warm := flag.Bool("warm", false, "characterize all platforms in the background at startup")
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long to keep the listener open in draining mode (healthz reports draining, new work sheds 503) before closing it")
-	runnerTTL := flag.Duration("runner-ttl", 0, "simulation cache TTL; expired entries recompute normally (table simulations included; an already-rendered table stays cached) but stay servable as marked-stale answers under brownout B1 (0 = never expires)")
+	runnerTTL := flag.Duration("runner-ttl", 0, "simulation cache TTL; expired entries recompute normally (tables included: they are rendered from these entries on every request) but stay servable as marked-stale answers under brownout B1 (0 = never expires)")
 	noBrownout := flag.Bool("no-brownout", false, "disable the brownout ladder (requires admission control to be on to matter)")
 	limitCeiling := flag.Float64("limit-ceiling", 64, "admission ceiling: most requests in flight at once, arrivals past it queue then shed (negative disables admission control)")
 	limitQueue := flag.Int("limit-queue", 0, "admission queue depth (0 = 2×ceiling, negative = shed immediately)")

@@ -48,9 +48,6 @@ type BackendHealth struct {
 	Healthy bool    `json:"healthy"`
 	Breaker string  `json:"breaker"`
 	NAvg    float64 `json:"navg"`
-	// ReportedNAvg is the backend's own limiter occupancy from its last
-	// probe body.
-	ReportedNAvg float64 `json:"reported_navg"`
 	// BrownoutMode is the backend's brownout rung from its last probe body
 	// ("B0".."B4"; "B0" when the backend predates brownout).
 	BrownoutMode string `json:"brownout_mode"`
@@ -78,17 +75,13 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if healthy {
 			resp.Status = "ok"
 		}
-		b.mu.Lock()
-		reported := b.reported
-		mode, draining := b.mode, b.draining
-		b.mu.Unlock()
+		mode, draining := b.degradation()
 		resp.Backends = append(resp.Backends, BackendHealth{
 			Name:         b.Name,
 			URL:          b.URL,
 			Healthy:      healthy,
 			Breaker:      st.String(),
 			NAvg:         b.navg(now),
-			ReportedNAvg: reported,
 			BrownoutMode: mode.String(),
 			Draining:     draining,
 		})

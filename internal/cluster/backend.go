@@ -59,7 +59,6 @@ type Backend struct {
 	est queueing.Estimator
 	// Health, from the prober.
 	healthy  bool
-	reported float64 // backend's own limiter n_avg from its last /healthz body (reported only)
 	mode     brownout.Mode
 	draining bool
 	// Breaker.
@@ -95,9 +94,8 @@ func (b *Backend) navg(now time.Time) float64 {
 // load is the routing signal: the forwards this proxy has in flight to the
 // backend. A burst counts the moment it lands and stops counting the moment
 // it completes; load the proxy cannot see is answered by 429 failover and
-// the B2+ reroute, not by a reported mean. It takes the clock like the
-// backend's other readings (navg, allow), though a count has no window.
-func (b *Backend) load(time.Time) float64 {
+// the B2+ reroute, not by a reported mean.
+func (b *Backend) load() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return float64(b.est.InFlight())
@@ -149,12 +147,10 @@ func (b *Backend) failure(now time.Time) {
 }
 
 // probeOK records a healthy probe and what the backend reported about
-// itself: its limiter n_avg (a gauge and /healthz field), its brownout
-// rung, and whether it is draining for shutdown.
-func (b *Backend) probeOK(reportedNAvg float64, mode brownout.Mode, draining bool) {
+// itself: its brownout rung, and whether it is draining for shutdown.
+func (b *Backend) probeOK(mode brownout.Mode, draining bool) {
 	b.success()
 	b.mu.Lock()
-	b.reported = reportedNAvg
 	b.mode = mode
 	b.draining = draining
 	b.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"littleslaw/internal/brownout"
 	"littleslaw/internal/queueing"
 	"littleslaw/internal/service"
 )
@@ -93,30 +92,26 @@ func TestBackendNAvgDecays(t *testing.T) {
 // TestBackendLoadIsInFlight: the routing load is the forwards in flight to
 // the backend. A burst counts the moment it lands and stops counting the
 // moment it completes, while the windowed mean — reported, not routed on —
-// still remembers it; a probe-reported n_avg does not move the load.
+// still remembers it.
 func TestBackendLoadIsInFlight(t *testing.T) {
 	b := testBackend(time.Second, 3, time.Second)
 	now := time.Unix(0, 0)
-	if got := b.load(now); got != 0 {
+	if got := b.load(); got != 0 {
 		t.Fatalf("idle load = %v, want 0", got)
 	}
 	b.arrive(now)
 	b.arrive(now)
-	if got := b.load(now); got != 2 {
+	if got := b.load(); got != 2 {
 		t.Fatalf("load with 2 in flight = %v, want 2", got)
 	}
 	now = now.Add(time.Second)
 	b.complete(now)
 	b.complete(now)
-	if got := b.load(now); got != 0 {
+	if got := b.load(); got != 0 {
 		t.Fatalf("load just after the burst completed = %v, want 0", got)
 	}
 	if n := b.navg(now); math.Abs(n-2) > 1e-9 {
 		t.Fatalf("n_avg just after the burst = %v, want its mean 2", n)
-	}
-	b.probeOK(7.5, brownout.B0, false)
-	if got := b.load(now); got != 0 {
-		t.Fatalf("load with reported n_avg 7.5 and nothing in flight = %v, want 0", got)
 	}
 }
 
@@ -138,7 +133,7 @@ func TestBackendStallNeverSpills(t *testing.T) {
 			cands, decision := p.candidates(key, false)
 			if decision != "owner" || cands[0] != owner {
 				t.Fatalf("round %d client %d: routed %q to %s with %d in flight at the owner (load %.2f)",
-					round, c, decision, cands[0].Name, c, owner.load(clock))
+					round, c, decision, cands[0].Name, c, owner.load())
 			}
 			owner.arrive(clock)
 		}

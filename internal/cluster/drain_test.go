@@ -130,7 +130,6 @@ func TestChaosRollingRestart(t *testing.T) {
 	p, err := New(Config{
 		Backends:         urls,
 		OccupancyCeiling: 1000,
-		RateHalfLife:     time.Second,
 		// Fast probes: the drain window a restart waits for is one probe
 		// interval, not a human-scale health-check period.
 		ProbeInterval:   50 * time.Millisecond,

@@ -12,8 +12,7 @@
 //     the fleet). When that count at the affinity owner reaches the
 //     configured ceiling, the request spills to the backend holding the
 //     fewest instead: the MSHR rule, one tier up. The windowed n_avg of
-//     the same count, and each backend's own probe-reported one, are
-//     reported (llproxy_backend_navg, _reported_navg, /healthz), never
+//     the same count is reported (llproxy_backend_navg, /healthz), never
 //     routed on.
 //
 // Around that core: /healthz-driven probing with a per-backend circuit
@@ -61,9 +60,6 @@ type Config struct {
 	// owner at which affinity is overridden and the request spills to the
 	// backend with the fewest in flight (0 = 32).
 	OccupancyCeiling float64
-	// RateHalfLife is the half-life of the window each backend's reported
-	// n_avg is averaged over (0 = queueing.DefaultHalfLife, 10s).
-	RateHalfLife time.Duration
 	// ProbeInterval spaces background /healthz probes (0 = 2s; negative
 	// disables the background prober — tests drive ProbeAll directly).
 	ProbeInterval time.Duration
@@ -209,7 +205,7 @@ func New(cfg Config) (*Proxy, error) {
 			URL:      strings.TrimRight(raw, "/"),
 			cl:       cl,
 			httpc:    &http.Client{},
-			est:      queueing.NewEstimator(cfg.RateHalfLife, cfg.Now()),
+			est:      queueing.NewEstimator(queueing.DefaultHalfLife, cfg.Now()),
 			maxFails: cfg.BreakerFailures,
 			cooldown: cfg.BreakerCooldown,
 			healthy:  true, // innocent until a probe or forward proves otherwise
@@ -265,13 +261,6 @@ func (p *Proxy) registerMetrics() {
 	perBackend("llproxy_backend_navg",
 		"Measured per-backend occupancy: windowed time-average of the forwards in flight to it.",
 		func(b *Backend) float64 { return b.navg(p.cfg.Now()) })
-	perBackend("llproxy_backend_reported_navg",
-		"Each backend's own limiter n_avg from its last /healthz probe body.",
-		func(b *Backend) float64 {
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			return b.reported
-		})
 	perBackend("llproxy_backend_up",
 		"1 when the backend's last probe or forward succeeded, 0 when it is considered down.",
 		func(b *Backend) float64 { _, healthy := b.snapshotState(); return oneIf(healthy) })
@@ -369,8 +358,7 @@ func (p *Proxy) ProbeAll(ctx context.Context) {
 
 // probe is one /healthz check: a single unretried GET under ProbeTimeout.
 // Any 200 closes the breaker (up, even if drowning); the JSON body's
-// brownout rung and draining flag steer routing, and its limiter n_avg is
-// reported (llproxy_backend_reported_navg, /healthz reported_navg).
+// brownout rung and draining flag steer routing.
 func (p *Proxy) probe(ctx context.Context, b *Backend) {
 	switch f := p.faults.Eval(ProbeFaultSite); f.Kind {
 	case faults.KindLatency:
@@ -399,15 +387,11 @@ func (p *Proxy) probe(ctx context.Context, b *Backend) {
 		b.failure(p.cfg.Now())
 		return
 	}
-	reported := 0.0
 	mode := brownout.B0
 	draining := false
 	var h service.HealthzResponse
 	// Tolerate non-JSON bodies: an older backend's plain "ok" is still up.
 	if json.Unmarshal(body, &h) == nil {
-		if h.LimiterNAvg != nil {
-			reported = *h.LimiterNAvg
-		}
 		if h.BrownoutMode != "" {
 			if m, err := brownout.Parse(h.BrownoutMode); err == nil {
 				mode = m
@@ -415,5 +399,5 @@ func (p *Proxy) probe(ctx context.Context, b *Backend) {
 		}
 		draining = h.Draining || h.Status == "draining"
 	}
-	b.probeOK(reported, mode, draining)
+	b.probeOK(mode, draining)
 }

@@ -47,7 +47,7 @@ func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, string) {
 		// B2+ means the backend would answer from the analytic model (or
 		// shed outright) — worth routing around; B1 still serves full or
 		// stale-but-real simulation results and keeps its affinity value.
-		elig = append(elig, cand{b, b.load(now), mode >= brownout.B2, draining})
+		elig = append(elig, cand{b, b.load(), mode >= brownout.B2, draining})
 	}
 	if len(elig) == 0 {
 		return nil, ""

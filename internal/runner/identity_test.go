@@ -12,9 +12,9 @@ import (
 // fmtKey is the format Key.String replaced; the cache keys a routing tier
 // hashes must not change by a byte.
 func fmtKey(k Key) string {
-	return fmt.Sprintf("%s|%s|c%d|t%d|w%d|g%g|wf%g|ss%g|se%g",
+	return fmt.Sprintf("%s|%s|c%d|t%d|w%d|g%g|ss%g|se%g",
 		k.Plat, k.Fingerprint, k.Cores, k.Threads, k.Window,
-		k.GapScale, k.WarmupFrac, k.SMTShare, k.SMTExponent)
+		k.GapScale, k.SMTShare, k.SMTExponent)
 }
 
 // fmtPlatform is the format PlatformFingerprint renders, spelled out
@@ -39,7 +39,7 @@ func TestKeyStringMatchesFormat(t *testing.T) {
 		k := Key{
 			Plat: "P", Fingerprint: "workloads/ISx|{}|scale=0.1",
 			Cores: i, Threads: -i, Window: 1 << i,
-			GapScale: f, WarmupFrac: g, SMTShare: -f, SMTExponent: f * g,
+			GapScale: f, SMTShare: -f, SMTExponent: f * g,
 		}
 		if got, want := k.String(), fmtKey(k); got != want {
 			t.Errorf("Key.String() = %q, want %q", got, want)
@@ -123,7 +123,7 @@ func TestIdentityFieldCounts(t *testing.T) {
 		typ  reflect.Type
 		want int
 	}{
-		{reflect.TypeOf(Key{}), 9},
+		{reflect.TypeOf(Key{}), 8},
 		{reflect.TypeOf(platform.Platform{}), 19},
 		{reflect.TypeOf(platform.CacheConfig{}), 4},
 		{reflect.TypeOf(platform.PrefetcherConfig{}), 3},

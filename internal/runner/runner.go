@@ -48,7 +48,6 @@ type Key struct {
 	Threads     int
 	Window      int
 	GapScale    float64
-	WarmupFrac  float64
 	SMTShare    float64
 	SMTExponent float64
 }
@@ -57,7 +56,7 @@ type Key struct {
 // tier hashes on so identical analyses land on the backend whose runner
 // cache already holds the result. Two configs share a String exactly when
 // they share a cache entry. The bytes are those of the format
-// "%s|%s|c%d|t%d|w%d|g%g|wf%g|ss%g|se%g", appended without reflection
+// "%s|%s|c%d|t%d|w%d|g%g|ss%g|se%g", appended without reflection
 // because a proxy and a backend both render it on every request.
 func (k Key) String() string {
 	b := make([]byte, 0, len(k.Plat)+len(k.Fingerprint)+96)
@@ -72,8 +71,6 @@ func (k Key) String() string {
 	b = strconv.AppendInt(b, int64(k.Window), 10)
 	b = append(b, "|g"...)
 	b = strconv.AppendFloat(b, k.GapScale, 'g', -1, 64)
-	b = append(b, "|wf"...)
-	b = strconv.AppendFloat(b, k.WarmupFrac, 'g', -1, 64)
 	b = append(b, "|ss"...)
 	b = strconv.AppendFloat(b, k.SMTShare, 'g', -1, 64)
 	b = append(b, "|se"...)
@@ -105,7 +102,6 @@ func keyOfNormalized(norm sim.Config) (Key, bool, error) {
 		Threads:     norm.ThreadsPerCore,
 		Window:      norm.Window,
 		GapScale:    norm.GapScale,
-		WarmupFrac:  norm.WarmupFrac,
 		SMTShare:    norm.SMTShare,
 		SMTExponent: norm.SMTExponent,
 	}, true, nil

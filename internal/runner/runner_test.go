@@ -46,7 +46,6 @@ func TestKeyCanonicalization(t *testing.T) {
 	explicit.ThreadsPerCore = 1
 	explicit.Window = p.DemandWindow
 	explicit.GapScale = 1
-	explicit.WarmupFrac = 0.15
 
 	ki, oki, err := KeyOf(implicit)
 	if err != nil || !oki {
@@ -175,11 +174,6 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	bad.SMTShare = -0.5
 	if _, err := r.Run(context.Background(), bad); err == nil {
 		t.Fatal("negative SMTShare accepted")
-	}
-	bad = countingConfig("test/bad", &execs)
-	bad.WarmupFrac = -0.1
-	if _, err := r.Run(context.Background(), bad); err == nil {
-		t.Fatal("negative WarmupFrac accepted")
 	}
 	if execs.Load() != 0 {
 		t.Fatal("invalid configs reached the simulator")

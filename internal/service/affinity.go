@@ -91,7 +91,8 @@ func (r *BatchAnalyzeRequest) AffinityKey() (key string, ok bool) {
 }
 
 // TableAffinityKey is the routing identity of GET /v1/tables/{id}?scale=:
-// per-(table, scale), matching the server's table cache key.
+// per-(table, scale), so a repeat lands on the backend whose runner holds
+// that table's simulations.
 func TableAffinityKey(id string, scale float64) (key string, ok bool) {
 	norm, err := NormalizeTableID(id)
 	if err != nil {

@@ -433,8 +433,6 @@ type TableResponse struct {
 	Routine  string         `json:"routine"`
 	Scale    float64        `json:"scale"`
 	Rows     []TableRowJSON `json:"rows"`
-	// Cached reports whether the table came from the table cache.
-	Cached bool `json:"cached"`
 }
 
 // ErrorResponse is the error envelope every non-2xx response carries.

@@ -24,7 +24,6 @@ import (
 	"littleslaw/internal/autotune"
 	"littleslaw/internal/brownout"
 	"littleslaw/internal/buildinfo"
-	"littleslaw/internal/engine"
 	"littleslaw/internal/experiments"
 	"littleslaw/internal/faults"
 	"littleslaw/internal/limit"
@@ -138,15 +137,6 @@ func (c *Config) normalize() {
 	}
 }
 
-// tableCacheSize bounds the rendered tables kept per (table, scale).
-const tableCacheSize = 32
-
-// tableKey identifies one cached table regeneration.
-type tableKey struct {
-	id    string
-	scale float64
-}
-
 // Server is the analysis service. Construct with New; its Handler is safe
 // for concurrent use. Its request envelope (drain, in-flight count, traces)
 // is the one llproxy uses too.
@@ -156,10 +146,6 @@ type Server struct {
 	reg *metrics.Registry
 
 	profiles *xmem.Profiles
-	// tables memoizes a rendered view, not simulation results (those live
-	// in internal/runner): a cached table is served as regenerated, whatever
-	// -runner-ttl has since expired beneath it.
-	tables *engine.LRU[tableKey, *experiments.Table]
 
 	limiter  *limit.Limiter // unary routes
 	streams  *limit.Limiter // /v1/watch connections
@@ -201,7 +187,6 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		reg:         cfg.Registry,
 		profiles:    xmem.NewProfiles(profileSource),
-		tables:      engine.NewLRU[tableKey, *experiments.Table](tableCacheSize),
 		watches:     map[string]*stream.Broker{},
 		liveStreams: map[*stream.Broker]struct{}{},
 		faults:      cfg.FaultInjector,
@@ -344,13 +329,17 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry returns the metrics registry serving /metrics.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// ---- profile and table plumbing ----
+// ---- profile plumbing ----
 
 // profile returns the platform's bandwidth→latency curve from the server's
 // once-per-platform Profiles, recording hit/miss metrics.
 func (s *Server) profile(ctx context.Context, p *platform.Platform) (*queueing.Curve, bool, error) {
 	curve, hit, err := s.profiles.Get(ctx, p)
-	s.cacheEvent("profile", hit)
+	event := "miss"
+	if hit {
+		event = "hit"
+	}
+	s.cacheEvents.With("profile", event).Inc()
 	if err != nil {
 		return nil, hit, fmt.Errorf("characterizing %s: %w", p.Name, err)
 	}
@@ -366,14 +355,6 @@ func (s *Server) Warm(ctx context.Context, platformName string) (bool, error) {
 	}
 	_, hit, err := s.profile(ctx, p)
 	return hit, err
-}
-
-func (s *Server) cacheEvent(cache string, hit bool) {
-	event := "miss"
-	if hit {
-		event = "hit"
-	}
-	s.cacheEvents.With(cache, event).Inc()
 }
 
 // ---- handlers ----
@@ -530,23 +511,21 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) error {
 		}
 		scale = parsed
 	}
-	tab, cached, err := s.tables.Do(r.Context(), tableKey{id: id, scale: scale},
-		func(ctx context.Context) (*experiments.Table, error) {
-			return experiments.NewRunner(experiments.Options{
-				Scale:     scale,
-				Workers:   s.cfg.Workers,
-				Platforms: s.cfg.Platforms,
-				ProfileFor: func(p *platform.Platform) (*queueing.Curve, error) {
-					curve, _, err := s.profile(ctx, p)
-					return curve, err
-				},
-			}).TableContext(ctx, id)
-		})
-	s.cacheEvent("table", cached)
+	// Rendered from the runner on every request: its results, not a copy
+	// of the table, are what -runner-ttl expires.
+	tab, err := experiments.NewRunner(experiments.Options{
+		Scale:     scale,
+		Workers:   s.cfg.Workers,
+		Platforms: s.cfg.Platforms,
+		ProfileFor: func(p *platform.Platform) (*queueing.Curve, error) {
+			curve, _, err := s.profile(r.Context(), p)
+			return curve, err
+		},
+	}).TableContext(r.Context(), id)
 	if err != nil {
 		return err
 	}
-	resp := TableResponse{ID: tab.ID, Workload: tab.Workload, Routine: tab.Routine, Scale: scale, Cached: cached}
+	resp := TableResponse{ID: tab.ID, Workload: tab.Workload, Routine: tab.Routine, Scale: scale}
 	for _, row := range tab.Rows {
 		jr := TableRowJSON{
 			Platform:     row.Platform,

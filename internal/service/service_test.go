@@ -344,21 +344,14 @@ func TestInvalidTimeoutRejected(t *testing.T) {
 }
 
 // TestTableEndpoint regenerates a real (tiny) ISx table through the full
-// pipeline, then verifies the second request is served from the cache.
+// pipeline.
 func TestTableEndpoint(t *testing.T) {
 	stub := &profileStub{}
-	s, ts := newTestServer(t, Config{ProfileFor: stub.fn, Platforms: []string{"SKL"}})
+	_, ts := newTestServer(t, Config{ProfileFor: stub.fn, Platforms: []string{"SKL"}})
 
-	resp, body := get(t, ts, "/v1/tables/T4?scale=0.02")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, body)
-	}
-	var out TableResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.ID != "IV" || out.Workload != "ISx" || out.Cached {
-		t.Fatalf("table = id=%s workload=%s cached=%v", out.ID, out.Workload, out.Cached)
+	out := getTable(t, ts, "/v1/tables/T4?scale=0.02")
+	if out.ID != "IV" || out.Workload != "ISx" {
+		t.Fatalf("table = id=%s workload=%s", out.ID, out.Workload)
 	}
 	if len(out.Rows) != 2 {
 		t.Fatalf("SKL ISx ladder has 2 rows, got %d", len(out.Rows))
@@ -367,22 +360,6 @@ func TestTableEndpoint(t *testing.T) {
 		if row.Platform != "SKL" || row.BWGBs <= 0 || row.Occupancy <= 0 {
 			t.Fatalf("row = %+v", row)
 		}
-	}
-
-	// Identical request: a table-cache hit, no new simulations.
-	resp, body = get(t, ts, "/v1/tables/IV?scale=0.02")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, body)
-	}
-	var again TableResponse
-	if err := json.Unmarshal(body, &again); err != nil {
-		t.Fatal(err)
-	}
-	if !again.Cached {
-		t.Fatal("second identical table request was not a cache hit")
-	}
-	if got := s.cacheEvents.With("table", "hit").Value(); got < 1 {
-		t.Fatalf("table cache hits = %d, want >= 1", got)
 	}
 
 	// Unknown id and malformed scale.
@@ -424,6 +401,20 @@ func TestTableServedFromRunner(t *testing.T) {
 	}
 }
 
+// TestTableHonoursRunnerTTL: no rendered table outlives the runner results
+// it was built from, so with every result expired a repeat simulates again.
+func TestTableHonoursRunnerTTL(t *testing.T) {
+	// The TTL lands on the process-wide runner tables simulate through.
+	t.Cleanup(func() { runner.Default().SetTTL(0) })
+	_, ts := newTestServer(t, Config{ProfileFor: (&profileStub{}).fn, Platforms: []string{"SKL"}, RunnerTTL: time.Nanosecond})
+	getTable(t, ts, "/v1/tables/IV?scale=0.02")
+	misses := runner.Default().Stats().Misses
+	getTable(t, ts, "/v1/tables/IV?scale=0.02")
+	if got := runner.Default().Stats().Misses - misses; got == 0 {
+		t.Fatal("repeat table request with every runner result expired ran no simulation")
+	}
+}
+
 func TestMetricsEndpointAdvances(t *testing.T) {
 	stub := &profileStub{}
 	_, ts := newTestServer(t, Config{ProfileFor: stub.fn})
@@ -452,15 +443,14 @@ func TestMetricsEndpointAdvances(t *testing.T) {
 
 // TestConcurrentLoad hammers /v1/analyze and /v1/tables/T4 from many
 // goroutines — the acceptance bar for race-cleanliness (run under -race).
-// The table cache is pre-seeded so the test exercises handler, cache and
-// metrics concurrency rather than simulation wall-time.
+// One request first warms the table's simulations in the runner, so the
+// test exercises handler, cache and metrics concurrency rather than
+// simulation wall-time.
 func TestConcurrentLoad(t *testing.T) {
 	stub := &profileStub{}
-	s, ts := newTestServer(t, Config{ProfileFor: stub.fn, Platforms: []string{"SKL"}})
-	s.tables.Put(tableKey{id: "IV", scale: 1.0}, &experiments.Table{
-		ID: "IV", Workload: "ISx", Routine: "count_local_keys",
-		Rows: []experiments.Row{{Platform: "SKL", Source: "base", Threads: 1, BWGBs: 106.9, Occ: 10.1}},
-	})
+	_, ts := newTestServer(t, Config{ProfileFor: stub.fn, Platforms: []string{"SKL"}})
+	const tablePath = "/v1/tables/T4?scale=0.02"
+	rows := len(getTable(t, ts, tablePath).Rows)
 
 	const clients = 8
 	const perClient = 10
@@ -473,7 +463,7 @@ func TestConcurrentLoad(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				switch (c + i) % 3 {
 				case 0:
-					resp, err := http.Get(ts.URL + "/v1/tables/T4")
+					resp, err := http.Get(ts.URL + tablePath)
 					if err != nil {
 						errs <- err.Error()
 						continue
@@ -481,7 +471,7 @@ func TestConcurrentLoad(t *testing.T) {
 					var out TableResponse
 					json.NewDecoder(resp.Body).Decode(&out)
 					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK || out.ID != "IV" || len(out.Rows) != 1 {
+					if resp.StatusCode != http.StatusOK || out.ID != "IV" || len(out.Rows) != rows {
 						errs <- fmt.Sprintf("tables: %d %+v", resp.StatusCode, out)
 					}
 				case 1:

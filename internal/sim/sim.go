@@ -29,11 +29,6 @@ type Config struct {
 	// GapScale multiplies every compute gap beyond the SMT scaling
 	// (e.g. the platform's scalar issue penalty); 0 means 1.
 	GapScale float64
-	// WarmupFrac is validated (0 ≤ f < 0.9; 0 means 0.15) and is part of
-	// the runner's cache key, but the kernel never consults its value: the
-	// measurement window opens when every thread has retired 64 operations
-	// (see RunContext), whatever the fraction says.
-	WarmupFrac float64
 	// SMTShare overrides the platform's SMTComputeShare for this routine
 	// (0 = platform default). Latency-bound routines leave the issue
 	// pipeline mostly idle, so their co-resident threads contend less
@@ -91,15 +86,6 @@ func (c *Config) normalize() error {
 	if c.GapScale == 0 {
 		c.GapScale = 1
 	}
-	if c.WarmupFrac < 0 {
-		return fmt.Errorf("sim: negative warmup fraction %v", c.WarmupFrac)
-	}
-	if c.WarmupFrac == 0 {
-		c.WarmupFrac = 0.15
-	}
-	if c.WarmupFrac >= 0.9 {
-		return fmt.Errorf("sim: warmup fraction %v outside [0, 0.9)", c.WarmupFrac)
-	}
 	if c.SMTShare < 0 {
 		return fmt.Errorf("sim: negative SMT compute share %v", c.SMTShare)
 	}
@@ -110,9 +96,9 @@ func (c *Config) normalize() error {
 }
 
 // Normalized returns a copy of c with every zero-default resolved (core
-// count, SMT depth, window, gap scale, warmup fraction), validated the way
-// RunContext validates it. Two Configs with equal Normalized scalar fields,
-// the same platform and the same Fingerprint simulate identically — the
+// count, SMT depth, window, gap scale), validated the way RunContext
+// validates it. Two Configs with equal Normalized scalar fields, the same
+// platform and the same Fingerprint simulate identically — the
 // canonical identity the runner layer caches on.
 func (c Config) Normalized() (Config, error) {
 	if err := (&c).normalize(); err != nil {
@@ -283,9 +269,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// Warmup: total per-thread work is unknown a priori, so the window
 	// opens when every thread has retired a fixed minimum batch (or, for a
 	// workload too short for that, when the first thread drains), checked
-	// every few thousand events. normalize has made cfg.WarmupFrac
-	// positive, so the guard below always passes; the fraction's value is
-	// not consulted.
+	// every few thousand events.
 	const checkEvery = 4096
 	steps := 0
 	warmTarget := func() bool {
@@ -299,18 +283,16 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		return min >= 64 // every thread past its cold-start transient
 	}
-	if cfg.WarmupFrac > 0 {
-		sched.RunWhile(func() bool {
-			if cancelled() {
-				return false
-			}
-			steps++
-			if steps%checkEvery != 0 {
-				return true
-			}
-			return finished == 0 && !warmTarget()
-		})
-	}
+	sched.RunWhile(func() bool {
+		if cancelled() {
+			return false
+		}
+		steps++
+		if steps%checkEvery != 0 {
+			return true
+		}
+		return finished == 0 && !warmTarget()
+	})
 
 	// Open the measurement window.
 	node.ResetStats()
