@@ -406,7 +406,9 @@ func TestTableServedFromRunner(t *testing.T) {
 func TestTableHonoursRunnerTTL(t *testing.T) {
 	// The TTL lands on the process-wide runner tables simulate through.
 	t.Cleanup(func() { runner.Default().SetTTL(0) })
-	_, ts := newTestServer(t, Config{ProfileFor: (&profileStub{}).fn, Platforms: []string{"SKL"}, RunnerTTL: time.Nanosecond})
+	_, ts := newTestServer(t, Config{
+		ProfileFor: (&profileStub{}).fn, Platforms: []string{"SKL"}, RunnerTTL: time.Nanosecond,
+	})
 	getTable(t, ts, "/v1/tables/IV?scale=0.02")
 	misses := runner.Default().Stats().Misses
 	getTable(t, ts, "/v1/tables/IV?scale=0.02")
