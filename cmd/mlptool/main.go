@@ -15,8 +15,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -33,47 +35,59 @@ import (
 	"littleslaw/internal/xmem"
 )
 
-func main() {
-	platName := flag.String("platform", "SKL", "platform: SKL, KNL or A64FX")
-	workName := flag.String("workload", "ISx", "workload: ISx, HPCG, PENNANT, CoMD, MiniGhost or SNAP")
-	threads := flag.Int("threads", 1, "hardware threads per core (SMT)")
-	vect := flag.Bool("vect", false, "vectorized variant")
-	tiled := flag.Bool("tiled", false, "loop-tiled variant")
-	pref := flag.Bool("l2pref", false, "L2 software-prefetch variant")
-	nofuse := flag.Bool("nofuse", false, "loop fusion disabled")
-	scale := flag.Float64("scale", 0.3, "work scale factor")
-	profilePath := flag.String("profile", "", "bandwidth-latency profile JSON (default: characterize now)")
-	explainOnly := flag.Bool("explain", false, "print only the recipe narration")
-	tune := flag.Bool("autotune", false, "run the Figure-1 loop to a fixed point instead of a single analysis")
-	classifyPattern := flag.Bool("classify", false, "derive the random-vs-streaming classification from the access stream instead of the workload's own flag")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations for -autotune and characterization (1 = serial; results are identical)")
-	timeout := flag.Duration("timeout", 0, "overall deadline (0 = none)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "mlptool")
-		return
-	}
+// errUsage marks a command line the flag package rejected; it has already
+// printed why, with the usage.
+var errUsage = errors.New("usage")
 
-	ctx := context.Background()
+func main() {
+	switch err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "mlptool:", err)
+		os.Exit(1)
+	}
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mlptool", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	platName := fs.String("platform", "SKL", "platform: SKL, KNL or A64FX")
+	workName := fs.String("workload", "ISx", "workload: ISx, HPCG, PENNANT, CoMD, MiniGhost or SNAP")
+	threads := fs.Int("threads", 1, "hardware threads per core (SMT)")
+	vect := fs.Bool("vect", false, "vectorized variant")
+	tiled := fs.Bool("tiled", false, "loop-tiled variant")
+	pref := fs.Bool("l2pref", false, "L2 software-prefetch variant")
+	nofuse := fs.Bool("nofuse", false, "loop fusion disabled")
+	scale := fs.Float64("scale", 0.3, "work scale factor")
+	profilePath := fs.String("profile", "", "bandwidth-latency profile JSON (default: characterize now)")
+	explainOnly := fs.Bool("explain", false, "print only the recipe narration")
+	tune := fs.Bool("autotune", false, "run the Figure-1 loop to a fixed point instead of a single analysis")
+	classifyPattern := fs.Bool("classify", false, "derive the random-vs-streaming classification from the access stream instead of the workload's own flag")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations for -autotune and characterization (1 = serial; results are identical)")
+	timeout := fs.Duration("timeout", 0, "overall deadline (0 = none)")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if *version {
+		buildinfo.Print(stdout, "mlptool")
+		return nil
+	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
 
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "mlptool:", err)
-		os.Exit(1)
-	}
-
 	p, err := platform.ByName(*platName)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	w, ok := workloads.ByName(*workName)
 	if !ok {
-		fail(fmt.Errorf("unknown workload %q (want one of %s)", *workName, workloadNames()))
+		return fmt.Errorf("unknown workload %q (want one of %s)", *workName, workloadNames())
 	}
 	w = w.WithVariant(workloads.Variant{
 		Vectorized:   *vect,
@@ -86,61 +100,61 @@ func main() {
 	if *profilePath != "" {
 		f, err := os.Open(*profilePath)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		prof, err := xmem.ReadJSON(f)
 		f.Close()
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if prof.Platform != p.Name {
-			fail(fmt.Errorf("profile is for %s, not %s", prof.Platform, p.Name))
+			return fmt.Errorf("profile is for %s, not %s", prof.Platform, p.Name)
 		}
 		curve, err = prof.Curve()
 		if err != nil {
-			fail(err)
+			return err
 		}
 	} else {
-		fmt.Fprintf(os.Stderr, "mlptool: characterizing %s (once per platform; save with xmemprof)...\n", p.Name)
+		fmt.Fprintf(stderr, "mlptool: characterizing %s (once per platform; save with xmemprof)...\n", p.Name)
 		curve, err = xmem.ProfileForContext(ctx, p)
 		if err != nil {
-			fail(err)
+			return err
 		}
 	}
 
 	if *tune {
-		fmt.Fprintf(os.Stderr, "mlptool: autotuning %s on %s (the Figure-1 loop)...\n", w.Name(), p.Name)
+		fmt.Fprintf(stderr, "mlptool: autotuning %s on %s (the Figure-1 loop)...\n", w.Name(), p.Name)
 		res, err := autotune.TuneContext(ctx, p, curve, w, autotune.Options{Scale: *scale, UserIntuition: true, Workers: *workers})
 		if err != nil {
-			fail(err)
+			return err
 		}
 		for i, s := range res.Steps {
 			verdict := "rejected"
 			if s.Accepted {
 				verdict = "ACCEPTED"
 			}
-			fmt.Printf("step %d: n_avg %.2f of %d %s MSHRs → try %s → %.2fx (%s)\n",
+			fmt.Fprintf(stdout, "step %d: n_avg %.2f of %d %s MSHRs → try %s → %.2fx (%s)\n",
 				i+1, s.Report.Occupancy, s.Report.LimiterCapacity, s.Report.Limiter,
 				s.Tried, s.Speedup, verdict)
 		}
-		fmt.Printf("\nfinal: %s with %d thread(s)/core — %.2fx over base\n",
+		fmt.Fprintf(stdout, "\nfinal: %s with %d thread(s)/core — %.2fx over base\n",
 			res.FinalVariant.Label(res.FinalThreads), res.FinalThreads, res.TotalSpeedup)
-		fmt.Println(core.Explain(res.FinalReport))
-		return
+		fmt.Fprintln(stdout, core.Explain(res.FinalReport))
+		return nil
 	}
 
-	fmt.Fprintf(os.Stderr, "mlptool: running %s/%s (%s) on the %d-core node...\n",
+	fmt.Fprintf(stderr, "mlptool: running %s/%s (%s) on the %d-core node...\n",
 		w.Name(), w.Routine(), w.Variant().Label(*threads), p.Cores)
 	res, err := runner.Run(ctx, w.Config(p, *threads, *scale))
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	random := w.RandomAccess()
 	if *classifyPattern {
 		cls, err := access.NewClassifier(p.LineBytes)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		gen := w.Config(p, 1, *scale).NewGen(0, 0)
 		for i := 0; i < 20000; i++ {
@@ -154,7 +168,7 @@ func main() {
 		}
 		prof := cls.Profile()
 		random = prof.RandomAccess()
-		fmt.Printf("pattern: %s\n", prof)
+		fmt.Fprintf(stdout, "pattern: %s\n", prof)
 	}
 
 	rep, err := core.Analyze(p, curve, core.Measurement{
@@ -166,23 +180,34 @@ func main() {
 		RandomAccess:           random,
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
 
-	fmt.Println(core.Explain(rep))
+	fmt.Fprintln(stdout, core.Explain(rep))
 	if *explainOnly {
-		return
+		return nil
 	}
 
-	fmt.Printf("measured:  %.1f GB/s (reads %.1f, writebacks %.1f), prefetched fraction %.2f\n",
+	fmt.Fprintf(stdout, "measured:  %.1f GB/s (reads %.1f, writebacks %.1f), prefetched fraction %.2f\n",
 		res.TotalGBs, res.ReadGBs, res.WriteGBs, res.PrefetchedReadFraction)
-	fmt.Printf("simulator ground truth: L1 MSHR occupancy %.2f, L2 %.2f, DRAM latency %.0f ns\n\n",
+	fmt.Fprintf(stdout, "simulator ground truth: L1 MSHR occupancy %.2f, L2 %.2f, DRAM latency %.0f ns\n\n",
 		res.TrueL1Occ, res.TrueL2Occ, res.MeanDRAMLatencyNs)
 
-	fmt.Println("Recipe verdicts:")
+	fmt.Fprintln(stdout, "Recipe verdicts:")
 	for _, a := range core.Advise(rep, w.Capabilities(p, *threads)) {
-		fmt.Printf("  %-24s %-10s %s\n", a.Opt, a.Stance, a.Reason)
+		fmt.Fprintf(stdout, "  %-24s %-10s %s\n", a.Opt, a.Stance, a.Reason)
 	}
+	return nil
+}
+
+// parse parses args into fs, turning a rejected command line into errUsage
+// (flag.ErrHelp, for -h, passes through).
+func parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
 }
 
 func workloadNames() string {

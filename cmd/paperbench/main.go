@@ -18,8 +18,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -29,24 +31,41 @@ import (
 	"littleslaw/internal/report"
 )
 
-func main() {
-	table := flag.String("table", "", "regenerate one table (I..IX); default all")
-	figure := flag.String("figure", "", "regenerate one figure (2)")
-	experiment := flag.String("experiment", "", "run one critique experiment (tma-critique, latency-counter, mshr-stalls, idle-latency)")
-	ablation := flag.String("ablation", "", "run one design ablation (mshr-sweep, stream-table, coalescing, future-hbm, prefetch-level, cache-mode)")
-	scale := flag.Float64("scale", 1.0, "work scale factor (lower = faster, noisier)")
-	plats := flag.String("platform", "", "restrict to one platform (SKL, KNL, A64FX)")
-	csv := flag.Bool("csv", false, "emit tables as CSV")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial; output is identical either way)")
-	timeout := flag.Duration("timeout", 0, "overall deadline (0 = none)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "paperbench")
-		return
-	}
+// errUsage marks a command line the flag package rejected; it has already
+// printed why, with the usage.
+var errUsage = errors.New("usage")
 
-	ctx := context.Background()
+func main() {
+	switch err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "paperbench:", err)
+		os.Exit(1)
+	}
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.String("table", "", "regenerate one table (I..IX); default all")
+	figure := fs.String("figure", "", "regenerate one figure (2)")
+	experiment := fs.String("experiment", "", "run one critique experiment (tma-critique, latency-counter, mshr-stalls, idle-latency)")
+	ablation := fs.String("ablation", "", "run one design ablation (mshr-sweep, stream-table, coalescing, future-hbm, prefetch-level, cache-mode)")
+	scale := fs.Float64("scale", 1.0, "work scale factor (lower = faster, noisier)")
+	plats := fs.String("platform", "", "restrict to one platform (SKL, KNL, A64FX)")
+	csv := fs.Bool("csv", false, "emit tables as CSV")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial; output is identical either way)")
+	timeout := fs.Duration("timeout", 0, "overall deadline (0 = none)")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if *version {
+		buildinfo.Print(stdout, "paperbench")
+		return nil
+	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -59,218 +78,223 @@ func main() {
 	}
 	r := experiments.NewRunner(opts)
 
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		os.Exit(1)
-	}
-
 	switch {
 	case *figure != "":
 		if *figure != "2" {
-			fail(fmt.Errorf("unknown figure %q (the paper's only data figure is 2)", *figure))
+			return fmt.Errorf("unknown figure %q (the paper's only data figure is 2)", *figure)
 		}
 		m, err := r.Figure2()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		if err := m.WriteCSV(os.Stdout); err != nil {
-			fail(err)
-		}
-		return
-
+		return m.WriteCSV(stdout)
 	case *experiment != "":
-		runExperiment(r, *experiment, fail)
-		return
-
+		return runExperiment(stdout, r, *experiment)
 	case *ablation != "":
-		runAblation(r, *ablation, fail)
-		return
-
+		return runAblation(stdout, r, *ablation)
 	case *table != "":
-		emitTable(ctx, r, *table, *csv, fail)
-		return
+		return emitTable(ctx, stdout, r, *table, *csv)
 	}
 
 	// Everything.
 	for _, id := range []string{"I", "II", "III"} {
-		emitTable(ctx, r, id, *csv, fail)
+		if err := emitTable(ctx, stdout, r, id, *csv); err != nil {
+			return err
+		}
 	}
 	// One flat dispatch across all six tables fills internal/runner's cache,
 	// so the per-table emission below simulates nothing.
 	if _, err := r.AllTablesContext(ctx); err != nil {
-		fail(err)
+		return err
 	}
 	for _, id := range experiments.TableIDs() {
-		emitTable(ctx, r, id, *csv, fail)
+		if err := emitTable(ctx, stdout, r, id, *csv); err != nil {
+			return err
+		}
 	}
 	m, err := r.Figure2()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Println("FIGURE 2 — roofline with MSHR ceilings (KNL)")
-	if err := m.WriteCSV(os.Stdout); err != nil {
-		fail(err)
+	fmt.Fprintln(stdout, "FIGURE 2 — roofline with MSHR ceilings (KNL)")
+	if err := m.WriteCSV(stdout); err != nil {
+		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for _, e := range []string{"tma-critique", "latency-counter", "mshr-stalls", "idle-latency"} {
-		runExperiment(r, e, fail)
+		if err := runExperiment(stdout, r, e); err != nil {
+			return err
+		}
 	}
 	for _, a := range []string{"mshr-sweep", "stream-table", "coalescing", "future-hbm", "prefetch-level", "cache-mode"} {
-		runAblation(r, a, fail)
+		if err := runAblation(stdout, r, a); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-func runAblation(r *experiments.Runner, name string, fail func(error)) {
+// parse parses args into fs, turning a rejected command line into errUsage
+// (flag.ErrHelp, for -h, passes through).
+func parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
+}
+
+func runAblation(w io.Writer, r *experiments.Runner, name string) error {
 	switch name {
 	case "mshr-sweep":
 		pts, err := r.MSHRSweep(nil)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("ABLATION — L1 MSHR capacity vs achievable bandwidth (ISx/KNL)")
+		fmt.Fprintln(w, "ABLATION — L1 MSHR capacity vs achievable bandwidth (ISx/KNL)")
 		for _, p := range pts {
-			fmt.Printf("  %2d MSHRs: %6.1f GB/s (true occupancy %5.2f)\n", p.L1MSHRs, p.BandwidthGBs, p.TrueL1Occ)
+			fmt.Fprintf(w, "  %2d MSHRs: %6.1f GB/s (true occupancy %5.2f)\n", p.L1MSHRs, p.BandwidthGBs, p.TrueL1Occ)
 		}
-		fmt.Println("(random-access bandwidth tracks the MSHR file — the structural basis of the metric)")
-		fmt.Println()
+		fmt.Fprintln(w, "(random-access bandwidth tracks the MSHR file — the structural basis of the metric)")
+		fmt.Fprintln(w)
 	case "stream-table":
 		pts, err := r.StreamTableSweep(nil)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("ABLATION — prefetcher stream-table size vs 4-way SMT gain (HPCG/KNL, §IV-B)")
+		fmt.Fprintln(w, "ABLATION — prefetcher stream-table size vs 4-way SMT gain (HPCG/KNL, §IV-B)")
 		for _, p := range pts {
-			fmt.Printf("  %2d streams: 2HT %6.1f GB/s, 4HT %6.1f GB/s, gain %.2fx\n",
+			fmt.Fprintf(w, "  %2d streams: 2HT %6.1f GB/s, 4HT %6.1f GB/s, gain %.2fx\n",
 				p.Streams, p.BW2HT, p.BW4HT, p.Gain4HTOver)
 		}
-		fmt.Println("(the 16-entry table explains the paper's weak 1.03x 4-way gain)")
-		fmt.Println()
+		fmt.Fprintln(w, "(the 16-entry table explains the paper's weak 1.03x 4-way gain)")
+		fmt.Fprintln(w)
 	case "coalescing":
 		ab, err := r.Coalescing()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("ABLATION — MSHR coalescing (word-granular stream, SKL)")
-		fmt.Printf("  coalesced: %.1f GB/s | duplicated: %.1f GB/s | traffic per work %.2fx | slowdown %.2fx\n",
+		fmt.Fprintln(w, "ABLATION — MSHR coalescing (word-granular stream, SKL)")
+		fmt.Fprintf(w, "  coalesced: %.1f GB/s | duplicated: %.1f GB/s | traffic per work %.2fx | slowdown %.2fx\n",
 			ab.BWCoalesced, ab.BWDuplicate, ab.TrafficBlowup, ab.Slowdown)
-		fmt.Println()
+		fmt.Fprintln(w)
 	case "future-hbm":
 		res, err := r.FutureHBM()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("ABLATION — §IV-G future HBM3e-class node (vectorized HPCG)")
-		fmt.Printf("  %.0f GB/s = %.0f%% of peak while L2 MSHR occupancy is %.1f of %d\n",
+		fmt.Fprintln(w, "ABLATION — §IV-G future HBM3e-class node (vectorized HPCG)")
+		fmt.Fprintf(w, "  %.0f GB/s = %.0f%% of peak while L2 MSHR occupancy is %.1f of %d\n",
 			res.BandwidthGBs, 100*res.PeakFraction, res.TrueL2Occ, res.L2Capacity)
-		fmt.Println("(the MSHR file fills long before peak bandwidth: 'below peak' no longer implies compute-bound)")
-		fmt.Println()
+		fmt.Fprintln(w, "(the MSHR file fills long before peak bandwidth: 'below peak' no longer implies compute-bound)")
+		fmt.Fprintln(w)
 	case "prefetch-level":
 		res, err := r.PrefetchLevel()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("ABLATION — software-prefetch target level (ISx/KNL +vect,2ht, §III-C)")
-		fmt.Printf("  prefetch to L1: %.2fx | prefetch to L2: %.2fx\n", res.L1Speedup, res.L2Speedup)
-		fmt.Println("(L1 prefetches compete with demand for the scarce L1 MSHRs; L2 prefetches use the idle L2 file)")
-		fmt.Println()
+		fmt.Fprintln(w, "ABLATION — software-prefetch target level (ISx/KNL +vect,2ht, §III-C)")
+		fmt.Fprintf(w, "  prefetch to L1: %.2fx | prefetch to L2: %.2fx\n", res.L1Speedup, res.L2Speedup)
+		fmt.Fprintln(w, "(L1 prefetches compete with demand for the scarce L1 MSHRs; L2 prefetches use the idle L2 file)")
+		fmt.Fprintln(w)
 	case "cache-mode":
 		out, err := r.CacheMode()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("ABLATION \u2014 KNL flat vs MCDRAM cache mode (extension)")
+		fmt.Fprintln(w, "ABLATION \u2014 KNL flat vs MCDRAM cache mode (extension)")
 		for _, c := range out {
-			fmt.Printf("  %-45s flat/cache speedup %.2fx (memory-cache hit rate %.0f%%)\n",
+			fmt.Fprintf(w, "  %-45s flat/cache speedup %.2fx (memory-cache hit rate %.0f%%)\n",
 				c.Workload, c.FlatOverCache, 100*c.MCHitFrac)
 		}
-		fmt.Println("(the paper's flat-mode choice: random footprints beyond the cache thrash it)")
-		fmt.Println()
+		fmt.Fprintln(w, "(the paper's flat-mode choice: random footprints beyond the cache thrash it)")
+		fmt.Fprintln(w)
 	default:
-		fail(fmt.Errorf("unknown ablation %q", name))
+		return fmt.Errorf("unknown ablation %q", name)
 	}
+	return nil
 }
 
-func emitTable(ctx context.Context, r *experiments.Runner, id string, csv bool, fail func(error)) {
+func emitTable(ctx context.Context, w io.Writer, r *experiments.Runner, id string, csv bool) error {
 	switch id {
 	case "I", "II", "III":
 		s, err := experiments.DescribeStatic(id)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println(s)
-		return
+		fmt.Fprintln(w, s)
+		return nil
 	}
 	start := time.Now()
 	t, err := r.TableContext(ctx, id)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if csv {
-		if err := report.WriteTableCSV(os.Stdout, t); err != nil {
-			fail(err)
-		}
-		return
+		return report.WriteTableCSV(w, t)
 	}
-	if err := report.WriteTable(os.Stdout, t); err != nil {
-		fail(err)
+	if err := report.WriteTable(w, t); err != nil {
+		return err
 	}
-	fmt.Printf("(generated in %.1fs)\n\n", time.Since(start).Seconds())
+	_, err = fmt.Fprintf(w, "(generated in %.1fs)\n\n", time.Since(start).Seconds())
+	return err
 }
 
-func runExperiment(r *experiments.Runner, name string, fail func(error)) {
+func runExperiment(w io.Writer, r *experiments.Runner, name string) error {
 	switch name {
 	case "tma-critique":
 		out, err := r.TMACritiques()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("EXPERIMENT — TMA critique (§I/§II)")
+		fmt.Fprintln(w, "EXPERIMENT — TMA critique (§I/§II)")
 		for _, c := range out {
-			fmt.Printf("\n%s on SKL:\n  TMA:    %s\n", c.Case, c.TMA.Summary())
-			fmt.Printf("  metric: %s\n", c.Report)
-			fmt.Printf("  true loaded latency: %.0f ns\n  %s\n", c.TrueLoadedLatencyNs, c.Commentary)
+			fmt.Fprintf(w, "\n%s on SKL:\n  TMA:    %s\n", c.Case, c.TMA.Summary())
+			fmt.Fprintf(w, "  metric: %s\n", c.Report)
+			fmt.Fprintf(w, "  true loaded latency: %.0f ns\n  %s\n", c.TrueLoadedLatencyNs, c.Commentary)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	case "latency-counter":
 		exp, err := r.LatencyCounterCritique()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("EXPERIMENT — latency-threshold counter on ISx/SKL (§II)")
-		fmt.Printf("true loaded latency: %.0f ns = %.0f cycles\n", exp.TrueLoadedLatencyNs, exp.TrueLoadedLatencyCy)
+		fmt.Fprintln(w, "EXPERIMENT — latency-threshold counter on ISx/SKL (§II)")
+		fmt.Fprintf(w, "true loaded latency: %.0f ns = %.0f cycles\n", exp.TrueLoadedLatencyNs, exp.TrueLoadedLatencyCy)
 		for _, s := range exp.Samples {
-			fmt.Printf("  loads reported above %3d cycles: %4.0f%%\n", s.ThresholdCycles, 100*s.Fraction)
+			fmt.Fprintf(w, "  loads reported above %3d cycles: %4.0f%%\n", s.ThresholdCycles, 100*s.Fraction)
 		}
-		fmt.Println("(the counter attributes re-dispatch and page walks to latency; the paper measured 75% above 512cy against a true ~378cy)")
-		fmt.Println()
+		fmt.Fprintln(w, "(the counter attributes re-dispatch and page walks to latency; the paper measured 75% above 512cy against a true ~378cy)")
+		fmt.Fprintln(w)
 	case "mshr-stalls":
 		exp, err := r.MSHRStalls()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("EXPERIMENT — MSHR residency before/after L2 prefetch, ISx/A64FX (§IV-A)")
-		fmt.Printf("  base:      L1 occupancy %.2f, L2 occupancy %.2f\n", exp.BaseL1Occ, exp.BaseL2Occ)
-		fmt.Printf("  +l2-pref:  L1 occupancy %.2f, L2 occupancy %.2f (speedup %.2fx)\n",
+		fmt.Fprintln(w, "EXPERIMENT — MSHR residency before/after L2 prefetch, ISx/A64FX (§IV-A)")
+		fmt.Fprintf(w, "  base:      L1 occupancy %.2f, L2 occupancy %.2f\n", exp.BaseL1Occ, exp.BaseL2Occ)
+		fmt.Fprintf(w, "  +l2-pref:  L1 occupancy %.2f, L2 occupancy %.2f (speedup %.2fx)\n",
 			exp.PrefL1Occ, exp.PrefL2Occ, exp.Speedup)
-		fmt.Println("(the bottleneck moves from the L1 MSHR file to the larger L2 file, as the paper verified with a cycle-level simulator)")
-		fmt.Println()
+		fmt.Fprintln(w, "(the bottleneck moves from the L1 MSHR file to the larger L2 file, as the paper verified with a cycle-level simulator)")
+		fmt.Fprintln(w)
 	case "idle-latency":
 		out, err := r.IdleLatencyAblations()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("ABLATION — idle vs loaded latency in Equation 2 (§III-B)")
+		fmt.Fprintln(w, "ABLATION — idle vs loaded latency in Equation 2 (§III-B)")
 		for _, a := range out {
 			verdict := "same verdict"
 			if a.DecisionFlips {
 				verdict = "FLIPS the saturation verdict"
 			}
-			fmt.Printf("  %-12s at %6.1f GB/s: idle %3.0f ns → n_avg %5.2f | loaded %3.0f ns → n_avg %5.2f (%s)\n",
+			fmt.Fprintf(w, "  %-12s at %6.1f GB/s: idle %3.0f ns → n_avg %5.2f | loaded %3.0f ns → n_avg %5.2f (%s)\n",
 				a.Case, a.BandwidthGBs, a.IdleNs, a.OccIdle, a.LoadedNs, a.OccLoaded, verdict)
 		}
-		fmt.Println("(vendor idle latency underestimates MLP; the loaded profile is what makes Little's Law usable)")
-		fmt.Println()
+		fmt.Fprintln(w, "(vendor idle latency underestimates MLP; the loaded profile is what makes Little's Law usable)")
+		fmt.Fprintln(w)
 	default:
-		fail(fmt.Errorf("unknown experiment %q", name))
+		return fmt.Errorf("unknown experiment %q", name)
 	}
+	return nil
 }

@@ -13,8 +13,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"littleslaw/internal/access"
@@ -30,88 +32,119 @@ import (
 	"littleslaw/internal/xmem"
 )
 
+// errUsage marks a command line the flag package rejected; it has already
+// printed why, with the usage.
+var errUsage = errors.New("usage")
+
 func main() {
-	if len(os.Args) < 2 {
-		fail(fmt.Errorf("usage: tracetool record|info|analyze ..."))
-	}
-	switch os.Args[1] {
-	case "record":
-		record(os.Args[2:])
-	case "info":
-		info(os.Args[2:])
-	case "analyze":
-		analyze(os.Args[2:])
-	case "version", "-version", "--version":
-		buildinfo.Print(os.Stdout, "tracetool")
+	switch err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
 	default:
-		fail(fmt.Errorf("unknown subcommand %q", os.Args[1]))
+		fmt.Fprintln(os.Stderr, "tracetool:", err)
+		os.Exit(1)
 	}
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "tracetool:", err)
-	os.Exit(1)
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	if len(args) < 1 {
+		return fmt.Errorf("usage: tracetool record|info|analyze ...")
+	}
+	switch args[0] {
+	case "record":
+		return record(args[1:], stderr)
+	case "info":
+		return info(args[1:], stdout, stderr)
+	case "analyze":
+		return analyze(ctx, args[1:], stdout, stderr)
+	case "version", "-version", "--version":
+		buildinfo.Print(stdout, "tracetool")
+		return nil
+	default:
+		return fmt.Errorf("unknown subcommand %q", args[0])
+	}
 }
 
-func record(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+// parse parses args into fs, turning a rejected command line into errUsage
+// (flag.ErrHelp, for -h, passes through).
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
+}
+
+func record(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("record", flag.ContinueOnError)
 	platName := fs.String("platform", "SKL", "platform the trace's line size comes from")
 	workName := fs.String("workload", "ISx", "workload to record")
 	out := fs.String("o", "", "output trace file (required)")
 	ops := fs.Int("ops", 0, "record at most this many operations (0 = whole stream)")
 	scale := fs.Float64("scale", 0.2, "workload scale")
-	fs.Parse(args)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 	if *out == "" {
-		fail(fmt.Errorf("record: -o is required"))
+		return fmt.Errorf("record: -o is required")
 	}
 	p, err := platform.ByName(*platName)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	w, ok := workloads.ByName(*workName)
 	if !ok {
-		fail(fmt.Errorf("unknown workload %q", *workName))
+		return fmt.Errorf("unknown workload %q", *workName)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer f.Close()
 	tw, err := tracefile.NewWriter(f, tracefile.Header{LineBytes: p.LineBytes})
 	if err != nil {
-		fail(err)
+		return err
 	}
 	n, err := tracefile.Record(tw, w.Config(p, 1, *scale).NewGen(0, 0), *ops)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "tracetool: wrote %d operations to %s\n", n, *out)
+	fmt.Fprintf(stderr, "tracetool: wrote %d operations to %s\n", n, *out)
+	return nil
 }
 
-func openTrace(path string) (*tracefile.Reader, *os.File) {
+func openTrace(path string) (*tracefile.Reader, *os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fail(err)
+		return nil, nil, err
 	}
 	r, err := tracefile.NewReader(f)
 	if err != nil {
-		fail(err)
+		f.Close()
+		return nil, nil, err
 	}
-	return r, f
+	return r, f, nil
 }
 
-func info(args []string) {
-	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fail(fmt.Errorf("info: one trace file expected"))
+func info(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("info", flag.ContinueOnError)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
 	}
-	r, f := openTrace(fs.Arg(0))
+	if fs.NArg() != 1 {
+		return fmt.Errorf("info: one trace file expected")
+	}
+	r, f, err := openTrace(fs.Arg(0))
+	if err != nil {
+		return err
+	}
 	defer f.Close()
 
 	cls, err := access.NewClassifier(r.Header.LineBytes)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	var loads, stores, prefetches int
 	for {
@@ -131,32 +164,39 @@ func info(args []string) {
 		}
 	}
 	prof := cls.Profile()
-	fmt.Printf("line size:  %d B\n", r.Header.LineBytes)
-	fmt.Printf("operations: %d loads, %d stores, %d prefetches\n", loads, stores, prefetches)
-	fmt.Printf("pattern:    %s\n", prof)
-	fmt.Printf("recipe view: random-access=%v, tiling signal=%v\n", prof.RandomAccess(), prof.TilingSignal())
+	fmt.Fprintf(stdout, "line size:  %d B\n", r.Header.LineBytes)
+	fmt.Fprintf(stdout, "operations: %d loads, %d stores, %d prefetches\n", loads, stores, prefetches)
+	fmt.Fprintf(stdout, "pattern:    %s\n", prof)
+	fmt.Fprintf(stdout, "recipe view: random-access=%v, tiling signal=%v\n", prof.RandomAccess(), prof.TilingSignal())
+	return nil
 }
 
-func analyze(args []string) {
-	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
+func analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	platName := fs.String("platform", "SKL", "platform to replay on")
 	cores := fs.Int("cores", 0, "cores replaying the trace (0 = full node)")
 	window := fs.Int("window", 8, "per-thread demand window")
-	fs.Parse(args)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
-		fail(fmt.Errorf("analyze: one trace file expected"))
+		return fmt.Errorf("analyze: one trace file expected")
 	}
 	path := fs.Arg(0)
 	p, err := platform.ByName(*platName)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	// Classify first (for the recipe's pattern input).
-	r, f := openTrace(path)
+	r, f, err := openTrace(path)
+	if err != nil {
+		return err
+	}
 	cls, err := access.NewClassifier(r.Header.LineBytes)
 	if err != nil {
-		fail(err)
+		f.Close()
+		return err
 	}
 	for {
 		op, err := r.Read()
@@ -170,25 +210,24 @@ func analyze(args []string) {
 	f.Close()
 	prof := cls.Profile()
 
-	fmt.Fprintf(os.Stderr, "tracetool: characterizing %s...\n", p.Name)
+	fmt.Fprintf(stderr, "tracetool: characterizing %s...\n", p.Name)
 	curve, err := xmem.ProfileFor(p)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
-	fmt.Fprintf(os.Stderr, "tracetool: replaying %s on every core of the %s node...\n", path, p.Name)
-	res, err := runner.Run(context.Background(), sim.Config{
+	fmt.Fprintf(stderr, "tracetool: replaying %s on every core of the %s node...\n", path, p.Name)
+	res, err := runner.Run(ctx, sim.Config{
 		Plat:   p,
 		Cores:  *cores,
 		Window: *window,
 		NewGen: func(coreID, threadID int) cpu.Generator {
-			tr, file := openTrace(path)
-			_ = file // closed on process exit; traces are replayed once
+			tr, _, _ := openTrace(path) // closed on process exit; traces are replayed once
 			return offsetGen{inner: tracefile.NewGenerator(tr), offset: uint64(coreID+1) << 40}
 		},
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	rep, err := core.Analyze(p, curve, core.Measurement{
@@ -199,10 +238,11 @@ func analyze(args []string) {
 		RandomAccess:           prof.RandomAccess(),
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("pattern: %s\n\n", prof)
-	fmt.Println(core.Explain(rep))
+	fmt.Fprintf(stdout, "pattern: %s\n\n", prof)
+	fmt.Fprintln(stdout, core.Explain(rep))
+	return nil
 }
 
 // offsetGen shifts a trace's addresses into a per-core arena so replayed

@@ -12,8 +12,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -23,58 +25,73 @@ import (
 	"littleslaw/internal/xmem"
 )
 
-func main() {
-	platName := flag.String("platform", "SKL", "platform: SKL, KNL or A64FX")
-	out := flag.String("o", "", "write the profile as JSON to this file")
-	probes := flag.Int("probes", 300, "latency-probe samples per operating point")
-	plot := flag.Bool("plot", false, "render the profile as a terminal chart")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrently measured operating points (1 = serial; the profile is identical)")
-	timeout := flag.Duration("timeout", 0, "overall deadline (0 = none)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "xmemprof")
-		return
-	}
+// errUsage marks a command line the flag package rejected; it has already
+// printed why, with the usage.
+var errUsage = errors.New("usage")
 
-	ctx := context.Background()
+func main() {
+	switch err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "xmemprof:", err)
+		os.Exit(1)
+	}
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("xmemprof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	platName := fs.String("platform", "SKL", "platform: SKL, KNL or A64FX")
+	out := fs.String("o", "", "write the profile as JSON to this file")
+	probes := fs.Int("probes", 300, "latency-probe samples per operating point")
+	plot := fs.Bool("plot", false, "render the profile as a terminal chart")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "max concurrently measured operating points (1 = serial; the profile is identical)")
+	timeout := fs.Duration("timeout", 0, "overall deadline (0 = none)")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if *version {
+		buildinfo.Print(stdout, "xmemprof")
+		return nil
+	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
 
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "xmemprof:", err)
-		os.Exit(1)
-	}
-
 	p, err := platform.ByName(*platName)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "xmemprof: sweeping %s (%d cores, %s %.0f GB/s theoretical)...\n",
+	fmt.Fprintf(stderr, "xmemprof: sweeping %s (%d cores, %s %.0f GB/s theoretical)...\n",
 		p.Name, p.Cores, p.Memory.Tech, p.PeakGBs())
 	curve, err := xmem.CharacterizeContext(ctx, p, xmem.Options{ProbeOps: *probes, Workers: *workers})
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	prof := xmem.NewProfile(p, curve)
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer f.Close()
 		if err := prof.WriteJSON(f); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "xmemprof: wrote %s\n", *out)
-		return
+		fmt.Fprintf(stderr, "xmemprof: wrote %s\n", *out)
+		return nil
 	}
 
-	fmt.Printf("# %s bandwidth→latency profile (idle %.1f ns, achievable %.1f GB/s of %.0f theoretical)\n",
+	fmt.Fprintf(stdout, "# %s bandwidth→latency profile (idle %.1f ns, achievable %.1f GB/s of %.0f theoretical)\n",
 		p.Name, curve.IdleLatencyNs(), curve.MaxBandwidthGBs(), p.PeakGBs())
 	if *plot {
 		pts := curve.Points()
@@ -87,13 +104,14 @@ func main() {
 		chart, err := textplot.Render([]textplot.Series{{Name: "loaded latency", X: xs, Y: ys}},
 			textplot.Options{Title: p.Name + " bandwidth→latency profile", XLabel: "GB/s", YLabel: "ns"})
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(chart)
-		return
+		fmt.Fprint(stdout, chart)
+		return nil
 	}
-	fmt.Println("bandwidth_gbs,latency_ns")
+	fmt.Fprintln(stdout, "bandwidth_gbs,latency_ns")
 	for _, pt := range curve.Points() {
-		fmt.Printf("%.2f,%.2f\n", pt.BandwidthGBs, pt.LatencyNs)
+		fmt.Fprintf(stdout, "%.2f,%.2f\n", pt.BandwidthGBs, pt.LatencyNs)
 	}
+	return nil
 }
