@@ -9,7 +9,6 @@ import (
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
 	"littleslaw/internal/roofline"
-	"littleslaw/internal/tma"
 	"littleslaw/internal/workloads"
 )
 
@@ -52,7 +51,7 @@ func (r *Runner) Figure2() (*roofline.Model, error) {
 type TMACritique struct {
 	Case string
 	// TMA's view.
-	TMA *tma.Breakdown
+	TMA *TMABreakdown
 	// The metric's view.
 	Report *core.Report
 	// TrueLoadedLatencyNs is the simulator's ground truth.
@@ -82,7 +81,7 @@ func (r *Runner) TMACritiques() ([]TMACritique, error) {
 		if err != nil {
 			return nil, err
 		}
-		breakdown, err := tma.Analyze(p, res)
+		breakdown, err := analyzeTMA(p, res)
 		if err != nil {
 			return nil, err
 		}

@@ -1,11 +1,10 @@
-// Package tma implements a Top-Down Microarchitecture Analysis baseline in
-// the style of Intel VTune's microarchitecture exploration (Yasin, ISPASS
-// 2014) — the state of the art the paper critiques in §I. It attributes
-// pipeline slots to Retiring / Front-end / Bad-speculation / Back-end,
-// splits the back end into core-bound and memory-bound, and splits
-// memory-bound into latency-bound and bandwidth-bound by thresholding the
-// memory-controller occupancy — reproducing both the method and its
-// documented failure modes:
+// The TMA baseline: a Top-Down Microarchitecture Analysis in the style of
+// Intel VTune's microarchitecture exploration (Yasin, ISPASS 2014) — the
+// state of the art the paper critiques in §I. It attributes pipeline slots
+// to Retiring / Front-end / Bad-speculation / Back-end, splits the back end
+// into core-bound and memory-bound, and splits memory-bound into
+// latency-bound and bandwidth-bound by thresholding the memory-controller
+// occupancy — reproducing both the method and its documented failure modes:
 //
 //   - the latency/bandwidth split follows a self-defined occupancy
 //     threshold and routinely mislabels loaded-latency problems;
@@ -15,7 +14,8 @@
 //     9-cycle example);
 //   - the breakdown is whole-program by default, hiding per-routine
 //     behaviour (the paper's dim3_sweep example).
-package tma
+
+package experiments
 
 import (
 	"fmt"
@@ -24,8 +24,8 @@ import (
 	"littleslaw/internal/sim"
 )
 
-// Breakdown is a TMA-style report for one run.
-type Breakdown struct {
+// TMABreakdown is a TMA-style report for one run.
+type TMABreakdown struct {
 	// Top level, fractions of pipeline slots (sum to 1).
 	Retiring       float64
 	FrontEnd       float64
@@ -49,12 +49,12 @@ type Breakdown struct {
 	MCOccupancy float64
 }
 
-// bandwidthThreshold is TMA's self-defined memory-controller occupancy
+// tmaBandwidthThreshold is TMA's self-defined memory-controller occupancy
 // above which memory-bound cycles are attributed to bandwidth.
-const bandwidthThreshold = 0.7
+const tmaBandwidthThreshold = 0.7
 
-// Analyze produces the TMA breakdown for a simulated run.
-func Analyze(p *platform.Platform, res *sim.Result) (*Breakdown, error) {
+// analyzeTMA produces the TMA breakdown for a simulated run.
+func analyzeTMA(p *platform.Platform, res *sim.Result) (*TMABreakdown, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func Analyze(p *platform.Platform, res *sim.Result) (*Breakdown, error) {
 		return nil, fmt.Errorf("tma: nil result")
 	}
 
-	b := &Breakdown{}
+	b := &TMABreakdown{}
 
 	// Memory-controller occupancy: achieved bandwidth over peak.
 	b.MCOccupancy = res.TotalGBs / p.PeakGBs()
@@ -91,11 +91,11 @@ func Analyze(p *platform.Platform, res *sim.Result) (*Breakdown, error) {
 	// The bandwidth/latency split: all memory-bound cycles above the MC
 	// threshold become "bandwidth bound", the rest "latency bound" —
 	// regardless of what the loaded latency actually is.
-	if b.MCOccupancy >= bandwidthThreshold {
+	if b.MCOccupancy >= tmaBandwidthThreshold {
 		b.BandwidthBound = 0.55
 		b.LatencyBound = 0.45
 	} else {
-		frac := b.MCOccupancy / bandwidthThreshold
+		frac := b.MCOccupancy / tmaBandwidthThreshold
 		b.BandwidthBound = 0.55 * frac
 		b.LatencyBound = 1 - b.BandwidthBound
 	}
@@ -106,7 +106,7 @@ func Analyze(p *platform.Platform, res *sim.Result) (*Breakdown, error) {
 }
 
 // Summary renders the breakdown the way a VTune-style report does.
-func (b *Breakdown) Summary() string {
+func (b *TMABreakdown) Summary() string {
 	return fmt.Sprintf(
 		"Retiring %.0f%% | Front-end %.0f%% | Bad speculation %.0f%% | Back-end %.0f%% "+
 			"(core %.0f%%, memory %.0f%%; of memory: bandwidth %.0f%%, latency %.0f%%) | avg load latency %.0f cycles",

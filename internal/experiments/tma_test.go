@@ -1,4 +1,4 @@
-package tma
+package experiments
 
 import (
 	"math"
@@ -9,25 +9,25 @@ import (
 	"littleslaw/internal/sim"
 )
 
-func TestAnalyzeValidation(t *testing.T) {
-	if _, err := Analyze(platform.SKL(), nil); err == nil {
+func TestTMAAnalyzeValidation(t *testing.T) {
+	if _, err := analyzeTMA(platform.SKL(), nil); err == nil {
 		t.Fatal("nil result accepted")
 	}
 	bad := platform.SKL()
 	bad.Cores = 0
-	if _, err := Analyze(bad, &sim.Result{}); err == nil {
+	if _, err := analyzeTMA(bad, &sim.Result{}); err == nil {
 		t.Fatal("invalid platform accepted")
 	}
 }
 
-func TestTopLevelSumsToOne(t *testing.T) {
+func TestTMATopLevelSumsToOne(t *testing.T) {
 	p := platform.SKL()
 	for _, res := range []*sim.Result{
 		{TotalGBs: 100, L1FullStallFrac: 0.5, MeanLoadLatencyNs: 120},
 		{TotalGBs: 5, L1FullStallFrac: 0.0, MeanLoadLatencyNs: 20},
 		{TotalGBs: 120, L1FullStallFrac: 1.5, MeanLoadLatencyNs: 200}, // clamped
 	} {
-		b, err := Analyze(p, res)
+		b, err := analyzeTMA(p, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,18 +41,18 @@ func TestTopLevelSumsToOne(t *testing.T) {
 	}
 }
 
-// TestPrefetchedStreamReportsTinyLatency reproduces the paper's hpcg
+// TestTMAPrefetchedStreamReportsTinyLatency reproduces the paper's hpcg
 // anecdote: at ~86%% of peak bandwidth the derived average latency reads as
 // a few tens of cycles because demand loads hit prefetched lines, while the
 // true loaded latency is ~378 cycles.
-func TestPrefetchedStreamReportsTinyLatency(t *testing.T) {
+func TestTMAPrefetchedStreamReportsTinyLatency(t *testing.T) {
 	p := platform.SKL()
 	res := &sim.Result{
 		TotalGBs:          110,
 		MeanLoadLatencyNs: 15, // demand loads hit L2 thanks to the prefetcher
 		MeanDRAMLatencyNs: 180,
 	}
-	b, err := Analyze(p, res)
+	b, err := analyzeTMA(p, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +68,16 @@ func TestPrefetchedStreamReportsTinyLatency(t *testing.T) {
 	}
 }
 
-// TestBandwidthLatencySplitIsThresholdDriven: the split flips with MC
+// TestTMABandwidthLatencySplitIsThresholdDriven: the split flips with MC
 // occupancy, not with the actual latency behaviour — the §I SNAP critique
 // (27%% bandwidth / 23%% latency with no clear guidance).
-func TestBandwidthLatencySplitIsThresholdDriven(t *testing.T) {
+func TestTMABandwidthLatencySplitIsThresholdDriven(t *testing.T) {
 	p := platform.SKL()
-	low, err := Analyze(p, &sim.Result{TotalGBs: 30, L1FullStallFrac: 0.4, MeanLoadLatencyNs: 150})
+	low, err := analyzeTMA(p, &sim.Result{TotalGBs: 30, L1FullStallFrac: 0.4, MeanLoadLatencyNs: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := Analyze(p, &sim.Result{TotalGBs: 120, L1FullStallFrac: 0.4, MeanLoadLatencyNs: 150})
+	high, err := analyzeTMA(p, &sim.Result{TotalGBs: 120, L1FullStallFrac: 0.4, MeanLoadLatencyNs: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBandwidthLatencySplitIsThresholdDriven(t *testing.T) {
 	}
 	// Near the threshold, both categories get substantial weight — the
 	// "27% bandwidth / 23% latency" unclear-guidance zone.
-	mid, err := Analyze(p, &sim.Result{TotalGBs: 0.72 * p.PeakGBs(), L1FullStallFrac: 0.5, MeanLoadLatencyNs: 60})
+	mid, err := analyzeTMA(p, &sim.Result{TotalGBs: 0.72 * p.PeakGBs(), L1FullStallFrac: 0.5, MeanLoadLatencyNs: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,10 @@ func TestBandwidthLatencySplitIsThresholdDriven(t *testing.T) {
 	}
 }
 
-func TestMemoryVsCoreBound(t *testing.T) {
+func TestTMAMemoryVsCoreBound(t *testing.T) {
 	p := platform.KNL()
-	memHeavy, _ := Analyze(p, &sim.Result{TotalGBs: 200, L1FullStallFrac: 0.7, MeanLoadLatencyNs: 170})
-	compute, _ := Analyze(p, &sim.Result{TotalGBs: 10, L1FullStallFrac: 0.01, MeanLoadLatencyNs: 30})
+	memHeavy, _ := analyzeTMA(p, &sim.Result{TotalGBs: 200, L1FullStallFrac: 0.7, MeanLoadLatencyNs: 170})
+	compute, _ := analyzeTMA(p, &sim.Result{TotalGBs: 10, L1FullStallFrac: 0.01, MeanLoadLatencyNs: 30})
 	if memHeavy.MemoryBound <= compute.MemoryBound {
 		t.Errorf("memory-bound ordering wrong: %.2f vs %.2f", memHeavy.MemoryBound, compute.MemoryBound)
 	}
@@ -112,8 +112,8 @@ func TestMemoryVsCoreBound(t *testing.T) {
 	}
 }
 
-func TestSummaryRenders(t *testing.T) {
-	b, _ := Analyze(platform.SKL(), &sim.Result{TotalGBs: 60, L1FullStallFrac: 0.3, MeanLoadLatencyNs: 100})
+func TestTMASummaryRenders(t *testing.T) {
+	b, _ := analyzeTMA(platform.SKL(), &sim.Result{TotalGBs: 60, L1FullStallFrac: 0.3, MeanLoadLatencyNs: 100})
 	s := b.Summary()
 	for _, want := range []string{"Retiring", "Back-end", "bandwidth", "latency", "cycles"} {
 		if !strings.Contains(s, want) {
