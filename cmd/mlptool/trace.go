@@ -137,7 +137,13 @@ func traceAnalyze(ctx context.Context, args []string, stdout, stderr io.Writer) 
 			files = append(files, f)
 			g := tracefile.NewGenerator(r)
 			replays = append(replays, g)
-			return offsetGen{inner: g, offset: uint64(coreID+1) << 40}
+			// A per-core address arena, so the copies share no lines.
+			offset := uint64(coreID+1) << 40
+			return cpu.GeneratorFunc(func() (cpu.Op, bool) {
+				op, ok := g.Next()
+				op.Addr += offset
+				return op, ok
+			})
 		},
 	}, core.Measurement{Routine: path, RandomAccess: prof.RandomAccess()})
 	if openErr != nil {
@@ -184,17 +190,4 @@ func readTrace(path string) (tracefile.Header, access.Profile, map[memsys.Kind]i
 		err = fmt.Errorf("%s: %w", path, g.Err())
 	}
 	return r.Header, prof, kinds, err
-}
-
-// offsetGen shifts a trace's addresses into a per-core arena so replayed
-// copies do not falsely share lines across cores.
-type offsetGen struct {
-	inner  cpu.Generator
-	offset uint64
-}
-
-func (g offsetGen) Next() (cpu.Op, bool) {
-	op, ok := g.inner.Next()
-	op.Addr += g.offset
-	return op, ok
 }

@@ -59,8 +59,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial; output is identical either way)")
 	timeout := fs.Duration("timeout", 0, "overall deadline (0 = none)")
 	version := fs.Bool("version", false, "print version and exit")
-	if err := parse(fs, args); err != nil {
-		return err
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
 	}
 	if *version {
 		buildinfo.Print(stdout, "paperbench")
@@ -134,16 +137,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// parse parses args into fs, turning a rejected command line into errUsage
-// (flag.ErrHelp, for -h, passes through).
-func parse(fs *flag.FlagSet, args []string) error {
-	err := fs.Parse(args)
-	if err != nil && !errors.Is(err, flag.ErrHelp) {
-		return errUsage
-	}
-	return err
-}
-
 func runAblation(w io.Writer, r *experiments.Runner, name string) error {
 	switch name {
 	case "mshr-sweep":
@@ -156,7 +149,6 @@ func runAblation(w io.Writer, r *experiments.Runner, name string) error {
 			fmt.Fprintf(w, "  %2d MSHRs: %6.1f GB/s (true occupancy %5.2f)\n", p.L1MSHRs, p.BandwidthGBs, p.TrueL1Occ)
 		}
 		fmt.Fprintln(w, "(random-access bandwidth tracks the MSHR file — the structural basis of the metric)")
-		fmt.Fprintln(w)
 	case "stream-table":
 		pts, err := r.StreamTableSweep(nil)
 		if err != nil {
@@ -168,7 +160,6 @@ func runAblation(w io.Writer, r *experiments.Runner, name string) error {
 				p.Streams, p.BW2HT, p.BW4HT, p.Gain4HTOver)
 		}
 		fmt.Fprintln(w, "(the 16-entry table explains the paper's weak 1.03x 4-way gain)")
-		fmt.Fprintln(w)
 	case "coalescing":
 		ab, err := r.Coalescing()
 		if err != nil {
@@ -177,7 +168,6 @@ func runAblation(w io.Writer, r *experiments.Runner, name string) error {
 		fmt.Fprintln(w, "ABLATION — MSHR coalescing (word-granular stream, SKL)")
 		fmt.Fprintf(w, "  coalesced: %.1f GB/s | duplicated: %.1f GB/s | traffic per work %.2fx | slowdown %.2fx\n",
 			ab.BWCoalesced, ab.BWDuplicate, ab.TrafficBlowup, ab.Slowdown)
-		fmt.Fprintln(w)
 	case "future-hbm":
 		res, err := r.FutureHBM()
 		if err != nil {
@@ -187,7 +177,6 @@ func runAblation(w io.Writer, r *experiments.Runner, name string) error {
 		fmt.Fprintf(w, "  %.0f GB/s = %.0f%% of peak while L2 MSHR occupancy is %.1f of %d\n",
 			res.BandwidthGBs, 100*res.PeakFraction, res.TrueL2Occ, res.L2Capacity)
 		fmt.Fprintln(w, "(the MSHR file fills long before peak bandwidth: 'below peak' no longer implies compute-bound)")
-		fmt.Fprintln(w)
 	case "prefetch-level":
 		res, err := r.PrefetchLevel()
 		if err != nil {
@@ -196,7 +185,6 @@ func runAblation(w io.Writer, r *experiments.Runner, name string) error {
 		fmt.Fprintln(w, "ABLATION — software-prefetch target level (ISx/KNL +vect,2ht, §III-C)")
 		fmt.Fprintf(w, "  prefetch to L1: %.2fx | prefetch to L2: %.2fx\n", res.L1Speedup, res.L2Speedup)
 		fmt.Fprintln(w, "(L1 prefetches compete with demand for the scarce L1 MSHRs; L2 prefetches use the idle L2 file)")
-		fmt.Fprintln(w)
 	case "cache-mode":
 		out, err := r.CacheMode()
 		if err != nil {
@@ -208,10 +196,10 @@ func runAblation(w io.Writer, r *experiments.Runner, name string) error {
 				c.Workload, c.FlatOverCache, 100*c.MCHitFrac)
 		}
 		fmt.Fprintln(w, "(the paper's flat-mode choice: random footprints beyond the cache thrash it)")
-		fmt.Fprintln(w)
 	default:
 		return fmt.Errorf("unknown ablation %q", name)
 	}
+	fmt.Fprintln(w)
 	return nil
 }
 
@@ -253,7 +241,6 @@ func runExperiment(w io.Writer, r *experiments.Runner, name string) error {
 			fmt.Fprintf(w, "  metric: %s\n", c.Report)
 			fmt.Fprintf(w, "  true loaded latency: %.0f ns\n  %s\n", c.TrueLoadedLatencyNs, c.Commentary)
 		}
-		fmt.Fprintln(w)
 	case "latency-counter":
 		exp, err := r.LatencyCounterCritique()
 		if err != nil {
@@ -265,7 +252,6 @@ func runExperiment(w io.Writer, r *experiments.Runner, name string) error {
 			fmt.Fprintf(w, "  loads reported above %3d cycles: %4.0f%%\n", s.ThresholdCycles, 100*s.Fraction)
 		}
 		fmt.Fprintln(w, "(the counter attributes re-dispatch and page walks to latency; the paper measured 75% above 512cy against a true ~378cy)")
-		fmt.Fprintln(w)
 	case "mshr-stalls":
 		exp, err := r.MSHRStalls()
 		if err != nil {
@@ -276,7 +262,6 @@ func runExperiment(w io.Writer, r *experiments.Runner, name string) error {
 		fmt.Fprintf(w, "  +l2-pref:  L1 occupancy %.2f, L2 occupancy %.2f (speedup %.2fx)\n",
 			exp.PrefL1Occ, exp.PrefL2Occ, exp.Speedup)
 		fmt.Fprintln(w, "(the bottleneck moves from the L1 MSHR file to the larger L2 file, as the paper verified with a cycle-level simulator)")
-		fmt.Fprintln(w)
 	case "idle-latency":
 		out, err := r.IdleLatencyAblations()
 		if err != nil {
@@ -292,9 +277,9 @@ func runExperiment(w io.Writer, r *experiments.Runner, name string) error {
 				a.Case, a.BandwidthGBs, a.IdleNs, a.OccIdle, a.LoadedNs, a.OccLoaded, verdict)
 		}
 		fmt.Fprintln(w, "(vendor idle latency underestimates MLP; the loaded profile is what makes Little's Law usable)")
-		fmt.Fprintln(w)
 	default:
 		return fmt.Errorf("unknown experiment %q", name)
 	}
+	fmt.Fprintln(w)
 	return nil
 }

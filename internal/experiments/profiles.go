@@ -12,7 +12,9 @@ import (
 // deterministic stand-in for the X-Mem characterization used by the test
 // suite (including the golden-table harness) and by the service's
 // -paper-profiles fast-start mode: reproducible to the byte and free,
-// where the honest sweep costs a multi-minute simulation per platform.
+// where the honest sweep simulates every operating point (at the default
+// 300 probes, about 0.4 s for SKL, 0.8–1 s for A64FX and 2–2.6 s for KNL on
+// a 2-core x86-64 box).
 func PaperProfileFor(p *platform.Platform) (*queueing.Curve, error) {
 	switch p.Name {
 	case "SKL":
