@@ -53,6 +53,8 @@ func TestErrors(t *testing.T) {
 		{[]string{"-experiment", "nope"}, `unknown experiment "nope"`},
 		{[]string{"-ablation", "nope"}, `unknown ablation "nope"`},
 		{[]string{"-table", "XII"}, "XII"},
+		// A scale no other test runs, so no cached run answers before the
+		// deadline is checked.
 		{[]string{"-table", "IV", "-scale", "0.004", "-platform", "SKL", "-timeout", "1ns"}, "deadline exceeded"},
 	} {
 		if _, err := runArgs(t, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
