@@ -5,17 +5,16 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
 
 	"littleslaw"
 	"littleslaw/internal/core"
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
-	"littleslaw/internal/profiler"
 	"littleslaw/internal/roofline"
 	"littleslaw/internal/runner"
 	"littleslaw/internal/sim"
+	"littleslaw/internal/stream"
 	"littleslaw/internal/workloads"
 	"littleslaw/internal/xmem"
 )
@@ -178,8 +177,9 @@ func Example_isxWalkthrough() {
 
 // Example_snapRoutines demonstrates the paper's §III-D methodology point:
 // collect the metric per routine, not per program. A SNAP-like application
-// is profiled as its phases — the hot dim3_sweep plus lighter solver
-// phases — and the whole-program average is shown to wash the sweep's
+// is replayed as its phases — the hot dim3_sweep plus lighter solver
+// phases — through the stream monitor /v1/watch serves, and its
+// whole-program average is shown to wash the sweep's
 // signal out (the paper found the same on real SNAP: only the per-routine
 // profile revealed dim3_sweep as latency-bound and prefetchable).
 func Example_snapRoutines() {
@@ -201,21 +201,49 @@ func Example_snapRoutines() {
 		log.Fatal(err)
 	}
 
-	app, err := profiler.Profile(skl, profile, []profiler.Phase{
-		{Name: "dim3_sweep", Config: snap.Config(skl, 1, 0.05), TimeWeight: 0.55},
-		{Name: "outer_solver", Config: comd.Config(skl, 1, 0.05), TimeWeight: 0.45, RandomAccess: true},
+	// Replay each phase as counter samples in proportion to its share of
+	// the run (11:9 is 55 %:45 %), one sample per monitor window, so each
+	// phase report is that routine's own measurement and the summary is
+	// the time-weighted whole-program average.
+	ctx := context.Background()
+	src, runs, err := stream.Replay(ctx, []stream.ReplayPhase{
+		{Label: "dim3_sweep", Config: snap.Config(skl, 1, 0.05), Samples: 11},
+		{Label: "outer_solver", Config: comd.Config(skl, 1, 0.05), Samples: 9},
+	}, stream.ReplayOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := stream.Config{Platform: skl, Profile: profile, WindowSamples: 1, StrideSamples: 1}
+	for _, r := range runs {
+		cfg.ActiveCores = max(cfg.ActiveCores, r.Result.Cores)
+		cfg.ThreadsPerCore = max(cfg.ThreadsPerCore, r.Result.ThreadsPerCore)
+	}
+	var phases []*stream.PhaseEvent
+	whole, err := stream.Monitor(ctx, src, cfg, func(ev stream.Event) error {
+		if ev.Kind == "phase" {
+			phases = append(phases, ev.Phase)
+		}
+		return nil
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := app.Write(os.Stdout); err != nil {
-		log.Fatal(err)
+	if len(phases) != len(runs) {
+		log.Fatalf("monitor found %d phases in %d routines", len(phases), len(runs))
 	}
 
+	fmt.Println("Profile on SKL (per-routine, then whole-program)")
+	fmt.Printf("%-20s %7s %12s %10s %8s %10s\n", "Routine", "Time%", "BW GB/s", "lat ns", "n_avg", "limiter")
+	for i, ph := range phases {
+		fmt.Printf("%-20s %6.1f%% %12.1f %10.0f %8.2f %7s/%d\n", runs[i].Label,
+			100*float64(ph.Windows)/float64(whole.Windows), ph.BandwidthGBs, ph.LatencyNs,
+			ph.Occupancy, ph.Limiter, ph.LimiterCapacity)
+	}
+	fmt.Printf("%-20s %6s %12.1f %10s %8.2f %10s  (misleading average)\n",
+		"whole-program", "100%", whole.BandwidthGBs, "", whole.Occupancy, "")
+
 	fmt.Println()
-	sweep := app.Routines[0].Report
-	whole := app.WholeProgram
-	fmt.Printf("per-routine: dim3_sweep runs at n_avg %.2f with headroom → the recipe points at software prefetching.\n", sweep.Occupancy)
+	fmt.Printf("per-routine: dim3_sweep runs at n_avg %.2f with headroom → the recipe points at software prefetching.\n", phases[0].Occupancy)
 	fmt.Printf("whole-program: the average (n_avg %.2f) blends the light solver in and undersells the sweep's memory problem.\n", whole.Occupancy)
 
 	// Confirm the per-routine guidance pays off.
@@ -236,7 +264,7 @@ func Example_snapRoutines() {
 	// Routine                Time%      BW GB/s     lat ns    n_avg    limiter
 	// dim3_sweep             55.0%         55.9         91     3.31      L2/16
 	// outer_solver           45.0%          3.2         82     0.17      L1/10
-	// whole-program          100%         32.2         86     1.81      L1/10  (misleading average)
+	// whole-program          100%         32.2                1.81             (misleading average)
 	//
 	// per-routine: dim3_sweep runs at n_avg 3.31 with headroom → the recipe points at software prefetching.
 	// whole-program: the average (n_avg 1.81) blends the light solver in and undersells the sweep's memory problem.

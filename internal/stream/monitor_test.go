@@ -1,6 +1,6 @@
-// Monitor tests live in an external test package so they can share the
-// §III-D two-phase fixture with the profiler's table test (streamtest
-// imports stream, so an internal test file could not import it).
+// Monitor tests live in an external test package so they can use the
+// §III-D two-phase fixture (streamtest imports stream, so an internal test
+// file could not import it).
 package stream_test
 
 import (
@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"littleslaw/internal/core"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/stream"
 	"littleslaw/internal/stream/streamtest"
@@ -230,5 +231,126 @@ func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d sample %d: %+v vs %+v", workers, i, got[i], first[i])
 			}
 		}
+	}
+}
+
+// TestPerPhaseAgainstWholeProgram is the §III-D comparison at one sample
+// per window: each detected phase is exactly core.Analyze on its own
+// replayed run, and the summary is exactly core.Analyze on the
+// sample-weighted mean of all samples — the whole-program profile. Over
+// the fixture's two phases at three time splits, the aggregate's action
+// always betrays the hot phase, and at the balanced and hot-dominated
+// splits it matches no phase at all.
+func TestPerPhaseAgainstWholeProgram(t *testing.T) {
+	p := platform.SKL()
+	cases := []struct {
+		name               string
+		hot, light         int
+		divergesEveryPhase bool
+	}{
+		{"equal-time", 5, 5, true},
+		{"hot-dominated", 8, 2, true},
+		{"light-dominated", 2, 8, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			phases := streamtest.TwoPhaseReplay(p, 0)
+			phases[0].Samples, phases[1].Samples = tc.hot, tc.light
+			src, results, err := stream.Replay(context.Background(), phases, stream.ReplayOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := stream.Config{
+				Platform: p, Profile: streamtest.Curve(),
+				WindowSamples: 1, StrideSamples: 1, ActiveCores: 8, RandomAccess: true,
+			}
+			var got []*stream.PhaseEvent
+			sum, err := stream.Monitor(context.Background(), src, cfg, func(ev stream.Event) error {
+				if ev.Kind == "phase" {
+					got = append(got, ev.Phase)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(phases) {
+				t.Fatalf("detected %d phases, want %d", len(got), len(phases))
+			}
+
+			// The monitor averages samples in stream order; summing the
+			// same values in the same order makes the comparison exact.
+			analyze := func(runs []stream.ReplayResult, counts []int) *core.Report {
+				var bw, pf float64
+				n := 0
+				for i, r := range runs {
+					for k := 0; k < counts[i]; k++ {
+						bw += r.Result.TotalGBs
+						pf += r.Result.PrefetchedReadFraction
+						n++
+					}
+				}
+				rep, err := core.Analyze(p, cfg.Profile, core.Measurement{
+					Routine:                "stream",
+					BandwidthGBs:           bw / float64(n),
+					ActiveCores:            cfg.ActiveCores,
+					ThreadsPerCore:         1,
+					PrefetchedReadFraction: pf / float64(n),
+					RandomAccess:           cfg.RandomAccess,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			var reps []*core.Report
+			for i, pe := range got {
+				rep := analyze(results[i:i+1], []int{phases[i].Samples})
+				if pe.Windows != phases[i].Samples || pe.BandwidthGBs != rep.BandwidthGBs ||
+					pe.LatencyNs != rep.LatencyNs || pe.Occupancy != rep.Occupancy ||
+					pe.Limiter != rep.Limiter.String() || pe.LimiterCapacity != rep.LimiterCapacity ||
+					pe.Action != core.Classify(rep).String() {
+					t.Errorf("phase %d (%s) = %+v, core.Analyze on its run = %+v", i, results[i].Label, pe, rep)
+				}
+				reps = append(reps, rep)
+			}
+			whole := analyze(results, []int{tc.hot, tc.light})
+			if sum.Samples != tc.hot+tc.light || sum.BandwidthGBs != whole.BandwidthGBs ||
+				sum.Occupancy != whole.Occupancy || sum.Action != core.Classify(whole).String() {
+				t.Errorf("summary = %+v, core.Analyze on the sample-weighted mean = %+v", sum, whole)
+			}
+
+			// The fixture's contract: a saturated L1 MSHR queue with idle
+			// L2 MSHRs next to an almost idle phase.
+			hot, light := core.Classify(reps[0]), core.Classify(reps[1])
+			if hot != core.ShiftToL2 || light != core.ComputeBound {
+				t.Fatalf("fixture drifted: hot=%s light=%s", hot, light)
+			}
+			// The aggregate always hides the hot phase's saturation.
+			action := core.Classify(whole)
+			if action == hot {
+				t.Fatalf("whole-program action %s matches the hot phase", action)
+			}
+			if tc.divergesEveryPhase && action == light {
+				t.Fatalf("whole-program action %s matches the light phase", action)
+			}
+			if !sum.MisleadingAggregate {
+				t.Fatalf("aggregate not flagged as misleading: %+v", sum)
+			}
+			if o := whole.Occupancy; o <= reps[1].Occupancy || o >= reps[0].Occupancy {
+				t.Fatalf("whole-program occupancy %.2f not strictly between the phases", o)
+			}
+			if reps[0].OccupancySaturated() && whole.OccupancySaturated() {
+				t.Fatal("whole-program view should hide the hot phase's saturation")
+			}
+		})
+	}
+}
+
+// TestReplayNoPhases: a replay with nothing to run is an error, not an
+// empty stream.
+func TestReplayNoPhases(t *testing.T) {
+	if _, _, err := stream.Replay(context.Background(), nil, stream.ReplayOptions{}); err == nil {
+		t.Fatal("replay of no phases accepted")
 	}
 }
