@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"littleslaw/internal/core"
-	"littleslaw/internal/counters"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
 	"littleslaw/internal/roofline"
@@ -109,7 +108,7 @@ func (r *Runner) TMACritiques() ([]TMACritique, error) {
 // LatencyCounterCritique reproduces §II's threshold-counter experiment:
 // ISx on SKL with the Intel loads-above-threshold histogram.
 type LatencyCounterExperiment struct {
-	Samples             []counters.ThresholdSample
+	Samples             []ThresholdSample
 	TrueLoadedLatencyNs float64
 	TrueLoadedLatencyCy float64
 }
@@ -123,11 +122,11 @@ func (r *Runner) LatencyCounterCritique() (*LatencyCounterExperiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := counters.ModelFor("SKL")
+	model, err := vendorModelFor("SKL")
 	if err != nil {
 		return nil, err
 	}
-	samples, err := counters.ThresholdCounter(model, res, p, true)
+	samples, err := thresholdCounter(model, res, p, true)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +172,7 @@ func DescribeStatic(id string) (string, error) {
 	case "I":
 		s := "TABLE I — Counter visibility across vendors\n"
 		s += fmt.Sprintf("%-10s %-15s %-15s %-15s %-12s\n", "Vendor", "Stall breakdown", "L1-MSHRQ-full", "L2-MSHRQ-full", "Mem latency")
-		for _, m := range counters.Models() {
+		for _, m := range vendorModels() {
 			s += fmt.Sprintf("%-10s %-15s %-15s %-15s %-12s\n",
 				m.Vendor, m.StallBreakdown, m.L1MSHRQFull, m.L2MSHRQFull, m.MemoryLatency)
 		}
