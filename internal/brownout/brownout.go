@@ -8,7 +8,7 @@
 //	B0 full       every request runs the discrete-event kernel
 //	B1 stale      the runner may serve expired cache entries, marked Stale
 //	B2 analytic   analyze/advise answered by the closed-form fixed point
-//	              (analytic.Predict) instead of the kernel, marked Approximate
+//	              (service.predict) instead of the kernel, marked Approximate
 //	B3 partial    non-critical routes (tables, traces, watch) shed; the
 //	              critical analyze/advise surface stays alive
 //	B4 shed       everything but admin endpoints sheds

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"littleslaw/internal/analytic"
 	"littleslaw/internal/brownout"
 	"littleslaw/internal/core"
 	"littleslaw/internal/platform"
@@ -147,11 +146,7 @@ func (s *Server) analyticMeasurement(ctx context.Context, p *platform.Platform, 
 		return core.Measurement{}, err
 	}
 	a := trace.Begin(ctx, "analytic")
-	pred, err := analytic.Predict(p, profile, analytic.Inputs{
-		ConcurrencyPerThread: float64(norm.Window),
-		ThreadsPerCore:       threads,
-		L1Bound:              w.RandomAccess(),
-	})
+	pred, err := predict(p, profile, float64(norm.Window), norm.ThreadsPerCore, w.RandomAccess())
 	a.End("predict")
 	if err != nil {
 		return core.Measurement{}, err
@@ -164,6 +159,37 @@ func (s *Server) analyticMeasurement(ctx context.Context, p *platform.Platform, 
 		PrefetchedReadFraction: -1,
 		RandomAccess:           w.RandomAccess(),
 	}, nil
+}
+
+// prediction is the equilibrium operating point of the closed-form model.
+type prediction struct {
+	BandwidthGBs float64 // node bandwidth at equilibrium
+	LatencyNs    float64 // loaded latency at that bandwidth
+	PerCoreMLP   float64 // outstanding lines per core actually sustained
+	Limited      string  // what bound the MLP: "window", "l1-mshr", "l2-mshr"
+}
+
+// predict is the closed-form counterpart of the discrete-event kernel: a
+// fixed point of the closed core⇄memory system in which each core holds
+// perThread×threads outstanding lines, capped by the binding MSHR file (L1
+// for irregular access, else L2), against the platform's bandwidth→latency
+// curve: BW = cores×n×cls/lat(BW). The platform, curve and thread count
+// arrive validated by resolveWorkload and sim.Config.Normalized.
+func predict(p *platform.Platform, profile *queueing.Curve, perThread float64, threads int, l1Bound bool) (prediction, error) {
+	if perThread <= 0 {
+		return prediction{}, fmt.Errorf("analytic: concurrency must be positive")
+	}
+	n := perThread * float64(threads)
+	limited := "window"
+	cap, capName := float64(p.L2.MSHRs), "l2-mshr"
+	if l1Bound {
+		cap, capName = float64(p.L1.MSHRs), "l1-mshr"
+	}
+	if n >= cap {
+		n, limited = cap, capName
+	}
+	bw, lat := profile.SolveEquilibrium(n*float64(p.Cores), p.LineBytes)
+	return prediction{BandwidthGBs: bw, LatencyNs: lat, PerCoreMLP: n, Limited: limited}, nil
 }
 
 // analyzeOne runs one analyze request to a response — the shared core of

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -239,6 +240,43 @@ func measure(ctx context.Context, p *platform.Platform, opts Options, lv Level) 
 	bw := float64(bytes) / window.Seconds() / 1e9
 	lat := float64(latAccum) / float64(opts.ProbeOps) / 1e3 // ps → ns
 	return queueing.CurvePoint{BandwidthGBs: bw, LatencyNs: lat}, nil
+}
+
+// PredictCurve constructs a bandwidth→latency profile from the platform's
+// DRAM constants alone, using open-loop queueing approximations (M/D/1 at
+// each bank and at each channel bus, on top of the uncontended path). It
+// is a cross-check on Characterize: the two are independent derivations of
+// the same machine and should agree at moderate utilization (the DESIGN.md
+// analytic-vs-DES ablation); near saturation the closed-loop measurement
+// is authoritative.
+func PredictCurve(p *platform.Platform, points int) (*queueing.Curve, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if points < 2 {
+		points = 12
+	}
+	m := p.Memory
+	idle := m.BaseLatencyNs + m.RowMissNs + m.TransferNs(p.LineBytes) +
+		p.CyclesNs(p.L1.HitCycles+p.L2.HitCycles)
+
+	// Service capacities in lines/ns.
+	bankSvcNs := m.RowMissNs // random traffic: row misses dominate under load
+	bankCap := float64(m.Channels*m.BanksPerChannel) / bankSvcNs
+	busSvcNs := m.TransferNs(p.LineBytes)
+	busCap := float64(m.Channels) * (1 / busSvcNs)
+	lineGBs := float64(p.LineBytes) // GB/s per line/ns is lineBytes (1e9/1e9)
+
+	maxLines := math.Min(bankCap, busCap) * 0.98
+	var pts []queueing.CurvePoint
+	for i := 0; i < points; i++ {
+		lines := float64(i) / float64(points-1) * 0.97 * maxLines
+		lat := idle +
+			queueing.MDCWaitApprox(bankSvcNs, lines/bankCap, 1) + // per-bank M/D/1 (hashed arrivals)
+			queueing.MDCWaitApprox(busSvcNs, lines/busCap, 1)
+		pts = append(pts, queueing.CurvePoint{BandwidthGBs: lines * lineGBs, LatencyNs: lat})
+	}
+	return queueing.NewCurve(pts)
 }
 
 // Profile is a serializable bandwidth→latency profile for one platform.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -238,6 +239,56 @@ func TestCalibrationAgainstPaperAnchors(t *testing.T) {
 		minAchievable := map[string]float64{"SKL": 106, "KNL": 330, "A64FX": 760}[p.Name]
 		if maxBW < minAchievable {
 			t.Errorf("%s: achievable peak %.1f below paper's observed %.0f", p.Name, maxBW, minAchievable)
+		}
+	}
+}
+
+func TestPredictCurveShape(t *testing.T) {
+	for _, p := range platform.All() {
+		c, err := PredictCurve(p, 16)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		// Monotone, anchored near the platform's idle path, saturating
+		// below the theoretical peak.
+		idleWant := p.Memory.BaseLatencyNs + p.Memory.RowMissNs +
+			p.Memory.TransferNs(p.LineBytes) + p.CyclesNs(p.L1.HitCycles+p.L2.HitCycles)
+		if math.Abs(c.IdleLatencyNs()-idleWant) > 2 {
+			t.Errorf("%s predicted idle %.1f, want %.1f", p.Name, c.IdleLatencyNs(), idleWant)
+		}
+		if c.MaxBandwidthGBs() >= p.PeakGBs() {
+			t.Errorf("%s predicted achievable %.1f ≥ theoretical %.1f", p.Name, c.MaxBandwidthGBs(), p.PeakGBs())
+		}
+		prev := 0.0
+		for _, pt := range c.Points() {
+			if pt.LatencyNs < prev {
+				t.Fatalf("%s predicted curve not monotone", p.Name)
+			}
+			prev = pt.LatencyNs
+		}
+	}
+}
+
+// TestPredictedVsMeasuredCurve is the analytic-vs-DES ablation: at
+// moderate utilization the open-loop prediction and the measured closed-
+// loop curve must agree within a modest factor.
+func TestPredictedVsMeasuredCurve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is slow")
+	}
+	p := platform.SKL()
+	measured, err := ProfileFor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predicted, err := PredictCurve(p, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bw := range []float64{10, 40, 70, 90} {
+		mp, pp := measured.LatencyAt(bw), predicted.LatencyAt(bw)
+		if ratio := pp / mp; ratio < 0.7 || ratio > 1.45 {
+			t.Errorf("at %.0f GB/s: predicted %.1f vs measured %.1f ns (ratio %.2f)", bw, pp, mp, ratio)
 		}
 	}
 }
