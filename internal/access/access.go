@@ -12,11 +12,7 @@
 // applications — without materializing the access sequence.
 package access
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Kind is the coarse classification the recipe needs.
 type Kind int
@@ -268,30 +264,4 @@ func (p Profile) String() string {
 	}
 	return fmt.Sprintf("%s (%.0f%% sequential, %d streams, %d lines touched;%s)",
 		p.Kind, 100*p.SequentialFraction, p.Streams, p.FootprintLines, cdf)
-}
-
-// Entropy computes the Shannon entropy (bits) of the accesses' spatial
-// distribution over buckets of 2^bucketLog lines — an auxiliary randomness
-// measure: high entropy plus low sequential fraction is the signature of
-// hash-table traffic.
-func Entropy(lines []uint64, bucketLog uint) float64 {
-	if len(lines) == 0 {
-		return 0
-	}
-	counts := map[uint64]int{}
-	for _, l := range lines {
-		counts[l>>bucketLog]++
-	}
-	keys := make([]uint64, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	h := 0.0
-	n := float64(len(lines))
-	for _, k := range keys {
-		p := float64(counts[k]) / n
-		h -= p * math.Log2(p)
-	}
-	return h
 }

@@ -171,23 +171,6 @@ func TestWorkloadClassificationMatchesTableII(t *testing.T) {
 	}
 }
 
-func TestEntropy(t *testing.T) {
-	uniform := make([]uint64, 1024)
-	for i := range uniform {
-		uniform[i] = uint64(i)
-	}
-	if h := Entropy(uniform, 0); h < 9.9 {
-		t.Fatalf("uniform entropy = %.2f, want ~10 bits", h)
-	}
-	same := make([]uint64, 1024)
-	if h := Entropy(same, 0); h != 0 {
-		t.Fatalf("degenerate entropy = %v, want 0", h)
-	}
-	if h := Entropy(nil, 4); h != 0 {
-		t.Fatalf("empty entropy = %v", h)
-	}
-}
-
 // Property: SequentialFraction stays within [0,1]; footprint never exceeds
 // accesses; the CDF is monotone.
 func TestClassifierInvariants(t *testing.T) {
