@@ -271,6 +271,9 @@ scoreboard:
 	echo "flags defined in cmd/ (package flag or a FlagSet): $$(gofiles | grep '^cmd/' | xargs grep -hoE '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(|\b[A-Za-z_][A-Za-z0-9_]*\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc)\("' | wc -l)"; \
 	echo "Go packages: internal / main:        $$($(GO) list -f '{{.ImportPath}} {{.Name}}' ./... | awk '$$1 ~ /\/internal\// { i++ } $$2 == "main" { m++ } END { printf "%d / %d (of %d)", i, m, NR }')"; \
 	echo "main packages with no test file:     $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}} {{len .TestGoFiles}} {{len .XTestGoFiles}}{{end}}' ./... | awk 'NF { n++ } NF && $$2 + $$3 == 0 { u++; l = l " " $$1 } END { printf "%d of %d:%s", u, n, l }')"; \
+	echo "internal packages with ≤ 1 non-test importer: $$($(GO) list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}' ./... \
+		| awk '{ pkgs[$$1] = 1; for (i = 2; i <= NF; i++) n[$$i]++ } END { for (p in pkgs) if (p ~ /\/internal\// && n[p] <= 1) { sub(/^.*\/internal\//, "", p); print p } }' \
+		| sort | awk '{ l = l " " $$0 } END { printf "%d:%s", NR, l }')"; \
 	echo "Config fields, service/cluster/sim/limit: $$(for p in service cluster sim limit; do \
 		git ls-files "internal/$$p/*.go" | grep -v '_test\.go$$' | xargs cat \
 		| awk '/^type Config struct \{/ { c = 1; next } c && /^\}/ { c = 0 } c && /^\t[A-Z][A-Za-z0-9_]*([ \t]|,)/ { n++ } END { printf "%d", n }'; \
