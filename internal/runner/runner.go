@@ -1,8 +1,8 @@
 // Package runner is the single execution spine for node simulations: every
 // caller in the repository — the littleslaw facade, the experiments and
-// ablation pipelines, the autotuner, the profiler, the analysis service,
-// the stream replayer and the command-line tools — starts its simulations
-// here rather than calling the simulator directly.
+// ablation pipelines, the autotuner, the analysis service, the stream
+// replayer and the command-line tools — starts its simulations here
+// rather than calling the simulator directly.
 //
 // The runner deduplicates identical work (singleflight: concurrent
 // requests for the same canonical configuration share one execution),

@@ -322,7 +322,7 @@ func TestBrownoutAnalyticGolden(t *testing.T) {
 			t.Fatalf("%s bandwidths = %.2f sim, %.2f analytic", platformName, simBW, anaBW)
 		}
 		// Tighter than the analytic model's own curve-validation band
-		// (internal/analytic tolerates [0.7, 1.45]): for the paper
+		// (xmem.PredictCurve is held to [0.7, 1.45]): for the paper
 		// workloads the fallback tracks the kernel within a few percent,
 		// and this pin keeps it that way.
 		if ratio := anaBW / simBW; ratio < 0.8 || ratio > 1.25 {

@@ -1,8 +1,8 @@
 // Package streamtest holds the shared §III-D two-phase fixture: a
 // memory-hot random-access routine next to a compute-light one, whose
-// whole-program average misleads. The profiler's table test and the
-// stream package's phase-detector tests analyze the same application, so
-// a change to the fixture moves both ends of the argument together.
+// whole-program average misleads. The stream package's monitor tests and
+// service's /v1/watch tests analyze the same application, so a change to
+// the fixture moves both ends of the argument together.
 package streamtest
 
 import (
@@ -16,7 +16,7 @@ import (
 	"littleslaw/internal/stream"
 )
 
-// Curve returns the SKL anchor profile both tests analyze against.
+// Curve returns the SKL anchor profile the tests analyze against.
 func Curve() *queueing.Curve {
 	return queueing.MustCurve([]queueing.CurvePoint{
 		{BandwidthGBs: 0.5, LatencyNs: 82}, {BandwidthGBs: 37.9, LatencyNs: 93},
