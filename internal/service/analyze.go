@@ -181,12 +181,12 @@ func predict(p *platform.Platform, profile *queueing.Curve, perThread float64, t
 	}
 	n := perThread * float64(threads)
 	limited := "window"
-	cap, capName := float64(p.L2.MSHRs), "l2-mshr"
+	ceiling, capName := float64(p.L2.MSHRs), "l2-mshr"
 	if l1Bound {
-		cap, capName = float64(p.L1.MSHRs), "l1-mshr"
+		ceiling, capName = float64(p.L1.MSHRs), "l1-mshr"
 	}
-	if n >= cap {
-		n, limited = cap, capName
+	if n >= ceiling {
+		n, limited = ceiling, capName
 	}
 	bw, lat := profile.SolveEquilibrium(n*float64(p.Cores), p.LineBytes)
 	return prediction{BandwidthGBs: bw, LatencyNs: lat, PerCoreMLP: n, Limited: limited}, nil
