@@ -340,10 +340,72 @@ func TestPerPhaseAgainstWholeProgram(t *testing.T) {
 			if o := whole.Occupancy; o <= reps[1].Occupancy || o >= reps[0].Occupancy {
 				t.Fatalf("whole-program occupancy %.2f not strictly between the phases", o)
 			}
-			if reps[0].OccupancySaturated() && whole.OccupancySaturated() {
-				t.Fatal("whole-program view should hide the hot phase's saturation")
-			}
 		})
+	}
+}
+
+// TestPerPhaseDiffersFromWholeProgram reproduces the §III-D warning: a
+// memory-hot phase plus a compute-light phase, at a 40/60 time split,
+// average into a profile that looks moderate and hides the hot phase's
+// saturated MSHR file.
+func TestPerPhaseDiffersFromWholeProgram(t *testing.T) {
+	p := platform.SKL()
+	phases := streamtest.TwoPhaseReplay(p, 0)
+	phases[0].Samples, phases[1].Samples = 4, 6
+	src, _, err := stream.Replay(context.Background(), phases, stream.ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stream.Config{
+		Platform: p, Profile: streamtest.Curve(),
+		WindowSamples: 1, StrideSamples: 1, ActiveCores: 8, RandomAccess: true,
+	}
+	var got []*stream.PhaseEvent
+	hotSaturated := false
+	sum, err := stream.Monitor(context.Background(), src, cfg, func(ev stream.Event) error {
+		switch ev.Kind {
+		case "phase":
+			got = append(got, ev.Phase)
+		case "window":
+			hotSaturated = hotSaturated || (ev.Window.Phase == 0 && ev.Window.Saturated)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("phases = %d", len(got))
+	}
+	hot, light := got[0], got[1]
+	if hot.Occupancy <= 2*light.Occupancy {
+		t.Fatalf("phases not contrasting enough: hot %.2f vs light %.2f", hot.Occupancy, light.Occupancy)
+	}
+	// The whole-program view sits between the two and, crucially, reports
+	// the hot phase's saturation away.
+	if !(sum.Occupancy < hot.Occupancy && sum.Occupancy > light.Occupancy) {
+		t.Fatalf("whole-program occupancy %.2f not between %.2f and %.2f",
+			sum.Occupancy, light.Occupancy, hot.Occupancy)
+	}
+	whole, err := core.Analyze(p, cfg.Profile, core.Measurement{
+		Routine:        "stream",
+		BandwidthGBs:   sum.BandwidthGBs,
+		ActiveCores:    cfg.ActiveCores,
+		ThreadsPerCore: 1,
+		RandomAccess:   cfg.RandomAccess,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hotSaturated {
+		t.Fatal("fixture drifted: the hot phase never saturates its limiter")
+	}
+	if whole.OccupancySaturated() {
+		t.Fatal("whole-program view should hide the hot phase's saturation")
+	}
+	// Every sample lands in exactly one phase.
+	if n := hot.Windows + light.Windows; n != sum.Samples || n != 10 {
+		t.Fatalf("phase windows sum to %d, summary has %d samples", n, sum.Samples)
 	}
 }
 
