@@ -242,6 +242,15 @@ func TestEnvelopeContract(t *testing.T) {
 	c.do("llproxy GET /v1/faults (fan-out)", "GET", proxy+"/v1/faults", "", false)
 	c.do("llproxy GET /healthz", "GET", proxy+"/healthz", "", false)
 
+	// Failover: one of two backends answers every analyze with an injected
+	// 503. Whichever of them the request reaches first, the proxy relays
+	// the healthy one's 200.
+	_, sick := contractServer(t, service.Config{},
+		faults.Rule{Site: "handler.analyze", Kind: faults.KindError, P: 1})
+	_, well := contractServer(t, service.Config{})
+	_, _, failoverURL := contractProxy(t, []string{sick, well})
+	c.do("llproxy POST /v1/analyze (one backend handler.analyze=error)", "POST", failoverURL+"/v1/analyze", measured, false)
+
 	open, _, openURL := contractProxy(t, []string{b0, b1},
 		faults.Rule{Site: ProbeFaultSite, Kind: faults.KindError, P: 1})
 	for i := 0; i < 3; i++ {

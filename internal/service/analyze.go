@@ -58,7 +58,7 @@ func (s *Server) resolveAnalyze(ctx context.Context, req *AnalyzeRequest) (*plat
 	if req.Measurement != nil {
 		return p, req.Measurement.Measurement(), nil, nil, deg, nil
 	}
-	w, threads, scale, err := resolveWorkload(p, req)
+	w, cfgSim, err := resolveRun(p, req.Workload, req.Variant, req.ThreadsPerCore, req.Scale)
 	if err != nil {
 		return nil, core.Measurement{}, nil, nil, deg, err
 	}
@@ -69,7 +69,7 @@ func (s *Server) resolveAnalyze(ctx context.Context, req *AnalyzeRequest) (*plat
 		// instead of the kernel — ~10^3× cheaper, within the ablation
 		// tolerance of the simulated answer on the golden configs, and
 		// always marked Approximate.
-		m, err := s.analyticMeasurement(ctx, p, w, threads, scale)
+		m, err := s.analyticMeasurement(ctx, p, w, cfgSim)
 		if err != nil {
 			return nil, core.Measurement{}, nil, nil, deg, err
 		}
@@ -77,7 +77,6 @@ func (s *Server) resolveAnalyze(ctx context.Context, req *AnalyzeRequest) (*plat
 		return p, m, nil, w, deg, nil
 	}
 
-	cfgSim := w.Config(p, threads, scale)
 	var res *sim.Result
 	if mode == brownout.B1 {
 		var stale bool
@@ -92,6 +91,16 @@ func (s *Server) resolveAnalyze(ctx context.Context, req *AnalyzeRequest) (*plat
 		return nil, core.Measurement{}, nil, nil, degradation{}, err
 	}
 	return p, measured(w, res), res, w, deg, nil
+}
+
+// resolveRun resolves a workload body (name, variant, threads, scale) on p
+// to the workload and the run it asks for.
+func resolveRun(p *platform.Platform, name string, v *VariantSpec, threads int, scale float64) (workloads.Workload, sim.Config, error) {
+	w, threads, scale, err := resolveWorkload(p, &AnalyzeRequest{Workload: name, Variant: v, ThreadsPerCore: threads, Scale: scale})
+	if err != nil {
+		return nil, sim.Config{}, err
+	}
+	return w, w.Config(p, threads, scale), nil
 }
 
 // resolveWorkload resolves a workload-bodied request on p to what it asks
@@ -136,8 +145,8 @@ func measured(w workloads.Workload, res *sim.Result) core.Measurement {
 // concurrency comes from the normalized sim config's window (the per-
 // thread MLP the generator would expose), so the analytic question matches
 // the simulated one.
-func (s *Server) analyticMeasurement(ctx context.Context, p *platform.Platform, w workloads.Workload, threads int, scale float64) (core.Measurement, error) {
-	norm, err := w.Config(p, threads, scale).Normalized()
+func (s *Server) analyticMeasurement(ctx context.Context, p *platform.Platform, w workloads.Workload, cfg sim.Config) (core.Measurement, error) {
+	norm, err := cfg.Normalized()
 	if err != nil {
 		return core.Measurement{}, err
 	}
@@ -155,7 +164,7 @@ func (s *Server) analyticMeasurement(ctx context.Context, p *platform.Platform, 
 		Routine:                w.Routine(),
 		BandwidthGBs:           pred.BandwidthGBs,
 		ActiveCores:            p.Cores,
-		ThreadsPerCore:         threads,
+		ThreadsPerCore:         norm.ThreadsPerCore,
 		PrefetchedReadFraction: -1,
 		RandomAccess:           w.RandomAccess(),
 	}, nil
@@ -235,7 +244,7 @@ func (s *Server) analyzeView(ctx context.Context, req *AnalyzeRequest) ([]byte, 
 	if err != nil {
 		return nil, failWith(http.StatusNotFound, err)
 	}
-	w, threads, scale, err := resolveWorkload(p, req)
+	w, cfg, err := resolveRun(p, req.Workload, req.Variant, req.ThreadsPerCore, req.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +252,7 @@ func (s *Server) analyzeView(ctx context.Context, req *AnalyzeRequest) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	return s.cfg.SimRunner.RunRendered(ctx, w.Config(p, threads, scale), profile, func(res *sim.Result) ([]byte, error) {
+	return s.cfg.SimRunner.RunRendered(ctx, cfg, profile, func(res *sim.Result) ([]byte, error) {
 		resp, err := analyzeResponse(p, profile, measured(w, res), res)
 		if err != nil {
 			return nil, err
