@@ -146,19 +146,8 @@ func TuneContext(ctx context.Context, p *platform.Platform, profile *queueing.Cu
 	res := &Result{Workload: w.Name(), Platform: p.Name, FinalVariant: state, FinalThreads: threads}
 	tried := map[core.Optimization]bool{}
 
-	analyze := func(r *sim.Result, th int) (*core.Report, error) {
-		return core.Analyze(p, profile, core.Measurement{
-			Routine:                w.Routine(),
-			BandwidthGBs:           r.TotalGBs,
-			ActiveCores:            r.Cores,
-			ThreadsPerCore:         th,
-			PrefetchedReadFraction: r.PrefetchedReadFraction,
-			RandomAccess:           w.RandomAccess(),
-		})
-	}
-
 	for len(res.Steps) < opts.MaxSteps {
-		rep, err := analyze(cur, threads)
+		rep, err := core.Analyze(p, profile, w.Measurement(cur))
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +208,7 @@ func TuneContext(ctx context.Context, p *platform.Platform, profile *queueing.Cu
 	}
 
 	if res.FinalReport == nil {
-		rep, err := analyze(cur, threads)
+		rep, err := core.Analyze(p, profile, w.Measurement(cur))
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,6 @@ import (
 
 	"littleslaw/internal/experiments"
 	"littleslaw/internal/faults"
-	"littleslaw/internal/metrics"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
 	"littleslaw/internal/runner"
@@ -42,7 +41,6 @@ func newServiceBackends(t *testing.T, n int, ceiling float64, inj *faults.Inject
 	backends := make([]*realBackend, n)
 	for i := range backends {
 		srv := service.New(service.Config{
-			Registry:      metrics.NewRegistry(),
 			SimRunner:     runner.New(64),
 			LimitCeiling:  ceiling,
 			FaultInjector: inj,
@@ -144,7 +142,6 @@ func TestClusterCacheAffinityBeatsRandom(t *testing.T) {
 		Backends:      urls,
 		ProbeInterval: -1,
 		HedgeDelay:    -1,
-		Registry:      metrics.NewRegistry(),
 		FaultInjector: inj,
 	})
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 
 	"littleslaw/internal/client"
 	"littleslaw/internal/faults"
-	"littleslaw/internal/metrics"
 	"littleslaw/internal/queueing"
 	"littleslaw/internal/service"
 )
@@ -62,8 +61,7 @@ func TestChaosClusterFailover(t *testing.T) {
 		BreakerFailures:   3,
 		BreakerCooldown:   30 * time.Second, // no half-open trials inside the run
 		HedgeDelay:        -1,
-		ClientMaxAttempts: 1, // failover, not in-place retry, is under test
-		Registry:          metrics.NewRegistry(),
+		ClientMaxAttempts: 1,   // failover, not in-place retry, is under test
 		FaultInjector:     inj, // no cluster.* rules armed; isolates from faults.Global()
 	})
 	if err != nil {

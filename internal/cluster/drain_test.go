@@ -17,7 +17,6 @@ import (
 	"littleslaw/internal/client"
 	"littleslaw/internal/experiments"
 	"littleslaw/internal/faults"
-	"littleslaw/internal/metrics"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
 	"littleslaw/internal/runner"
@@ -62,7 +61,6 @@ func startBouncy(t *testing.T, addr string) *bouncyBackend {
 		t.Fatalf("faults.New: %v", err)
 	}
 	srv := service.New(service.Config{
-		Registry:      metrics.NewRegistry(),
 		SimRunner:     runner.New(64),
 		LimitCeiling:  64,
 		FaultInjector: inj,
@@ -141,7 +139,6 @@ func TestChaosRollingRestart(t *testing.T) {
 		BreakerCooldown:   200 * time.Millisecond,
 		HedgeDelay:        -1,
 		ClientMaxAttempts: 1, // failover across backends, not in-place retry
-		Registry:          metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

@@ -21,7 +21,6 @@ import (
 
 	"littleslaw/internal/experiments"
 	"littleslaw/internal/faults"
-	"littleslaw/internal/metrics"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
 	"littleslaw/internal/runner"
@@ -115,7 +114,6 @@ func contractServer(t *testing.T, cfg service.Config, rules ...faults.Rule) (*se
 		t.Fatal(err)
 	}
 	cfg.FaultInjector = inj
-	cfg.Registry = metrics.NewRegistry()
 	cfg.SimRunner = runner.New(64)
 	if cfg.ProfileFor == nil {
 		cfg.ProfileFor = func(_ context.Context, p *platform.Platform) (*queueing.Curve, error) {
@@ -139,7 +137,6 @@ func contractProxy(t *testing.T, backends []string, rules ...faults.Rule) (*Prox
 	p, err := New(Config{
 		Backends:      backends,
 		ProbeInterval: -1,
-		Registry:      metrics.NewRegistry(),
 		FaultInjector: inj,
 		Seed:          1,
 	})

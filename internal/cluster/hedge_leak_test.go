@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"littleslaw/internal/faults"
-	"littleslaw/internal/metrics"
 )
 
 // connTracker records every connection's latest http.ConnState so a test
@@ -77,7 +76,6 @@ func TestHedgedLoserConnectionsNotLeaked(t *testing.T) {
 		ClientTimeout:     5 * time.Second,
 		BreakerFailures:   3,
 		BreakerCooldown:   time.Minute,
-		Registry:          metrics.NewRegistry(),
 		FaultInjector:     inj,
 		Seed:              42,
 	})

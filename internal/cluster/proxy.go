@@ -75,9 +75,6 @@ type Config struct {
 	// opening a second lane to the next candidate (0 = 250ms; negative
 	// disables hedging).
 	HedgeDelay time.Duration
-	// VNodes is the consistent-hash ring's per-backend virtual-node count
-	// (0 = DefaultVNodes).
-	VNodes int
 	// ClientTimeout bounds each forwarded attempt (0 = 10s).
 	ClientTimeout time.Duration
 	// ClientMaxAttempts caps attempts per forwarded request, first try
@@ -88,8 +85,6 @@ type Config struct {
 	// TraceCapacity bounds the ring of finished forward traces served by
 	// GET /v1/trace/{id} and GET /v1/traces (0 = trace.DefaultCapacity).
 	TraceCapacity int
-	// Registry receives the proxy metrics (nil = a fresh registry).
-	Registry *metrics.Registry
 	// FaultInjector backs the cluster.* sites (nil = faults.Global()).
 	FaultInjector *faults.Injector
 	// Now is the clock (tests; nil = time.Now).
@@ -123,9 +118,6 @@ func (c *Config) normalize() error {
 	}
 	if c.ClientMaxAttempts <= 0 {
 		c.ClientMaxAttempts = 2
-	}
-	if c.Registry == nil {
-		c.Registry = metrics.NewRegistry()
 	}
 	if c.FaultInjector == nil {
 		c.FaultInjector = faults.Global()
@@ -172,7 +164,7 @@ func New(cfg Config) (*Proxy, error) {
 	p := &Proxy{
 		Envelope: service.NewEnvelope("proxy", cfg.TraceCapacity, 0),
 		cfg:      cfg,
-		reg:      cfg.Registry,
+		reg:      metrics.NewRegistry(),
 		faults:   cfg.FaultInjector,
 		backends: make(map[string]*Backend, len(cfg.Backends)),
 		stop:     make(chan struct{}),
@@ -217,7 +209,7 @@ func New(cfg Config) (*Proxy, error) {
 	for _, n := range names {
 		p.order = append(p.order, p.backends[n])
 	}
-	p.ring = NewRing(names, cfg.VNodes)
+	p.ring = NewRing(names, DefaultVNodes)
 	p.registerMetrics()
 	p.routes()
 	return p, nil

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"littleslaw/internal/faults"
-	"littleslaw/internal/metrics"
 	"littleslaw/internal/service"
 )
 
@@ -100,7 +99,6 @@ func newStubCluster(t *testing.T, n int, mutate func(*Config)) (*Proxy, []*stubB
 		ClientTimeout:     5 * time.Second,
 		BreakerFailures:   3,
 		BreakerCooldown:   time.Minute,
-		Registry:          metrics.NewRegistry(),
 		FaultInjector:     inj,
 		Seed:              42,
 	}

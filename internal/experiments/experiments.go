@@ -416,15 +416,7 @@ func assemble(id string, c *computed) (*Table, error) {
 		profile := c.profiles[p.Name]
 		for _, st := range spec.steps[p.Name] {
 			res := c.results[runKey{workload: spec.workload, plat: p.Name, variant: st.Variant, threads: st.Threads}]
-			m := core.Measurement{
-				Routine:                w.Routine(),
-				BandwidthGBs:           res.TotalGBs,
-				ActiveCores:            res.Cores,
-				ThreadsPerCore:         st.Threads,
-				PrefetchedReadFraction: res.PrefetchedReadFraction,
-				RandomAccess:           w.RandomAccess(),
-			}
-			rep, err := core.Analyze(p, profile, m)
+			rep, err := core.Analyze(p, profile, w.Measurement(res))
 			if err != nil {
 				return nil, err
 			}

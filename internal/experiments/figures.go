@@ -84,13 +84,7 @@ func (r *Runner) TMACritiques() ([]TMACritique, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := core.Analyze(p, profile, core.Measurement{
-			Routine:                w.Routine(),
-			BandwidthGBs:           res.TotalGBs,
-			ActiveCores:            res.Cores,
-			PrefetchedReadFraction: res.PrefetchedReadFraction,
-			RandomAccess:           w.RandomAccess(),
-		})
+		rep, err := core.Analyze(p, profile, w.Measurement(res))
 		if err != nil {
 			return nil, err
 		}
@@ -235,13 +229,7 @@ func (r *Runner) IdleLatencyAblations() ([]IdleLatencyAblation, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := core.Measurement{
-			Routine:                w.Routine(),
-			BandwidthGBs:           res.TotalGBs,
-			ActiveCores:            res.Cores,
-			PrefetchedReadFraction: res.PrefetchedReadFraction,
-			RandomAccess:           true,
-		}
+		m := w.Measurement(res)
 		loaded, err := core.Analyze(p, profile, m)
 		if err != nil {
 			return nil, err

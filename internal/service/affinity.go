@@ -1,10 +1,10 @@
 // Affinity keys: the canonical identity of the cacheable work a /v1/*
 // request will do on whichever backend serves it. A scale-out tier hashes
 // these onto its backend ring so identical analyses revisit the backend
-// whose caches (runner LRU, profile cache) already hold the answer. The
-// derivations deliberately mirror the handlers' own default resolution
-// (threads 1, scale 0.1) — two requests get the same key exactly when the
-// serving backend would do the same cached work for both.
+// whose caches (runner LRU, profile cache) already hold the answer. A
+// workload body's key is the runner key of the run resolveRun gives the
+// handler, so two requests get the same key exactly when the serving
+// backend would do the same cached work for both.
 package service
 
 import (
@@ -29,23 +29,11 @@ func (r *AnalyzeRequest) AffinityKey() (key string, ok bool) {
 		// bandwidth→latency profile.
 		return "platform|" + p.Name, true
 	}
-	w, found := workloads.ByName(r.Workload)
-	if !found {
+	_, cfg, err := resolveRun(p, r.Workload, r.Variant, r.ThreadsPerCore, r.Scale)
+	if err != nil {
 		return "", false
 	}
-	w = w.WithVariant(r.Variant.Variant())
-	threads := r.ThreadsPerCore
-	if threads == 0 {
-		threads = 1
-	}
-	if threads > p.SMTWays {
-		return "", false
-	}
-	scale := r.Scale
-	if scale == 0 {
-		scale = 0.1
-	}
-	k, cacheable, err := runner.KeyOf(w.Config(p, threads, scale))
+	k, cacheable, err := runner.KeyOf(cfg)
 	if err != nil || !cacheable {
 		return "", false
 	}
@@ -75,7 +63,7 @@ func (r *TuneRequest) AffinityKey() (key string, ok bool) {
 	}
 	scale := r.Scale
 	if scale == 0 {
-		scale = 0.1
+		scale = defaultScale
 	}
 	return fmt.Sprintf("tune|%s|%s|%g", p.Name, r.Workload, scale), true
 }

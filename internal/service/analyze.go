@@ -90,53 +90,36 @@ func (s *Server) resolveAnalyze(ctx context.Context, req *AnalyzeRequest) (*plat
 	if err != nil {
 		return nil, core.Measurement{}, nil, nil, degradation{}, err
 	}
-	return p, measured(w, res), res, w, deg, nil
+	return p, w.Measurement(res), res, w, deg, nil
 }
+
+// defaultScale is the work scale of a simulated run whose request names
+// none (a workload body, or a tune probe): a tenth of the benchmark size,
+// for interactive latency.
+const defaultScale = 0.1
 
 // resolveRun resolves a workload body (name, variant, threads, scale) on p
-// to the workload and the run it asks for.
+// to the workload and the run it asks for, applying the defaults (threads
+// 1, scale 0.1). The analyze and advise handlers, the /v1/watch phases and
+// AnalyzeRequest.AffinityKey all resolve through it, so a routing key names
+// exactly the run the backend will do.
 func resolveRun(p *platform.Platform, name string, v *VariantSpec, threads int, scale float64) (workloads.Workload, sim.Config, error) {
-	w, threads, scale, err := resolveWorkload(p, &AnalyzeRequest{Workload: name, Variant: v, ThreadsPerCore: threads, Scale: scale})
-	if err != nil {
-		return nil, sim.Config{}, err
-	}
-	return w, w.Config(p, threads, scale), nil
-}
-
-// resolveWorkload resolves a workload-bodied request on p to what it asks
-// to simulate, applying the defaults (threads 1, scale 0.1).
-func resolveWorkload(p *platform.Platform, req *AnalyzeRequest) (w workloads.Workload, threads int, scale float64, err error) {
-	w, ok := workloads.ByName(req.Workload)
+	w, ok := workloads.ByName(name)
 	if !ok {
-		return nil, 0, 0, failWith(http.StatusNotFound, fmt.Errorf("unknown workload %q", req.Workload))
+		return nil, sim.Config{}, failWith(http.StatusNotFound, fmt.Errorf("unknown workload %q", name))
 	}
-	w = w.WithVariant(req.Variant.Variant())
-	threads = req.ThreadsPerCore
 	if threads == 0 {
 		threads = 1
 	}
 	if threads > p.SMTWays {
-		return nil, 0, 0, failWith(http.StatusBadRequest,
+		return nil, sim.Config{}, failWith(http.StatusBadRequest,
 			fmt.Errorf("platform %s supports at most %d threads per core", p.Name, p.SMTWays))
 	}
-	scale = req.Scale
 	if scale == 0 {
-		scale = 0.1
+		scale = defaultScale
 	}
-	return w, threads, scale, nil
-}
-
-// measured shapes a workload's simulated run as the measurement the
-// analysis consumes.
-func measured(w workloads.Workload, res *sim.Result) core.Measurement {
-	return core.Measurement{
-		Routine:                w.Routine(),
-		BandwidthGBs:           res.TotalGBs,
-		ActiveCores:            res.Cores,
-		ThreadsPerCore:         res.ThreadsPerCore,
-		PrefetchedReadFraction: res.PrefetchedReadFraction,
-		RandomAccess:           w.RandomAccess(),
-	}
+	w = w.WithVariant(v.Variant())
+	return w, w.Config(p, threads, scale), nil
 }
 
 // analyticMeasurement is the B2 path: predict the workload's operating
@@ -183,7 +166,7 @@ type prediction struct {
 // perThread×threads outstanding lines, capped by the binding MSHR file (L1
 // for irregular access, else L2), against the platform's bandwidth→latency
 // curve: BW = cores×n×cls/lat(BW). The platform, curve and thread count
-// arrive validated by resolveWorkload and sim.Config.Normalized.
+// arrive validated by resolveRun and sim.Config.Normalized.
 func predict(p *platform.Platform, profile *queueing.Curve, perThread float64, threads int, l1Bound bool) (prediction, error) {
 	if perThread <= 0 {
 		return prediction{}, fmt.Errorf("analytic: concurrency must be positive")
@@ -253,7 +236,7 @@ func (s *Server) analyzeView(ctx context.Context, req *AnalyzeRequest) ([]byte, 
 		return nil, err
 	}
 	return s.cfg.SimRunner.RunRendered(ctx, cfg, profile, func(res *sim.Result) ([]byte, error) {
-		resp, err := analyzeResponse(p, profile, measured(w, res), res)
+		resp, err := analyzeResponse(p, profile, w.Measurement(res), res)
 		if err != nil {
 			return nil, err
 		}

@@ -54,8 +54,6 @@ type Config struct {
 	// Platforms restricts table regeneration to the named machines
 	// (nil = all three; tests use one platform for speed).
 	Platforms []string
-	// Registry receives the service metrics (nil = a fresh registry).
-	Registry *metrics.Registry
 	// SimRunner is the simulation spine this server's workload analyses run
 	// through (nil = runner.Default(), the process-wide cache). Tests that
 	// boot several in-process backends give each its own so cache-affinity
@@ -113,9 +111,6 @@ func (c *Config) normalize() {
 	}
 	if c.MaxTimeout == 0 {
 		c.MaxTimeout = 30 * time.Minute
-	}
-	if c.Registry == nil {
-		c.Registry = metrics.NewRegistry()
 	}
 	if c.LimitCeiling == 0 {
 		c.LimitCeiling = 64
@@ -185,7 +180,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		Envelope:    NewEnvelope("server", cfg.TraceCapacity, cfg.WriteTimeout),
 		cfg:         cfg,
-		reg:         cfg.Registry,
+		reg:         metrics.NewRegistry(),
 		profiles:    xmem.NewProfiles(profileSource),
 		watches:     map[string]*stream.Broker{},
 		liveStreams: map[*stream.Broker]struct{}{},

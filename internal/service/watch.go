@@ -19,7 +19,6 @@ import (
 	"littleslaw/internal/faults"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/stream"
-	"littleslaw/internal/workloads"
 )
 
 // WatchSampleJSON is one inline counter sample.
@@ -183,24 +182,11 @@ func (s *Server) watchSource(ctx context.Context, p *platform.Platform, req *Wat
 
 	phases := make([]stream.ReplayPhase, len(req.Phases))
 	for i, ph := range req.Phases {
-		wl, ok := workloads.ByName(ph.Workload)
-		if !ok {
-			return nil, cfg, failWith(http.StatusNotFound, fmt.Errorf("unknown workload %q", ph.Workload))
+		wl, cfgSim, err := resolveRun(p, ph.Workload, ph.Variant, ph.ThreadsPerCore, ph.Scale)
+		if err != nil {
+			return nil, cfg, err
 		}
-		wl = wl.WithVariant(ph.Variant.Variant())
-		threads := ph.ThreadsPerCore
-		if threads == 0 {
-			threads = 1
-		}
-		if threads > p.SMTWays {
-			return nil, cfg, failWith(http.StatusBadRequest,
-				fmt.Errorf("platform %s supports at most %d threads per core", p.Name, p.SMTWays))
-		}
-		scale := ph.Scale
-		if scale == 0 {
-			scale = 0.1
-		}
-		phases[i] = stream.ReplayPhase{Label: wl.Routine(), Config: wl.Config(p, threads, scale), Samples: ph.Samples}
+		phases[i] = stream.ReplayPhase{Label: wl.Routine(), Config: cfgSim, Samples: ph.Samples}
 		cfg.RandomAccess = cfg.RandomAccess || wl.RandomAccess()
 	}
 	src, results, err := stream.Replay(ctx, phases, stream.ReplayOptions{PeriodS: req.PeriodS, Workers: s.cfg.Workers})

@@ -1,52 +1,11 @@
 package workloads
 
 import (
-	"littleslaw/internal/core"
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/sim"
 )
-
-// CoMD models the eamForce routine of the classical molecular-dynamics
-// proxy (24³ box): almost pure computation over neighbour lists that stay
-// cache-resident, with only a trickle of memory traffic — the
-// compute-bound, near-zero-MLP case of Table VII. Vectorization needs a
-// pragma on the next-to-innermost loop (§IV-D) and pays a modest factor;
-// SMT pays repeatedly because the pipeline, not the memory system, is the
-// bottleneck.
-type CoMD struct {
-	v Variant
-}
-
-// NewCoMD returns the base CoMD workload.
-func NewCoMD() *CoMD { return &CoMD{} }
-
-// Name implements Workload.
-func (w *CoMD) Name() string { return "CoMD" }
-
-// Routine implements Workload.
-func (w *CoMD) Routine() string { return "eamForce" }
-
-// RandomAccess implements Workload.
-func (w *CoMD) RandomAccess() bool { return true }
-
-// Variant implements Workload.
-func (w *CoMD) Variant() Variant { return w.v }
-
-// WithVariant implements Workload.
-func (w *CoMD) WithVariant(v Variant) Workload { return &CoMD{v: v} }
-
-// Capabilities implements Workload.
-func (w *CoMD) Capabilities(p *platform.Platform, threads int) core.Capabilities {
-	return core.Capabilities{
-		Vectorizable:      true,
-		AlreadyVectorized: w.v.Vectorized,
-		SMTWays:           p.SMTWays,
-		CurrentThreads:    threads,
-		IrregularAccess:   true,
-	}
-}
 
 const (
 	comdFootprint = 1 << 26
@@ -74,9 +33,14 @@ var comdVectGain = map[string]float64{
 	"A64FX": 1.24,
 }
 
-// Config implements Workload.
-func (w *CoMD) Config(p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
-	v := w.v
+// comdConfig models the eamForce routine of the classical
+// molecular-dynamics proxy (24³ box): almost pure computation over
+// neighbour lists that stay cache-resident, with only a trickle of memory
+// traffic — the compute-bound, near-zero-MLP case of Table VII.
+// Vectorization needs a pragma on the next-to-innermost loop (§IV-D) and
+// pays a modest factor; SMT pays repeatedly because the pipeline, not the
+// memory system, is the bottleneck.
+func comdConfig(v Variant, p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
 	ops := scaleOps(comdOps, scale)
 	gap := comdMissGapCycles[p.Name]
 	if gap == 0 {
@@ -92,14 +56,13 @@ func (w *CoMD) Config(p *platform.Platform, threadsPerCore int, scale float64) s
 
 	return sim.Config{
 		Plat:           p,
-		Fingerprint:    fingerprint("CoMD", w.v, scale),
 		ThreadsPerCore: threadsPerCore,
-		Window:         minInt(4, p.DemandWindow),
+		Window:         min(4, p.DemandWindow),
 		NewGen: func(coreID, threadID int) cpu.Generator {
 			rng := newRNG("comd", coreID, threadID)
 			base := uint64(coreID*8+threadID+1) << 34
 			emitted := 0
-			return NewFuncGen(func() (cpu.Op, bool) {
+			return cpu.GeneratorFunc(func() (cpu.Op, bool) {
 				if emitted >= ops {
 					return cpu.Op{}, false
 				}

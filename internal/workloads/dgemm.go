@@ -1,58 +1,11 @@
 package workloads
 
 import (
-	"littleslaw/internal/core"
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/sim"
 )
-
-// DGEMM is the §III-C worked example beyond Table II: dense matrix
-// multiply, the workload whose optimization ladder runs through *both*
-// traffic-reducing transforms — cache tiling, then register tiling
-// (unroll-and-jam) — until the routine becomes FLOP-bound and the MSHRQ
-// metric correctly reports that no memory optimization is left (§III-D's
-// "GEMM becomes FLOP bound after prefetching, cache and register tiling").
-//
-// The model follows the classic traffic analysis: a naive i-j-k loop
-// re-reads a B column line per multiply-add group; cache tiling reuses a
-// B tile from the L2, cutting traffic by the tile factor; unroll-and-jam
-// additionally holds a register block so the per-line arithmetic
-// amortizes further and the loop approaches the core's FLOP ceiling.
-type DGEMM struct {
-	v Variant
-}
-
-// NewDGEMM returns the naive (untiled, unjammed) DGEMM workload.
-func NewDGEMM() *DGEMM { return &DGEMM{} }
-
-// Name implements Workload.
-func (w *DGEMM) Name() string { return "DGEMM" }
-
-// Routine implements Workload.
-func (w *DGEMM) Routine() string { return "dgemm_kernel" }
-
-// RandomAccess implements Workload.
-func (w *DGEMM) RandomAccess() bool { return false }
-
-// Variant implements Workload.
-func (w *DGEMM) Variant() Variant { return w.v }
-
-// WithVariant implements Workload.
-func (w *DGEMM) WithVariant(v Variant) Workload { return &DGEMM{v: v} }
-
-// Capabilities implements Workload.
-func (w *DGEMM) Capabilities(p *platform.Platform, threads int) core.Capabilities {
-	return core.Capabilities{
-		Vectorizable:      true,
-		AlreadyVectorized: true, // compilers vectorize the inner product
-		SMTWays:           p.SMTWays,
-		CurrentThreads:    threads,
-		Tileable:          true,
-		StreamCount:       3,
-	}
-}
 
 const (
 	// dgemmN is the (scaled) matrix dimension; the B panel is N²·8 B =
@@ -64,9 +17,20 @@ const (
 	unrollReg = 4     // register-block rows held by unroll-and-jam
 )
 
-// Config implements Workload.
-func (w *DGEMM) Config(p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
-	v := w.v
+// dgemmConfig models DGEMM, the §III-C worked example beyond Table II:
+// dense matrix multiply, the workload whose optimization ladder runs
+// through *both* traffic-reducing transforms — cache tiling, then register
+// tiling (unroll-and-jam) — until the routine becomes FLOP-bound and the
+// MSHRQ metric correctly reports that no memory optimization is left
+// (§III-D's "GEMM becomes FLOP bound after prefetching, cache and register
+// tiling").
+//
+// The model follows the classic traffic analysis: a naive i-j-k loop
+// re-reads a B column line per multiply-add group; cache tiling reuses a B
+// tile from the L2, cutting traffic by the tile factor; unroll-and-jam
+// additionally holds a register block so the per-line arithmetic amortizes
+// further and the loop approaches the core's FLOP ceiling.
+func dgemmConfig(v Variant, p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
 	ops := scaleOps(dgemmOps, scale)
 	lineBytes := uint64(p.LineBytes)
 	elemsPerLine := p.LineBytes / 8
@@ -100,16 +64,15 @@ func (w *DGEMM) Config(p *platform.Platform, threadsPerCore int, scale float64) 
 
 	return sim.Config{
 		Plat:           p,
-		Fingerprint:    fingerprint("DGEMM", w.v, scale),
 		ThreadsPerCore: threadsPerCore,
-		Window:         minInt(8, p.DemandWindow),
+		Window:         min(8, p.DemandWindow),
 		NewGen: func(coreID, threadID int) cpu.Generator {
 			bBase := uint64(coreID*8+threadID+1) << 34
 			aBase := bBase + (1 << 32)
 			emitted := 0
 			pos := 0
 			aPos := uint64(0)
-			return NewFuncGen(func() (cpu.Op, bool) {
+			return cpu.GeneratorFunc(func() (cpu.Op, bool) {
 				if emitted >= ops {
 					return cpu.Op{}, false
 				}

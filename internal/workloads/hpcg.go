@@ -1,52 +1,11 @@
 package workloads
 
 import (
-	"littleslaw/internal/core"
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/sim"
 )
-
-// HPCG models the ComputeSPMV_ref routine (sparse matrix–vector multiply,
-// 40³ local domain): long unit-stride streams over the matrix values and
-// column indices — ideal hardware-prefetcher food, so the L2 MSHR file is
-// the binding structure (Table V) — plus gathers into the x vector, whose
-// ~512 KiB per-rank footprint mostly lives in the L2, and a streamed y
-// store. Vectorization (AVX-512/SVE gather support, §IV-B) speeds the
-// per-row arithmetic.
-type HPCG struct {
-	v Variant
-}
-
-// NewHPCG returns the base HPCG workload.
-func NewHPCG() *HPCG { return &HPCG{} }
-
-// Name implements Workload.
-func (w *HPCG) Name() string { return "HPCG" }
-
-// Routine implements Workload.
-func (w *HPCG) Routine() string { return "ComputeSPMV_ref" }
-
-// RandomAccess implements Workload.
-func (w *HPCG) RandomAccess() bool { return false }
-
-// Variant implements Workload.
-func (w *HPCG) Variant() Variant { return w.v }
-
-// WithVariant implements Workload.
-func (w *HPCG) WithVariant(v Variant) Workload { return &HPCG{v: v} }
-
-// Capabilities implements Workload.
-func (w *HPCG) Capabilities(p *platform.Platform, threads int) core.Capabilities {
-	return core.Capabilities{
-		Vectorizable:      true,
-		AlreadyVectorized: w.v.Vectorized,
-		SMTWays:           p.SMTWays,
-		CurrentThreads:    threads,
-		StreamCount:       4, // vals, indices, y, and the x gather walk
-	}
-}
 
 const (
 	// hpcgXBytes is the x-vector footprint per rank (40³ × 8 B in the
@@ -68,9 +27,14 @@ var (
 	hpcgVectGap   = map[string]float64{"SKL": 36.6, "KNL": 36.6, "A64FX": 20, "HBM3E": 5}
 )
 
-// Config implements Workload.
-func (w *HPCG) Config(p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
-	v := w.v
+// hpcgConfig models the ComputeSPMV_ref routine (sparse matrix–vector
+// multiply, 40³ local domain): long unit-stride streams over the matrix
+// values and column indices — ideal hardware-prefetcher food, so the L2
+// MSHR file is the binding structure (Table V) — plus gathers into the x
+// vector, whose ~512 KiB per-rank footprint mostly lives in the L2, and a
+// streamed y store. Vectorization (AVX-512/SVE gather support, §IV-B)
+// speeds the per-row arithmetic.
+func hpcgConfig(v Variant, p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
 	ops := scaleOps(hpcgOps, scale)
 	lineBytes := uint64(p.LineBytes)
 
@@ -89,9 +53,8 @@ func (w *HPCG) Config(p *platform.Platform, threadsPerCore int, scale float64) s
 
 	return sim.Config{
 		Plat:           p,
-		Fingerprint:    fingerprint("HPCG", w.v, scale),
 		ThreadsPerCore: threadsPerCore,
-		Window:         minInt(8, p.DemandWindow),
+		Window:         min(8, p.DemandWindow),
 		NewGen: func(coreID, threadID int) cpu.Generator {
 			rng := newRNG("hpcg", coreID, threadID)
 			base := uint64(coreID*8+threadID+1) << 34
@@ -103,7 +66,7 @@ func (w *HPCG) Config(p *platform.Platform, threadsPerCore int, scale float64) s
 			emitted := 0
 			phase := 0
 			rowPos := uint64(0)
-			return NewFuncGen(func() (cpu.Op, bool) {
+			return cpu.GeneratorFunc(func() (cpu.Op, bool) {
 				if emitted >= ops {
 					return cpu.Op{}, false
 				}
@@ -140,11 +103,4 @@ func (w *HPCG) Config(p *platform.Platform, threadsPerCore int, scale float64) s
 			})
 		},
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

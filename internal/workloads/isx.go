@@ -1,58 +1,11 @@
 package workloads
 
 import (
-	"littleslaw/internal/core"
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/sim"
 )
-
-// ISx models the count_local_keys routine of the ISx scalable integer
-// sort (Table II: 25,165,824 keys per PE): a sequential sweep over the key
-// array combined with one random-line table access per key over a
-// footprint far larger than the caches — the random-access pattern that
-// pins the L1 MSHR file on every platform (Table IV). The paper's
-// bandwidth/occupancy pairs imply the traffic is read-dominated, so the
-// table access is modelled as a load.
-//
-// The optimization ladder matches §IV-A: vectorization widens the
-// independent-miss window slightly; L2 software prefetching issues the
-// upcoming random lines into the L2 MSHR file ahead of the demand
-// accesses, shifting the bottleneck from the small L1 file to the larger
-// L2 one and converting MSHR-stall pacing into pure compute pacing.
-type ISx struct {
-	v Variant
-}
-
-// NewISx returns the base (unoptimized) ISx workload.
-func NewISx() *ISx { return &ISx{} }
-
-// Name implements Workload.
-func (w *ISx) Name() string { return "ISx" }
-
-// Routine implements Workload.
-func (w *ISx) Routine() string { return "count_local_keys" }
-
-// RandomAccess implements Workload.
-func (w *ISx) RandomAccess() bool { return true }
-
-// Variant implements Workload.
-func (w *ISx) Variant() Variant { return w.v }
-
-// WithVariant implements Workload.
-func (w *ISx) WithVariant(v Variant) Workload { return &ISx{v: v} }
-
-// Capabilities implements Workload.
-func (w *ISx) Capabilities(p *platform.Platform, threads int) core.Capabilities {
-	return core.Capabilities{
-		Vectorizable:      true,
-		AlreadyVectorized: w.v.Vectorized,
-		SMTWays:           p.SMTWays,
-		CurrentThreads:    threads,
-		IrregularAccess:   true,
-	}
-}
 
 const (
 	// isxTableBytes is the randomly-accessed footprint per hardware
@@ -76,17 +29,28 @@ var isxIterGapCycles = map[string]float64{
 // unrolling exposes about ten independent table reads in flight;
 // vectorization (8-lane gathers) widens it somewhat. Calibrated against
 // the Table IV occupancy ladder (10.23 → 10.66 → 11.6 on KNL).
-func (w *ISx) isxWindow(p *platform.Platform) int {
+func isxWindow(v Variant, p *platform.Platform) int {
 	win := 10
-	if w.v.Vectorized {
+	if v.Vectorized {
 		win = 11
 	}
-	return minInt(win, p.DemandWindow)
+	return min(win, p.DemandWindow)
 }
 
-// Config implements Workload.
-func (w *ISx) Config(p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
-	v := w.v
+// isxConfig models the count_local_keys routine of the ISx scalable integer
+// sort (Table II: 25,165,824 keys per PE): a sequential sweep over the key
+// array combined with one random-line table access per key over a footprint
+// far larger than the caches — the random-access pattern that pins the L1
+// MSHR file on every platform (Table IV). The paper's bandwidth/occupancy
+// pairs imply the traffic is read-dominated, so the table access is
+// modelled as a load.
+//
+// The optimization ladder matches §IV-A: vectorization widens the
+// independent-miss window slightly; L2 software prefetching issues the
+// upcoming random lines into the L2 MSHR file ahead of the demand accesses,
+// shifting the bottleneck from the small L1 file to the larger L2 one and
+// converting MSHR-stall pacing into pure compute pacing.
+func isxConfig(v Variant, p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
 	ops := scaleOps(isxBaseOps, scale)
 	keysPerLine := p.LineBytes / 4 // 4-byte keys stream
 	gapIter := isxIterGapCycles[p.Name]
@@ -110,9 +74,8 @@ func (w *ISx) Config(p *platform.Platform, threadsPerCore int, scale float64) si
 
 	return sim.Config{
 		Plat:           p,
-		Fingerprint:    fingerprint("ISx", w.v, scale),
 		ThreadsPerCore: threadsPerCore,
-		Window:         w.isxWindow(p),
+		Window:         isxWindow(v, p),
 		NewGen: func(coreID, threadID int) cpu.Generator {
 			rng := newRNG("isx", coreID, threadID)
 			// Private arenas: the streamed key array and the randomly
@@ -130,7 +93,7 @@ func (w *ISx) Config(p *platform.Platform, threadsPerCore int, scale float64) si
 			emitted := 0
 			keyCount := 0
 			prefAddr := uint64(0)
-			return NewFuncGen(func() (cpu.Op, bool) {
+			return cpu.GeneratorFunc(func() (cpu.Op, bool) {
 				if emitted >= ops {
 					return cpu.Op{}, false
 				}

@@ -1,58 +1,11 @@
 package workloads
 
 import (
-	"littleslaw/internal/core"
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/sim"
 )
-
-// MiniGhost models the mg_stencil_3d27pt routine: a 27-point difference
-// stencil over a 504×126 plane grid (paper problem, z scaled). Per output
-// line the stencil needs nine neighbour rows; the three same-plane y
-// neighbours always hit cache (three rows fit everywhere), so the
-// generator emits the three z-plane reads plus the output store — the
-// accesses whose hit/miss behaviour actually changes with blocking. A
-// z-neighbour line is re-read once per plane sweep: untiled, that reuse
-// distance is three full planes (~1.5 MiB), which misses the private L2;
-// the tiled variant sweeps y-blocks so the reuse distance shrinks to the
-// block (~0.3 MiB) and fits. The traffic reduction from tiling — and the
-// SMT cache-contention effects of §IV-E — therefore emerge from the cache
-// simulation rather than being scripted.
-type MiniGhost struct {
-	v Variant
-}
-
-// NewMiniGhost returns the base MiniGhost workload.
-func NewMiniGhost() *MiniGhost { return &MiniGhost{} }
-
-// Name implements Workload.
-func (w *MiniGhost) Name() string { return "MiniGhost" }
-
-// Routine implements Workload.
-func (w *MiniGhost) Routine() string { return "mg_stencil_3d27pt" }
-
-// RandomAccess implements Workload.
-func (w *MiniGhost) RandomAccess() bool { return false }
-
-// Variant implements Workload.
-func (w *MiniGhost) Variant() Variant { return w.v }
-
-// WithVariant implements Workload.
-func (w *MiniGhost) WithVariant(v Variant) Workload { return &MiniGhost{v: v} }
-
-// Capabilities implements Workload.
-func (w *MiniGhost) Capabilities(p *platform.Platform, threads int) core.Capabilities {
-	return core.Capabilities{
-		Vectorizable:      true,
-		AlreadyVectorized: true, // the compiler auto-vectorizes the x loop
-		SMTWays:           p.SMTWays,
-		CurrentThreads:    threads,
-		Tileable:          true,
-		StreamCount:       10, // nine read pencils plus the output stream
-	}
-}
 
 const (
 	// Paper grid: nx=504, ny=126 (one plane ≈ 508 KiB — the geometry that
@@ -82,9 +35,19 @@ var mgWindow = map[string]int{
 	"A64FX": 7,
 }
 
-// Config implements Workload.
-func (w *MiniGhost) Config(p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
-	v := w.v
+// minighostConfig models the mg_stencil_3d27pt routine: a 27-point
+// difference stencil over a 504×126 plane grid (paper problem, z scaled).
+// Per output line the stencil needs nine neighbour rows; the three
+// same-plane y neighbours always hit cache (three rows fit everywhere), so
+// the generator emits the three z-plane reads plus the output store — the
+// accesses whose hit/miss behaviour actually changes with blocking. A
+// z-neighbour line is re-read once per plane sweep: untiled, that reuse
+// distance is three full planes (~1.5 MiB), which misses the private L2;
+// the tiled variant sweeps y-blocks so the reuse distance shrinks to the
+// block (~0.3 MiB) and fits. The traffic reduction from tiling — and the
+// SMT cache-contention effects of §IV-E — therefore emerge from the cache
+// simulation rather than being scripted.
+func minighostConfig(v Variant, p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
 	lineBytes := uint64(p.LineBytes)
 	pointsPerLine := p.LineBytes / 8
 	gapPerOp := mgOpGapCycles[p.Name]
@@ -117,9 +80,8 @@ func (w *MiniGhost) Config(p *platform.Platform, threadsPerCore int, scale float
 
 	return sim.Config{
 		Plat:           p,
-		Fingerprint:    fingerprint("MiniGhost", w.v, scale),
 		ThreadsPerCore: threadsPerCore,
-		Window:         minInt(window, p.DemandWindow),
+		Window:         min(window, p.DemandWindow),
 		NewGen: func(coreID, threadID int) cpu.Generator {
 			inBase := uint64(coreID+1) << 34
 			outBase := inBase + (1 << 32)
@@ -132,7 +94,7 @@ func (w *MiniGhost) Config(p *platform.Platform, threadsPerCore int, scale float
 			yb, z, y, xl, k := threadID*tileY, 1, 0, 0, 0
 			blockStep := threadsPerCore * tileY
 			done := yb >= mgNY
-			return NewFuncGen(func() (cpu.Op, bool) {
+			return cpu.GeneratorFunc(func() (cpu.Op, bool) {
 				if done {
 					return cpu.Op{}, false
 				}

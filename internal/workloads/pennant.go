@@ -1,52 +1,11 @@
 package workloads
 
 import (
-	"littleslaw/internal/core"
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/sim"
 )
-
-// PENNANT models the setCornerDiv routine of the unstructured-mesh physics
-// miniapp: one long loop whose body gathers through index arrays into
-// several large mesh arrays and performs heavy floating-point work
-// (divides, square roots). The compiler cannot prove the pointers
-// alias-free, so the base variant is scalar and dependency-limited — the
-// low-MLP case of Table VI; forcing vectorization (pragma/restrict, §IV-C)
-// is the recipe's headline win.
-type PENNANT struct {
-	v Variant
-}
-
-// NewPENNANT returns the base PENNANT workload.
-func NewPENNANT() *PENNANT { return &PENNANT{} }
-
-// Name implements Workload.
-func (w *PENNANT) Name() string { return "PENNANT" }
-
-// Routine implements Workload.
-func (w *PENNANT) Routine() string { return "setCornerDiv" }
-
-// RandomAccess implements Workload.
-func (w *PENNANT) RandomAccess() bool { return true }
-
-// Variant implements Workload.
-func (w *PENNANT) Variant() Variant { return w.v }
-
-// WithVariant implements Workload.
-func (w *PENNANT) WithVariant(v Variant) Workload { return &PENNANT{v: v} }
-
-// Capabilities implements Workload.
-func (w *PENNANT) Capabilities(p *platform.Platform, threads int) core.Capabilities {
-	return core.Capabilities{
-		Vectorizable:      true, // safe but needs forcing (restrict/pragma)
-		AlreadyVectorized: w.v.Vectorized,
-		SMTWays:           p.SMTWays,
-		CurrentThreads:    threads,
-		IrregularAccess:   true,
-	}
-}
 
 const (
 	// pennantMeshBytes is the per-thread share of the corner/zone/point
@@ -55,9 +14,14 @@ const (
 	pennantOps       = 6000
 )
 
-// Config implements Workload.
-func (w *PENNANT) Config(p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
-	v := w.v
+// pennantConfig models the setCornerDiv routine of the unstructured-mesh
+// physics miniapp: one long loop whose body gathers through index arrays
+// into several large mesh arrays and performs heavy floating-point work
+// (divides, square roots). The compiler cannot prove the pointers
+// alias-free, so the base variant is scalar and dependency-limited — the
+// low-MLP case of Table VI; forcing vectorization (pragma/restrict, §IV-C)
+// is the recipe's headline win.
+func pennantConfig(v Variant, p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
 	ops := scaleOps(pennantOps, scale)
 
 	// Scalar: ~5 independent gathers per loop iteration, ~425 cycles of
@@ -68,7 +32,7 @@ func (w *PENNANT) Config(p *platform.Platform, threadsPerCore int, scale float64
 	gathers := 5
 	gap := 425.0
 	gapScale := p.ScalarIssuePenalty
-	window := minInt(6, p.DemandWindow)
+	window := min(6, p.DemandWindow)
 	if v.Vectorized {
 		if p.LineBytes >= 256 {
 			gathers = 2
@@ -86,7 +50,7 @@ func (w *PENNANT) Config(p *platform.Platform, threadsPerCore int, scale float64
 			gap = 425.0 / 2.0
 			gapScale = 1
 		}
-		window = minInt(10, p.DemandWindow)
+		window = min(10, p.DemandWindow)
 	}
 	perGatherGap := gap / float64(gathers)
 
@@ -100,7 +64,6 @@ func (w *PENNANT) Config(p *platform.Platform, threadsPerCore int, scale float64
 
 	return sim.Config{
 		Plat:           p,
-		Fingerprint:    fingerprint("PENNANT", w.v, scale),
 		ThreadsPerCore: threadsPerCore,
 		Window:         window,
 		GapScale:       gapScale,
@@ -109,7 +72,7 @@ func (w *PENNANT) Config(p *platform.Platform, threadsPerCore int, scale float64
 			rng := newRNG("pennant", coreID, threadID)
 			base := uint64(coreID*8+threadID+1) << 34
 			emitted := 0
-			return NewFuncGen(func() (cpu.Op, bool) {
+			return cpu.GeneratorFunc(func() (cpu.Op, bool) {
 				if emitted >= ops*gathers {
 					return cpu.Op{}, false
 				}

@@ -1,56 +1,11 @@
 package workloads
 
 import (
-	"littleslaw/internal/core"
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/sim"
 )
-
-// SNAP models the dim3_sweep routine of the discrete-ordinates transport
-// proxy (nx=64, ny=16, nz=24, nang=48, ng=54): a wavefront sweep whose
-// innermost loops run over just 48 angles — short bursts of 384 bytes read
-// from the angular-flux arrays of each cell, scattered by the wavefront
-// ordering. Streams that short never confirm in the hardware prefetcher's
-// stream table, which is the opening for user-directed software
-// prefetching (§IV-F). On A64FX the compiler's automatic loop fusion
-// introduces store-to-load forwarding stalls; the NoFuse variant removes
-// them.
-type SNAP struct {
-	v Variant
-}
-
-// NewSNAP returns the base SNAP workload (compiler fusion active).
-func NewSNAP() *SNAP { return &SNAP{} }
-
-// Name implements Workload.
-func (w *SNAP) Name() string { return "SNAP" }
-
-// Routine implements Workload.
-func (w *SNAP) Routine() string { return "dim3_sweep" }
-
-// RandomAccess implements Workload.
-func (w *SNAP) RandomAccess() bool { return false }
-
-// Variant implements Workload.
-func (w *SNAP) Variant() Variant { return w.v }
-
-// WithVariant implements Workload.
-func (w *SNAP) WithVariant(v Variant) Workload { return &SNAP{v: v} }
-
-// Capabilities implements Workload.
-func (w *SNAP) Capabilities(p *platform.Platform, threads int) core.Capabilities {
-	return core.Capabilities{
-		Vectorizable:      true,
-		AlreadyVectorized: true, // compiler vectorizes the small angle loops
-		SMTWays:           p.SMTWays,
-		CurrentThreads:    threads,
-		ShortLoops:        true,
-		Fusable:           true,
-		StreamCount:       6,
-	}
-}
 
 const (
 	// snapChunkBytes is one cell's angular batch: nang=48 doubles.
@@ -73,9 +28,16 @@ var snapCellGapCycles = map[string]float64{
 // the whole routine).
 const snapFusionPenalty = 1.25
 
-// Config implements Workload.
-func (w *SNAP) Config(p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
-	v := w.v
+// snapConfig models the dim3_sweep routine of the discrete-ordinates
+// transport proxy (nx=64, ny=16, nz=24, nang=48, ng=54): a wavefront sweep
+// whose innermost loops run over just 48 angles — short bursts of 384 bytes
+// read from the angular-flux arrays of each cell, scattered by the
+// wavefront ordering. Streams that short never confirm in the hardware
+// prefetcher's stream table, which is the opening for user-directed
+// software prefetching (§IV-F). On A64FX the compiler's automatic loop
+// fusion introduces store-to-load forwarding stalls; the NoFuse variant
+// removes them.
+func snapConfig(v Variant, p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
 	cells := scaleOps(snapOps, scale)
 	gap := snapCellGapCycles[p.Name]
 	if gap == 0 {
@@ -97,9 +59,8 @@ func (w *SNAP) Config(p *platform.Platform, threadsPerCore int, scale float64) s
 
 	return sim.Config{
 		Plat:           p,
-		Fingerprint:    fingerprint("SNAP", w.v, scale),
 		ThreadsPerCore: threadsPerCore,
-		Window:         minInt(6, p.DemandWindow),
+		Window:         min(6, p.DemandWindow),
 		SMTShare:       smtShare,
 		SMTExponent:    1,
 		NewGen: func(coreID, threadID int) cpu.Generator {
@@ -116,7 +77,7 @@ func (w *SNAP) Config(p *platform.Platform, threadsPerCore int, scale float64) s
 			cell := 0
 			line := 0
 			prefLine := -1
-			return NewFuncGen(func() (cpu.Op, bool) {
+			return cpu.GeneratorFunc(func() (cpu.Op, bool) {
 				if cell >= cells {
 					return cpu.Op{}, false
 				}

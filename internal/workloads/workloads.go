@@ -21,7 +21,6 @@ import (
 	"strconv"
 
 	"littleslaw/internal/core"
-	"littleslaw/internal/cpu"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/sim"
 )
@@ -112,7 +111,8 @@ func (v Variant) Label(threads int) string {
 	return s
 }
 
-// Workload is one application routine from Table II.
+// Workload is one application routine from Table II at one optimization
+// state. The one implementation is a table entry (see apps).
 type Workload interface {
 	// Name is the application ("ISx").
 	Name() string
@@ -131,21 +131,112 @@ type Workload interface {
 	// the per-thread operation budget (1.0 = benchmark size; tests use
 	// smaller values).
 	Config(p *platform.Platform, threadsPerCore int, scale float64) sim.Config
+	// Measurement reads a simulated run of this workload the way
+	// CrayPat-style counters would be read on real hardware: the input
+	// core.Analyze takes.
+	Measurement(res *sim.Result) core.Measurement
 }
 
-// All returns one instance of each of the six workloads, in Table II order.
-func All() []Workload {
-	return []Workload{NewISx(), NewHPCG(), NewPENNANT(), NewCoMD(), NewMiniGhost(), NewSNAP()}
+// workload is an application at one optimization state: its name, its
+// dominant routine, the routine's static traits and the function that
+// builds its simulation config.
+type workload struct {
+	name    string
+	routine string
+	// caps holds the traits the recipe reads that no variant changes.
+	// IrregularAccess is also the RandomAccess answer; AlreadyVectorized
+	// set here means the compiler vectorizes the loop in every variant.
+	caps   core.Capabilities
+	config func(v Variant, p *platform.Platform, threadsPerCore int, scale float64) sim.Config
+	v      Variant
 }
+
+// apps holds each application at its base variant: the six of Table II in
+// table order, then the extras. The entries are shared, so nothing may
+// modify one; WithVariant copies.
+var apps = [...]*workload{
+	{name: "ISx", routine: "count_local_keys", config: isxConfig,
+		caps: core.Capabilities{Vectorizable: true, IrregularAccess: true}},
+	{name: "HPCG", routine: "ComputeSPMV_ref", config: hpcgConfig,
+		// Four streams: vals, indices, y, and the x gather walk.
+		caps: core.Capabilities{Vectorizable: true, StreamCount: 4}},
+	{name: "PENNANT", routine: "setCornerDiv", config: pennantConfig,
+		// Vectorizing is safe but needs forcing (restrict/pragma).
+		caps: core.Capabilities{Vectorizable: true, IrregularAccess: true}},
+	{name: "CoMD", routine: "eamForce", config: comdConfig,
+		caps: core.Capabilities{Vectorizable: true, IrregularAccess: true}},
+	{name: "MiniGhost", routine: "mg_stencil_3d27pt", config: minighostConfig,
+		// The compiler auto-vectorizes the x loop; nine read pencils plus
+		// the output stream.
+		caps: core.Capabilities{Vectorizable: true, AlreadyVectorized: true, Tileable: true, StreamCount: 10}},
+	{name: "SNAP", routine: "dim3_sweep", config: snapConfig,
+		// The compiler vectorizes the small angle loops.
+		caps: core.Capabilities{Vectorizable: true, AlreadyVectorized: true, ShortLoops: true, Fusable: true, StreamCount: 6}},
+	{name: "DGEMM", routine: "dgemm_kernel", config: dgemmConfig,
+		// Compilers vectorize the inner product.
+		caps: core.Capabilities{Vectorizable: true, AlreadyVectorized: true, Tileable: true, StreamCount: 3}},
+}
+
+// tableII is how many of apps Table II lists.
+const tableII = 6
+
+func (w *workload) Name() string       { return w.name }
+func (w *workload) Routine() string    { return w.routine }
+func (w *workload) RandomAccess() bool { return w.caps.IrregularAccess }
+func (w *workload) Variant() Variant   { return w.v }
+
+func (w *workload) WithVariant(v Variant) Workload {
+	c := *w
+	c.v = v
+	return &c
+}
+
+func (w *workload) Capabilities(p *platform.Platform, threads int) core.Capabilities {
+	c := w.caps
+	c.AlreadyVectorized = c.AlreadyVectorized || w.v.Vectorized
+	c.SMTWays = p.SMTWays
+	c.CurrentThreads = threads
+	return c
+}
+
+func (w *workload) Config(p *platform.Platform, threadsPerCore int, scale float64) sim.Config {
+	cfg := w.config(w.v, p, threadsPerCore, scale)
+	cfg.Fingerprint = fingerprint(w.name, w.v, scale)
+	return cfg
+}
+
+func (w *workload) Measurement(res *sim.Result) core.Measurement {
+	return core.Measurement{
+		Routine:                w.routine,
+		BandwidthGBs:           res.TotalGBs,
+		ActiveCores:            res.Cores,
+		ThreadsPerCore:         res.ThreadsPerCore,
+		PrefetchedReadFraction: res.PrefetchedReadFraction,
+		RandomAccess:           w.RandomAccess(),
+	}
+}
+
+// All returns the six Table II workloads at their base variant, in table
+// order.
+func All() []Workload { return interfaces(apps[:tableII]) }
 
 // Extras returns workloads beyond Table II (currently DGEMM, the §III-C
 // unroll-and-jam example). ByName resolves them too.
-func Extras() []Workload { return []Workload{NewDGEMM()} }
+func Extras() []Workload { return interfaces(apps[tableII:]) }
 
-// ByName returns the named workload (case-sensitive application name).
+func interfaces(ws []*workload) []Workload {
+	out := make([]Workload, len(ws))
+	for i, w := range ws {
+		out[i] = w
+	}
+	return out
+}
+
+// ByName returns the named workload (case-sensitive application name) at
+// its base variant. It allocates nothing.
 func ByName(name string) (Workload, bool) {
-	for _, w := range append(All(), Extras()...) {
-		if w.Name() == name {
+	for _, w := range apps {
+		if w.name == name {
 			return w, true
 		}
 	}
@@ -178,6 +269,3 @@ func scaleOps(base int, scale float64) int {
 func alignLine(addr uint64, p *platform.Platform) uint64 {
 	return addr &^ uint64(p.LineBytes-1)
 }
-
-// NewFuncGen wraps a closure as a generator.
-func NewFuncGen(next func() (cpu.Op, bool)) cpu.Generator { return cpu.GeneratorFunc(next) }

@@ -352,3 +352,31 @@ func TestExtrasNotInTableII(t *testing.T) {
 		t.Fatalf("extras = %d", len(Extras()))
 	}
 }
+
+// TestByNameAllocs: resolving a workload by name is a table lookup. Every
+// workload-bodied analyze request makes one on the backend, and the proxy
+// makes another for its affinity key.
+func TestByNameAllocs(t *testing.T) {
+	for _, w := range append(All(), Extras()...) {
+		name := w.Name()
+		if n := testing.AllocsPerRun(100, func() { ByName(name) }); n != 0 {
+			t.Errorf("ByName(%q) allocates %v objects per call, want 0", name, n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ByName("LINPACK") }); n != 0 {
+		t.Errorf("ByName of an unknown name allocates %v objects per call, want 0", n)
+	}
+}
+
+// TestMeasurementReadsRun: a run becomes the analysis input field by field,
+// with the routine and access class the workload declares.
+func TestMeasurementReadsRun(t *testing.T) {
+	res := &sim.Result{Cores: 12, ThreadsPerCore: 2, TotalGBs: 81.5, PrefetchedReadFraction: 0.25}
+	for _, w := range append(All(), Extras()...) {
+		m := w.WithVariant(Variant{Vectorized: true}).Measurement(res)
+		if m.Routine != w.Routine() || m.RandomAccess != w.RandomAccess() || m.BandwidthGBs != 81.5 ||
+			m.ActiveCores != 12 || m.ThreadsPerCore != 2 || m.PrefetchedReadFraction != 0.25 {
+			t.Errorf("%s: measurement %+v does not read the run", w.Name(), m)
+		}
+	}
+}

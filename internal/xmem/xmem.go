@@ -41,8 +41,6 @@ type Options struct {
 	// number of in-flight prefetch lines each generator core sustains
 	// (its gap selects low-bandwidth points; see defaultLevels).
 	Levels []Level
-	// Seed for the probe's random pointer chain.
-	Seed int64
 	// Workers bounds how many operating points are measured concurrently
 	// (each point is an independent simulated node). 0 means
 	// runtime.GOMAXPROCS(0); 1 forces the historical serial sweep. The
@@ -151,7 +149,7 @@ func measure(ctx context.Context, p *platform.Platform, opts Options, lv Level) 
 		gens[i] = &genState{
 			h: memsys.NewHierarchy(node),
 			// Private 1 GiB arena per core, far beyond cache capacity.
-			rng:  rand.New(rand.NewSource(int64(i)*7919 + opts.Seed)),
+			rng:  rand.New(rand.NewSource(int64(i) * 7919)),
 			base: uint64(i+1) << 30,
 		}
 	}
@@ -187,7 +185,7 @@ func measure(ctx context.Context, p *platform.Platform, opts Options, lv Level) 
 	// Latency probe: a dedicated core issuing one dependent random load at
 	// a time, exactly like X-Mem's pointer-chasing latency thread.
 	probe := memsys.NewHierarchy(node)
-	rng := rand.New(rand.NewSource(opts.Seed + int64(lv.Window*1000) + int64(lv.GapCyc)))
+	rng := rand.New(rand.NewSource(int64(lv.Window*1000) + int64(lv.GapCyc)))
 	const probeArena = 1 << 29
 	probeBase := uint64(opts.Cores+8) << 30
 

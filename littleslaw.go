@@ -123,16 +123,7 @@ func RunContext(ctx context.Context, w WorkloadSpec, p *PlatformSpec, threadsPer
 
 // MeasurementFrom converts a simulated run into the metric's input, the
 // way CrayPat-style counters would be read on real hardware.
-func MeasurementFrom(w WorkloadSpec, res *RunResult) Measurement {
-	return Measurement{
-		Routine:                w.Routine(),
-		BandwidthGBs:           res.TotalGBs,
-		ActiveCores:            res.Cores,
-		ThreadsPerCore:         res.ThreadsPerCore,
-		PrefetchedReadFraction: res.PrefetchedReadFraction,
-		RandomAccess:           w.RandomAccess(),
-	}
-}
+func MeasurementFrom(w WorkloadSpec, res *RunResult) Measurement { return w.Measurement(res) }
 
 // Analyze computes the Little's-Law MLP report (Equation 2 + the L1/L2
 // MSHR classification).
