@@ -6,7 +6,9 @@
 // the affinity owner has the occupancy ceiling's worth in flight (their
 // windowed mean n_avg is reported, not routed on). Backends are health-checked
 // via /healthz behind per-backend circuit breakers; idempotent GETs are
-// hedged.
+// hedged. Each backend gets one attempt per request: a transport error or a
+// retryable status (429, 500, 502, 503, 504) fails over to the next
+// candidate, and that failover is the proxy's only retry.
 //
 // Usage:
 //
@@ -66,8 +68,7 @@ func main() {
 	breakerFailures := flag.Int("breaker-failures", 3, "consecutive transport failures that open a backend's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker rejects before a half-open trial")
 	hedgeDelay := flag.Duration("hedge-delay", 250*time.Millisecond, "how long an idempotent GET waits before racing a second backend (negative disables hedging)")
-	clientTimeout := flag.Duration("client-timeout", 10*time.Second, "per-forwarded-attempt deadline")
-	clientAttempts := flag.Int("client-attempts", 2, "attempts per forwarded request before failing over to another backend")
+	clientTimeout := flag.Duration("client-timeout", 10*time.Second, "deadline of one forward to one backend (a timed-out forward fails over to the next)")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "http.Server read timeout")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "http.Server keep-alive idle timeout")
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long to wait for in-flight requests on shutdown")
@@ -75,7 +76,6 @@ func main() {
 	faultSpec := flag.String("faults", "", "fault-injection spec for the proxy's own sites, e.g. 'seed=1;cluster.forward=error:0.1'")
 	traceCapacity := flag.Int("trace-capacity", 0, "finished forward traces retained for GET /v1/trace/{id} (0 = 256)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this loopback admin address (e.g. "+debugmux.DefaultAddr+"; empty = disabled)")
-	seed := flag.Int64("seed", 0, "deterministic backoff jitter seed (0 = from the clock)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -103,17 +103,15 @@ func main() {
 	}
 
 	p, err := cluster.New(cluster.Config{
-		Backends:          urls,
-		OccupancyCeiling:  *ceiling,
-		ProbeInterval:     *probeInterval,
-		ProbeTimeout:      *probeTimeout,
-		BreakerFailures:   *breakerFailures,
-		BreakerCooldown:   *breakerCooldown,
-		HedgeDelay:        *hedgeDelay,
-		ClientTimeout:     *clientTimeout,
-		ClientMaxAttempts: *clientAttempts,
-		TraceCapacity:     *traceCapacity,
-		Seed:              *seed,
+		Backends:         urls,
+		OccupancyCeiling: *ceiling,
+		ProbeInterval:    *probeInterval,
+		ProbeTimeout:     *probeTimeout,
+		BreakerFailures:  *breakerFailures,
+		BreakerCooldown:  *breakerCooldown,
+		HedgeDelay:       *hedgeDelay,
+		ClientTimeout:    *clientTimeout,
+		TraceCapacity:    *traceCapacity,
 	})
 	if err != nil {
 		log.Fatalf("llproxy: %v", err)

@@ -46,8 +46,8 @@ type Backend struct {
 	// URL is the backend's base URL.
 	URL string
 
-	cl    *client.Client // unary forwards: retries, backoff, Retry-After
-	httpc *http.Client   // streams and probes: single attempt, no retries
+	cl    *client.Client // unary forwards: one attempt, per-attempt timeout
+	httpc *http.Client   // streams and probes
 
 	// Breaker tuning, copied from the proxy config.
 	maxFails int // consecutive transport failures that open the breaker

@@ -55,14 +55,13 @@ func TestChaosClusterFailover(t *testing.T) {
 		Backends: urls,
 		// High ceiling: this run exercises failover; the affinity-override
 		// policy has its own test and must not blur the occupancy books.
-		OccupancyCeiling:  1000,
-		ProbeInterval:     200 * time.Millisecond,
-		ProbeTimeout:      500 * time.Millisecond,
-		BreakerFailures:   3,
-		BreakerCooldown:   30 * time.Second, // no half-open trials inside the run
-		HedgeDelay:        -1,
-		ClientMaxAttempts: 1,   // failover, not in-place retry, is under test
-		FaultInjector:     inj, // no cluster.* rules armed; isolates from faults.Global()
+		OccupancyCeiling: 1000,
+		ProbeInterval:    200 * time.Millisecond,
+		ProbeTimeout:     500 * time.Millisecond,
+		BreakerFailures:  3,
+		BreakerCooldown:  30 * time.Second, // no half-open trials inside the run
+		HedgeDelay:       -1,
+		FaultInjector:    inj, // no cluster.* rules armed; isolates from faults.Global()
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

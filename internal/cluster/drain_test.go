@@ -136,9 +136,8 @@ func TestChaosRollingRestart(t *testing.T) {
 		// Short cooldown so the restarted backend's breaker (opened while
 		// its listener was closed) half-opens quickly; the next good probe
 		// closes it outright.
-		BreakerCooldown:   200 * time.Millisecond,
-		HedgeDelay:        -1,
-		ClientMaxAttempts: 1, // failover across backends, not in-place retry
+		BreakerCooldown: 200 * time.Millisecond,
+		HedgeDelay:      -1,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

@@ -138,7 +138,6 @@ func contractProxy(t *testing.T, backends []string, rules ...faults.Rule) (*Prox
 		Backends:      backends,
 		ProbeInterval: -1,
 		FaultInjector: inj,
-		Seed:          1,
 	})
 	if err != nil {
 		t.Fatal(err)

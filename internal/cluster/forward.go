@@ -174,8 +174,9 @@ func (p *Proxy) hedged(ctx context.Context, cands []*Backend, path string) (*cli
 	}
 }
 
-// tryBackend forwards one unary request through the backend's resilient
-// client, feeding the occupancy estimator, the breaker and the metrics.
+// tryBackend makes one attempt at one backend, feeding the occupancy
+// estimator, the breaker and the metrics with time spent at that backend
+// alone: a retry, if any, is the caller's failover to the next candidate.
 func (p *Proxy) tryBackend(ctx context.Context, b *Backend, method, path, contentType string, body []byte) (*client.Result, error) {
 	b.arrive(p.cfg.Now())
 	begin := time.Now()

@@ -69,15 +69,13 @@ func TestHedgedLoserConnectionsNotLeaked(t *testing.T) {
 		t.Fatalf("faults.New: %v", err)
 	}
 	p, err := New(Config{
-		Backends:          urls,
-		ProbeInterval:     -1,
-		HedgeDelay:        30 * time.Millisecond,
-		ClientMaxAttempts: 1,
-		ClientTimeout:     5 * time.Second,
-		BreakerFailures:   3,
-		BreakerCooldown:   time.Minute,
-		FaultInjector:     inj,
-		Seed:              42,
+		Backends:        urls,
+		ProbeInterval:   -1,
+		HedgeDelay:      30 * time.Millisecond,
+		ClientTimeout:   5 * time.Second,
+		BreakerFailures: 3,
+		BreakerCooldown: time.Minute,
+		FaultInjector:   inj,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

@@ -19,8 +19,9 @@
 // breaker (open on consecutive transport failures, half-open trials),
 // hedged requests for idempotent GETs, stream-pinned routing for
 // /v1/watch/{stream} (every subscriber must reach the broker's owner),
-// forwarding through the resilient internal/client, llproxy_* per-backend
-// metrics, and two fault sites (cluster.forward, cluster.probe).
+// one attempt per backend with failover to the next candidate as the only
+// retry, llproxy_* per-backend metrics, and two fault sites
+// (cluster.forward, cluster.probe).
 package cluster
 
 import (
@@ -75,12 +76,11 @@ type Config struct {
 	// opening a second lane to the next candidate (0 = 250ms; negative
 	// disables hedging).
 	HedgeDelay time.Duration
-	// ClientTimeout bounds each forwarded attempt (0 = 10s).
+	// ClientTimeout bounds each forward to one backend (0 = 10s).
 	ClientTimeout time.Duration
-	// ClientMaxAttempts caps attempts per forwarded request, first try
-	// included (0 = 2: one quick retry, then failover to another backend).
-	ClientMaxAttempts int
-	// Seed makes backend-client backoff jitter deterministic (0 = clock).
+	// Seed is read by nothing: each backend gets one attempt per request,
+	// so there is no backoff jitter to seed. It stays only while
+	// bench/stack.go still sets it.
 	Seed int64
 	// TraceCapacity bounds the ring of finished forward traces served by
 	// GET /v1/trace/{id} and GET /v1/traces (0 = trace.DefaultCapacity).
@@ -115,9 +115,6 @@ func (c *Config) normalize() error {
 	}
 	if c.ClientTimeout <= 0 {
 		c.ClientTimeout = 10 * time.Second
-	}
-	if c.ClientMaxAttempts <= 0 {
-		c.ClientMaxAttempts = 2
 	}
 	if c.FaultInjector == nil {
 		c.FaultInjector = faults.Global()
@@ -170,7 +167,7 @@ func New(cfg Config) (*Proxy, error) {
 		stop:     make(chan struct{}),
 	}
 	names := make([]string, 0, len(cfg.Backends))
-	for i, raw := range cfg.Backends {
+	for _, raw := range cfg.Backends {
 		u, err := url.Parse(raw)
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("cluster: backend %q: want an absolute URL like http://host:port", raw)
@@ -179,15 +176,12 @@ func New(cfg Config) (*Proxy, error) {
 		if _, dup := p.backends[name]; dup {
 			return nil, fmt.Errorf("cluster: duplicate backend %q", name)
 		}
-		seed := cfg.Seed
-		if seed != 0 {
-			seed += int64(i) // distinct jitter streams per backend
-		}
+		// One attempt per backend: failover to the next candidate is the
+		// proxy's only retry (DESIGN §11).
 		cl, err := client.New(client.Config{
 			BaseURL:     raw,
 			Timeout:     cfg.ClientTimeout,
-			MaxAttempts: cfg.ClientMaxAttempts,
-			Seed:        seed,
+			MaxAttempts: 1,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: backend %q: %w", raw, err)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,6 +52,9 @@ func (s *stubBackend) handler(w http.ResponseWriter, r *http.Request) {
 	}
 	if code := int(s.status.Load()); code != 0 && code != http.StatusOK {
 		w.Header().Set("Content-Type", "application/json")
+		if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", "1") // as llserved sheds
+		}
 		w.WriteHeader(code)
 		fmt.Fprintf(w, `{"error":"scripted %d"}`, code)
 		return
@@ -73,8 +77,8 @@ func (s *stubBackend) handler(w http.ResponseWriter, r *http.Request) {
 }
 
 // newStubCluster spins n stub backends and a proxy over them with
-// test-friendly defaults: no background prober, no hedging, single-attempt
-// forwarding, a private fault injector, and a fast breaker.
+// test-friendly defaults: no background prober, no hedging, a private fault
+// injector, and a fast breaker.
 func newStubCluster(t *testing.T, n int, mutate func(*Config)) (*Proxy, []*stubBackend) {
 	t.Helper()
 	stubs := make([]*stubBackend, n)
@@ -92,15 +96,13 @@ func newStubCluster(t *testing.T, n int, mutate func(*Config)) (*Proxy, []*stubB
 		t.Fatalf("faults.New: %v", err)
 	}
 	cfg := Config{
-		Backends:          urls,
-		ProbeInterval:     -1,
-		HedgeDelay:        -1,
-		ClientMaxAttempts: 1,
-		ClientTimeout:     5 * time.Second,
-		BreakerFailures:   3,
-		BreakerCooldown:   time.Minute,
-		FaultInjector:     inj,
-		Seed:              42,
+		Backends:        urls,
+		ProbeInterval:   -1,
+		HedgeDelay:      -1,
+		ClientTimeout:   5 * time.Second,
+		BreakerFailures: 3,
+		BreakerCooldown: time.Minute,
+		FaultInjector:   inj,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -232,31 +234,40 @@ func TestProxyOccupancyOverrideSpills(t *testing.T) {
 
 // TestProxyFailoverOnServerError: a retryable status from the first
 // candidate spills the request to the next, and the client still sees 200.
+// The first candidate is asked exactly once: failover is the proxy's only
+// retry, so a shed's Retry-After never parks the request at its owner.
 func TestProxyFailoverOnServerError(t *testing.T) {
-	p, stubs := newStubCluster(t, 2, nil)
-	ts := httptest.NewServer(p.Handler())
-	defer ts.Close()
+	for _, code := range []int{http.StatusInternalServerError, http.StatusServiceUnavailable, http.StatusTooManyRequests} {
+		t.Run(strconv.Itoa(code), func(t *testing.T) {
+			p, stubs := newStubCluster(t, 2, nil)
+			ts := httptest.NewServer(p.Handler())
+			defer ts.Close()
 
-	cands, _ := p.candidates("", false)
-	first := cands[0]
-	stubByName(stubs, first.Name).status.Store(http.StatusInternalServerError)
+			cands, _ := p.candidates("", false)
+			first := stubByName(stubs, cands[0].Name)
+			first.status.Store(int64(code))
 
-	// No affinity key (unknown platform): routed purely by load.
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
-		strings.NewReader(`{"platform":"nope"}`))
-	if err != nil {
-		t.Fatalf("post: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200 via failover", resp.StatusCode)
-	}
-	if got := p.failovers.Value(); got == 0 {
-		t.Fatalf("failover not counted")
-	}
-	if got := p.requests.With(first.Name, "server_error").Value(); got != 1 {
-		t.Fatalf("server_error outcome for first candidate = %d, want 1", got)
+			// No affinity key (unknown platform): routed purely by load.
+			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
+				strings.NewReader(`{"platform":"nope"}`))
+			if err != nil {
+				t.Fatalf("post: %v", err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, want 200 via failover", resp.StatusCode)
+			}
+			if got := first.hits.Load(); got != 1 {
+				t.Fatalf("first candidate asked %d times, want 1", got)
+			}
+			if got := p.failovers.Value(); got != 1 {
+				t.Fatalf("failovers = %d, want 1", got)
+			}
+			if got := p.requests.With(first.name, outcomeOf(code)).Value(); got != 1 {
+				t.Fatalf("%s outcome for first candidate = %d, want 1", outcomeOf(code), got)
+			}
+		})
 	}
 }
 

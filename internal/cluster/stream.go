@@ -39,11 +39,11 @@ func (p *Proxy) handleWatchSubscribe(w http.ResponseWriter, r *http.Request) err
 
 // forwardStream proxies a long-lived NDJSON/SSE connection: raw
 // passthrough with a per-chunk flush, outside the unary client (which
-// buffers whole responses and retries — wrong on both counts for a
-// stream). Stream lifetimes do not feed the backend's occupancy
-// estimator: a healthy stream lasts as long as its client, which says
-// nothing about backend load. They are accounted by llproxy_stream_clients
-// (and, like every request inside the proxy, by its own in-flight gauge).
+// buffers whole responses — wrong for a stream). Stream lifetimes do not
+// feed the backend's occupancy estimator: a healthy stream lasts as long
+// as its client, which says nothing about backend load. They are accounted
+// by llproxy_stream_clients (and, like every request inside the proxy, by
+// its own in-flight gauge).
 func (p *Proxy) forwardStream(w http.ResponseWriter, r *http.Request, key string, pinned bool, body []byte) error {
 	if err := p.forwardFault(r); err != nil {
 		return err
