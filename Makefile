@@ -224,14 +224,16 @@ trace-demo:
 # (experiments.test shows up as experiments.tes). It also matches go itself
 # and the tools it runs (compile, link, asm, vet, cgo): a go test ./... cut
 # off between two packages has no .test binary alive, only go, which would
-# go on to build and run the rest. awk reads only the name and argv[0]
+# go on to build and run the rest. It matches pprof and trace too: go tool
+# pprof -http and go tool trace leave an HTTP viewer running under those
+# names after the profile is read. awk reads only the name and argv[0]
 # columns, so unlike pgrep -f it cannot match the checking shell's own
 # command line. The names are matched in every directory, not only this
 # checkout, because a go test stranded in a second checkout outlives the
 # session just the same; so an unrelated go build running beside it trips
 # the check too. It prints nothing when clean. LEFTOVERS is the check as one
 # shell command, so perf runs it inline.
-LEFTOVER_NAMES = $(notdir $(wildcard cmd/*)) bench llbench go compile link asm vet cgo
+LEFTOVER_NAMES = $(notdir $(wildcard cmd/*)) bench llbench go compile link asm vet cgo pprof trace
 LEFTOVERS = ps -eo pid=,comm=,args= | awk -v names="$(LEFTOVER_NAMES)" ' \
 		BEGIN { n = split(names, list, " "); for (i = 1; i <= n; i++) want[list[i]] = 1 } \
 		{ k = split($$3, argv0, "/") } \
@@ -262,7 +264,11 @@ tier1-time:
 	grep -h -E '^(FAIL|--- FAIL|panic:)' $$tmp/run*; exit $$status
 
 # scoreboard prints the size-and-sediment rows ROADMAP.md's re-anchor table
-# tracks, so the next table is generated rather than counted by hand.
+# tracks, so the next table is generated rather than counted by hand. The
+# exported-names row lists each func or type declared at the start of a line
+# in non-test Go under internal/ or cmd/ whose name is on no other
+# non-comment line of any tracked Go file. The root package is left out: it
+# is the module's public API, whose names need no caller inside the module.
 scoreboard:
 	@gofiles() { git ls-files '*.go' | grep -v '_test\.go$$'; }; \
 	echo "non-test Go lines, all:              $$(gofiles | xargs cat | wc -l)"; \
@@ -273,6 +279,15 @@ scoreboard:
 	echo "main packages with no test file:     $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}} {{len .TestGoFiles}} {{len .XTestGoFiles}}{{end}}' ./... | awk 'NF { n++ } NF && $$2 + $$3 == 0 { u++; l = l " " $$1 } END { printf "%d of %d:%s", u, n, l }')"; \
 	echo "internal packages with ≤ 1 non-test importer: $$($(GO) list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}' ./... \
 		| awk '{ pkgs[$$1] = 1; for (i = 2; i <= NF; i++) n[$$i]++ } END { for (p in pkgs) if (p ~ /\/internal\// && n[p] <= 1) { sub(/^.*\/internal\//, "", p); print p } }' \
+		| sort | awk '{ l = l " " $$0 } END { printf "%d:%s", NR, l }')"; \
+	echo "exported names referenced nowhere else: $$(decls=$$(gofiles | grep -E '^(internal|cmd)/' \
+		| xargs grep -nHE '^(func (\([^)]*\) )?|type )[A-Z]' \
+		| sed -E 's/^([^:]+:[0-9]+):(func (\([^)]*\) )?|type )([A-Za-z0-9_]+).*/\1 \4/'); \
+		awk -v decls="$$decls" ' \
+			BEGIN { n = split(decls, d, "\n"); for (i = 1; i <= n; i++) { split(d[i], f, " "); at[f[1]] = f[2]; refs[f[2]] += 0 } } \
+			{ s = $$0; sub(/^[ \t]*\/\/.*/, "", s); sub(/[ \t]\/\/.*$$/, "", s); here = at[FILENAME ":" FNR]; \
+			  k = split(s, tok, /[^A-Za-z0-9_]+/); for (i = 1; i <= k; i++) if (tok[i] in refs && tok[i] != here) refs[tok[i]]++ } \
+			END { for (x in refs) if (!refs[x]) print x }' $$(git ls-files '*.go') \
 		| sort | awk '{ l = l " " $$0 } END { printf "%d:%s", NR, l }')"; \
 	echo "Config fields, service/cluster/sim/limit: $$(for p in service cluster sim limit; do \
 		git ls-files "internal/$$p/*.go" | grep -v '_test\.go$$' | xargs cat \

@@ -1,7 +1,8 @@
 // Command llserved serves the Little's-Law analysis pipeline as an HTTP
 // JSON API: platform characterization, the Equation-2 metric, the Figure-1
-// recipe, the autotune loop and the paper tables, with profile/table
-// caching and Prometheus-style metrics.
+// recipe, the autotune loop and the paper tables, with profile caching
+// (tables render from runner entries on every request) and
+// Prometheus-style metrics.
 //
 // Usage:
 //

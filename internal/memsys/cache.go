@@ -11,15 +11,6 @@ type CacheStats struct {
 	Writebacks uint64 // dirty evictions
 }
 
-// MissRatio returns misses / (hits+misses), or 0 with no accesses.
-func (s CacheStats) MissRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(total)
-}
-
 // Cache is a set-associative, write-back, write-allocate cache with LRU
 // replacement. It operates on line addresses; timing lives in Hierarchy.
 //

@@ -57,9 +57,6 @@ func NewMSHR(sched *events.Scheduler, capacity int) *MSHR {
 	return m
 }
 
-// Capacity returns the register count.
-func (m *MSHR) Capacity() int { return m.capacity }
-
 // InFlight returns the current number of outstanding line misses.
 func (m *MSHR) InFlight() int { return len(m.lines) }
 

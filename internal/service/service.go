@@ -2,10 +2,10 @@
 // long-running HTTP JSON API — analysis as a service rather than a
 // one-shot CLI. It exposes the facade's verbs (/v1/platforms,
 // /v1/characterize, /v1/analyze, /v1/advise, /v1/tune, /v1/tables/{id})
-// on top of the concurrent engine, with LRU+singleflight caches for the
-// expensive once-per-platform profiles and per-(table, scale) results,
-// per-request timeouts propagated through context, and an instrumentation
-// registry at /metrics.
+// on top of the concurrent engine, with an LRU+singleflight cache for the
+// expensive once-per-platform profiles (tables render from runner entries
+// on every request), per-request timeouts propagated through context, and
+// an instrumentation registry at /metrics.
 //
 // The service practices what the paper preaches: /metrics exports the
 // server's own measured n_avg (the windowed time-average of its in-flight

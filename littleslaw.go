@@ -152,14 +152,6 @@ func RegenerateTable(id string, scale float64) (*experiments.Table, error) {
 	return experiments.NewRunner(experiments.Options{Scale: scale}).Table(id)
 }
 
-// RegenerateTableContext is RegenerateTable with cancellation and the
-// table's distinct runs dispatched across workers goroutines (0 means
-// runtime.GOMAXPROCS(0)). The rendered table is byte-identical for any
-// worker count.
-func RegenerateTableContext(ctx context.Context, id string, scale float64, workers int) (*experiments.Table, error) {
-	return experiments.NewRunner(experiments.Options{Scale: scale, Workers: workers}).TableContext(ctx, id)
-}
-
 type errUnknownWorkload string
 
 func (e errUnknownWorkload) Error() string {
