@@ -8,7 +8,9 @@
 // via /healthz behind per-backend circuit breakers; idempotent GETs are
 // hedged. Each backend gets one attempt per request: a transport error or a
 // retryable status (429, 500, 502, 503, 504) fails over to the next
-// candidate, and that failover is the proxy's only retry.
+// candidate, and that failover is the proxy's only retry. An in-place retry
+// would wait out the backend's Retry-After and count that wait as the
+// owner's occupancy, the signal requests are routed on.
 //
 // Usage:
 //

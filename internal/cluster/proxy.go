@@ -20,8 +20,9 @@
 // hedged requests for idempotent GETs, stream-pinned routing for
 // /v1/watch/{stream} (every subscriber must reach the broker's owner),
 // one attempt per backend with failover to the next candidate as the only
-// retry, llproxy_* per-backend metrics, and two fault sites
-// (cluster.forward, cluster.probe).
+// retry (an in-place retry would wait out a shedding backend's Retry-After
+// and count the wait as that backend's occupancy), llproxy_* per-backend
+// metrics, and two fault sites (cluster.forward, cluster.probe).
 package cluster
 
 import (
