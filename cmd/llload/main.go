@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -30,6 +32,10 @@ import (
 	"littleslaw/internal/buildinfo"
 	"littleslaw/internal/loadgen"
 )
+
+// errUsage marks a command line the flag package rejected; it has already
+// printed why, with the usage.
+var errUsage = errors.New("usage")
 
 // targetList collects -targets values: the flag is repeatable and each
 // occurrence may carry a comma-separated list.
@@ -47,45 +53,65 @@ func (t *targetList) Set(v string) error {
 }
 
 func main() {
-	url := flag.String("url", "", "target URL (required unless -targets is given)")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "llload:", err)
+		os.Exit(1)
+	}
+}
+
+// run drives the target until -duration, -n or ctx ends the run, then
+// prints the summary to stdout.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("llload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	url := fs.String("url", "", "target URL (required unless -targets is given)")
 	var targets targetList
-	flag.Var(&targets, "targets", "comma-separated target URLs to round-robin (repeatable); prints a per-target breakdown")
-	method := flag.String("method", "", "HTTP method (default POST with -body, GET without)")
-	body := flag.String("body", "", "request body sent with every request")
-	bodyFile := flag.String("body-file", "", "read the request body from a file")
-	contentType := flag.String("content-type", "application/json", "request body content type")
-	mode := flag.String("mode", "closed", "driving discipline: closed (fixed clients) or open (fixed arrival rate)")
-	concurrency := flag.Int("c", 4, "closed-loop client population")
-	rate := flag.Float64("rate", 100, "open-loop arrival rate, requests/second")
-	arrivals := flag.String("arrivals", "uniform", "open-loop arrival discipline: uniform or poisson")
-	duration := flag.Duration("duration", 5*time.Second, "how long to drive")
-	maxRequests := flag.Int("n", 0, "stop after this many arrivals (0 = until -duration)")
-	retries := flag.Int("retries", 0, "retry cap per arrival on 429/5xx (sleeps for Retry-After when hinted)")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-attempt client timeout")
-	seed := flag.Int64("seed", 0, "seed for the arrival schedule and retry jitter (0 = from the clock); same seed replays the same offered load")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+	fs.Var(&targets, "targets", "comma-separated target URLs to round-robin (repeatable); prints a per-target breakdown")
+	method := fs.String("method", "", "HTTP method (default POST with -body, GET without)")
+	body := fs.String("body", "", "request body sent with every request")
+	bodyFile := fs.String("body-file", "", "read the request body from a file")
+	contentType := fs.String("content-type", "application/json", "request body content type")
+	mode := fs.String("mode", "closed", "driving discipline: closed (fixed clients) or open (fixed arrival rate)")
+	concurrency := fs.Int("c", 4, "closed-loop client population")
+	rate := fs.Float64("rate", 100, "open-loop arrival rate, requests/second")
+	arrivals := fs.String("arrivals", "uniform", "open-loop arrival discipline: uniform or poisson")
+	duration := fs.Duration("duration", 5*time.Second, "how long to drive")
+	maxRequests := fs.Int("n", 0, "stop after this many arrivals (0 = until -duration)")
+	retries := fs.Int("retries", 0, "retry cap per arrival on 429/5xx (sleeps for Retry-After when hinted)")
+	timeout := fs.Duration("timeout", 10*time.Second, "per-attempt client timeout")
+	seed := fs.Int64("seed", 0, "seed for the arrival schedule and retry jitter (0 = from the clock); same seed replays the same offered load")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 	if *version {
-		buildinfo.Print(os.Stdout, "llload")
-		return
+		buildinfo.Print(stdout, "llload")
+		return nil
 	}
 	if *url == "" && len(targets) == 0 {
-		fail(fmt.Errorf("-url or -targets is required"))
+		return errors.New("-url or -targets is required")
 	}
 	payload := []byte(*body)
 	if *bodyFile != "" {
 		if *body != "" {
-			fail(fmt.Errorf("use -body or -body-file, not both"))
+			return errors.New("use -body or -body-file, not both")
 		}
 		data, err := os.ReadFile(*bodyFile)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		payload = data
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	where := *url
 	if len(targets) > 0 {
@@ -94,17 +120,17 @@ func main() {
 			where = targets[0]
 		}
 	}
-	fmt.Printf("llload: %s %s  mode=%s", methodFor(*method, payload), where, *mode)
+	fmt.Fprintf(stdout, "llload: %s %s  mode=%s", methodFor(*method, payload), where, *mode)
 	if *mode == "open" {
-		fmt.Printf(" rate=%g/s arrivals=%s", *rate, *arrivals)
+		fmt.Fprintf(stdout, " rate=%g/s arrivals=%s", *rate, *arrivals)
 	} else {
-		fmt.Printf(" clients=%d", *concurrency)
+		fmt.Fprintf(stdout, " clients=%d", *concurrency)
 	}
-	fmt.Printf(" duration=%s retries=%d", *duration, *retries)
+	fmt.Fprintf(stdout, " duration=%s retries=%d", *duration, *retries)
 	if *seed != 0 {
-		fmt.Printf(" seed=%d", *seed)
+		fmt.Fprintf(stdout, " seed=%d", *seed)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	res, err := loadgen.Run(ctx, loadgen.Options{
 		URL:         *url,
@@ -123,28 +149,29 @@ func main() {
 		Seed:        *seed,
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Println("llload:", res)
+	fmt.Fprintln(stdout, "llload:", res)
 	if per := res.PerTarget(); len(per) > 1 {
 		for _, tc := range per {
-			fmt.Println("llload:   ", tc)
+			fmt.Fprintln(stdout, "llload:   ", tc)
 		}
 	}
 	if res.RetryAfterSeen > 0 {
-		fmt.Printf("llload: %d sheds carried Retry-After hints\n", res.RetryAfterSeen)
+		fmt.Fprintf(stdout, "llload: %d sheds carried Retry-After hints\n", res.RetryAfterSeen)
 	}
 	if res.DegradedOK > 0 {
 		by := res.OKByMode()
-		fmt.Printf("llload: goodput split: %d full-fidelity + %d degraded (stale %d, analytic %d); degraded successes count as successes\n",
+		fmt.Fprintf(stdout, "llload: goodput split: %d full-fidelity + %d degraded (stale %d, analytic %d); degraded successes count as successes\n",
 			res.OK-res.DegradedOK, res.DegradedOK, by["stale"], by["analytic"])
 	}
 	if id, lat := res.SlowestTrace(); id != "" {
-		fmt.Printf("llload: slowest request %s took %s — GET /v1/trace/%s for its waterfall\n", id, lat.Round(time.Millisecond), id)
+		fmt.Fprintf(stdout, "llload: slowest request %s took %s — GET /v1/trace/%s for its waterfall\n", id, lat.Round(time.Millisecond), id)
 	}
 	if res.OK == 0 && res.Sent > 0 {
-		os.Exit(1)
+		return fmt.Errorf("none of %d requests succeeded", res.Sent)
 	}
+	return nil
 }
 
 func methodFor(m string, body []byte) string {
@@ -155,9 +182,4 @@ func methodFor(m string, body []byte) string {
 		return "POST"
 	}
 	return "GET"
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "llload:", err)
-	os.Exit(1)
 }

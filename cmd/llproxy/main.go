@@ -46,8 +46,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -61,31 +65,60 @@ import (
 	"littleslaw/internal/faults"
 )
 
+// errUsage marks a command line the flag package rejected; it has already
+// printed why, with the usage.
+var errUsage = errors.New("usage")
+
 func main() {
-	addr := flag.String("addr", ":8000", "listen address")
-	backends := flag.String("backends", "", "comma-separated llserved base URLs (required)")
-	ceiling := flag.Float64("occupancy-ceiling", 32, "forwards in flight to the affinity owner at which affinity is overridden and requests spill to the backend with the fewest in flight")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "background /healthz probe spacing (negative disables probing)")
-	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe deadline")
-	breakerFailures := flag.Int("breaker-failures", 3, "consecutive transport failures that open a backend's circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker rejects before a half-open trial")
-	hedgeDelay := flag.Duration("hedge-delay", 250*time.Millisecond, "how long an idempotent GET waits before racing a second backend (negative disables hedging)")
-	clientTimeout := flag.Duration("client-timeout", 10*time.Second, "deadline of one forward to one backend (a timed-out forward fails over to the next)")
-	readTimeout := flag.Duration("read-timeout", 30*time.Second, "http.Server read timeout")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "http.Server keep-alive idle timeout")
-	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long to wait for in-flight requests on shutdown")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long to keep the listener open in draining mode (healthz reports draining, new forwards shed 503) before closing it")
-	faultSpec := flag.String("faults", "", "fault-injection spec for the proxy's own sites, e.g. 'seed=1;cluster.forward=error:0.1'")
-	traceCapacity := flag.Int("trace-capacity", 0, "finished forward traces retained for GET /v1/trace/{id} (0 = 256)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this loopback admin address (e.g. "+debugmux.DefaultAddr+"; empty = disabled)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "llproxy")
-		return
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "llproxy:", err)
+		os.Exit(1)
 	}
+}
+
+// run proxies until ctx is done, then drains and shuts down. It logs to
+// stderr; stdout carries only -version.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("llproxy", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8000", "listen address")
+	backends := fs.String("backends", "", "comma-separated llserved base URLs (required)")
+	ceiling := fs.Float64("occupancy-ceiling", 32, "forwards in flight to the affinity owner at which affinity is overridden and requests spill to the backend with the fewest in flight")
+	probeInterval := fs.Duration("probe-interval", 2*time.Second, "background /healthz probe spacing (negative disables probing)")
+	probeTimeout := fs.Duration("probe-timeout", time.Second, "per-probe deadline")
+	breakerFailures := fs.Int("breaker-failures", 3, "consecutive transport failures that open a backend's circuit breaker")
+	breakerCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker rejects before a half-open trial")
+	hedgeDelay := fs.Duration("hedge-delay", 250*time.Millisecond, "how long an idempotent GET waits before racing a second backend (negative disables hedging)")
+	clientTimeout := fs.Duration("client-timeout", 10*time.Second, "deadline of one forward to one backend (a timed-out forward fails over to the next)")
+	readTimeout := fs.Duration("read-timeout", 30*time.Second, "http.Server read timeout")
+	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "http.Server keep-alive idle timeout")
+	shutdownGrace := fs.Duration("shutdown-grace", 30*time.Second, "how long to wait for in-flight requests on shutdown")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long to keep the listener open in draining mode (healthz reports draining, new forwards shed 503) before closing it")
+	faultSpec := fs.String("faults", "", "fault-injection spec for the proxy's own sites, e.g. 'seed=1;cluster.forward=error:0.1'")
+	traceCapacity := fs.Int("trace-capacity", 0, "finished forward traces retained for GET /v1/trace/{id} (0 = 256)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this loopback admin address (e.g. "+debugmux.DefaultAddr+"; empty = disabled)")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if *version {
+		buildinfo.Print(stdout, "llproxy")
+		return nil
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+	logf := func(format string, args ...any) { logger.Printf("llproxy: "+format, args...) }
 	if *backends == "" {
-		log.Fatalf("llproxy: -backends is required (comma-separated llserved URLs)")
+		return errors.New("-backends is required (comma-separated llserved URLs)")
 	}
 	var urls []string
 	for _, u := range strings.Split(*backends, ",") {
@@ -96,12 +129,12 @@ func main() {
 	if *faultSpec != "" {
 		fseed, rules, err := faults.ParseSpec(*faultSpec)
 		if err != nil {
-			log.Fatalf("llproxy: -faults: %v", err)
+			return fmt.Errorf("-faults: %w", err)
 		}
 		if err := faults.Global().Configure(fseed, rules); err != nil {
-			log.Fatalf("llproxy: -faults: %v", err)
+			return fmt.Errorf("-faults: %w", err)
 		}
-		log.Printf("llproxy: fault injection armed (%s)", faults.FormatSpec(fseed, rules))
+		logf("fault injection armed (%s)", faults.FormatSpec(fseed, rules))
 	}
 
 	p, err := cluster.New(cluster.Config{
@@ -116,7 +149,7 @@ func main() {
 		TraceCapacity:    *traceCapacity,
 	})
 	if err != nil {
-		log.Fatalf("llproxy: %v", err)
+		return err
 	}
 	p.Start()
 	defer p.Close()
@@ -124,39 +157,38 @@ func main() {
 	if *pprofAddr != "" {
 		got, closePprof, err := debugmux.Serve(*pprofAddr)
 		if err != nil {
-			log.Fatalf("llproxy: -pprof: %v", err)
+			return fmt.Errorf("-pprof: %w", err)
 		}
 		defer closePprof()
-		log.Printf("llproxy: pprof on http://%s/debug/pprof/", got)
+		logf("pprof on http://%s/debug/pprof/", got)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	// No http.Server WriteTimeout: proxied /v1/watch streams are long-lived.
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           p.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       *readTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("llproxy: listening on %s, sharding across %s", *addr, strings.Join(p.Backends(), ", "))
+	go func() { errc <- httpSrv.Serve(ln) }()
+	logf("listening on %s, sharding across %s", ln.Addr(), strings.Join(p.Backends(), ", "))
 
 	select {
 	case err := <-errc:
-		log.Fatalf("llproxy: %v", err)
+		return err
 	case <-ctx.Done():
 	}
 
 	// Drain first, listener open: the prober sees "draining" and reroutes
 	// before this process stops answering.
-	logf := func(format string, args ...any) { log.Printf("llproxy: "+format, args...) }
 	if err := p.DrainAndShutdown(httpSrv, *drainTimeout, *shutdownGrace, logf); err != nil {
-		log.Printf("llproxy: shutdown: %v", err)
-		os.Exit(1)
+		return fmt.Errorf("shutdown: %w", err)
 	}
-	log.Printf("llproxy: bye")
+	logf("bye")
+	return nil
 }

@@ -61,8 +61,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -79,33 +83,62 @@ import (
 	"littleslaw/internal/service"
 )
 
+// errUsage marks a command line the flag package rejected; it has already
+// printed why, with the usage.
+var errUsage = errors.New("usage")
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	timeout := flag.Duration("timeout", 5*time.Minute, "default per-request deadline (?timeout= overrides, capped by -max-timeout)")
-	maxTimeout := flag.Duration("max-timeout", 30*time.Minute, "largest accepted per-request deadline")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations per request pipeline")
-	paperProfiles := flag.Bool("paper-profiles", false, "serve the paper's published anchor curves instead of running the X-Mem characterization (instant, deterministic)")
-	warm := flag.Bool("warm", false, "characterize all platforms in the background at startup")
-	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long to wait for in-flight requests on shutdown")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long to keep the listener open in draining mode (healthz reports draining, new work sheds 503) before closing it")
-	runnerTTL := flag.Duration("runner-ttl", 0, "simulation cache TTL; expired entries recompute normally (tables included: they are rendered from these entries on every request) but stay servable as marked-stale answers under brownout B1 (0 = never expires)")
-	noBrownout := flag.Bool("no-brownout", false, "disable the brownout ladder (requires admission control to be on to matter)")
-	limitCeiling := flag.Float64("limit-ceiling", 64, "admission ceiling: most requests in flight at once, arrivals past it queue then shed (negative disables admission control)")
-	limitQueue := flag.Int("limit-queue", 0, "admission queue depth (0 = 2×ceiling, negative = shed immediately)")
-	limitQueueTimeout := flag.Duration("limit-queue-timeout", 5*time.Second, "longest a request waits in the admission queue")
-	maxStreams := flag.Int("max-streams", 64, "ceiling of the /v1/watch limiter: most connections open at once, arrivals past it shed with 429 + Retry-After, no queue (negative disables the cap)")
-	readTimeout := flag.Duration("read-timeout", 30*time.Second, "http.Server read timeout (full request including body)")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "http.Server keep-alive idle timeout")
-	writeTimeout := flag.Duration("write-timeout", time.Minute, "per-write response deadline, re-armed before every write (bounds stalled clients without cutting long-lived streams)")
-	faultSpec := flag.String("faults", "", "fault-injection spec, e.g. 'seed=42;handler.*=error:0.2;runner.run=latency:0.1:50ms' (empty = faults off; runtime control via /v1/faults)")
-	traceCapacity := flag.Int("trace-capacity", 0, "finished request traces retained for GET /v1/trace/{id} (0 = 256)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this loopback admin address (e.g. "+debugmux.DefaultAddr+"; empty = disabled)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "llserved")
-		return
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "llserved:", err)
+		os.Exit(1)
 	}
+}
+
+// run serves until ctx is done, then drains and shuts down. It logs to
+// stderr; stdout carries only -version.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("llserved", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	timeout := fs.Duration("timeout", 5*time.Minute, "default per-request deadline (?timeout= overrides, capped by -max-timeout)")
+	maxTimeout := fs.Duration("max-timeout", 30*time.Minute, "largest accepted per-request deadline")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations per request pipeline")
+	paperProfiles := fs.Bool("paper-profiles", false, "serve the paper's published anchor curves instead of running the X-Mem characterization (instant, deterministic)")
+	warm := fs.Bool("warm", false, "characterize all platforms in the background at startup")
+	shutdownGrace := fs.Duration("shutdown-grace", 30*time.Second, "how long to wait for in-flight requests on shutdown")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long to keep the listener open in draining mode (healthz reports draining, new work sheds 503) before closing it")
+	runnerTTL := fs.Duration("runner-ttl", 0, "simulation cache TTL; expired entries recompute normally (tables included: they are rendered from these entries on every request) but stay servable as marked-stale answers under brownout B1 (0 = never expires)")
+	noBrownout := fs.Bool("no-brownout", false, "disable the brownout ladder (requires admission control to be on to matter)")
+	limitCeiling := fs.Float64("limit-ceiling", 64, "admission ceiling: most requests in flight at once, arrivals past it queue then shed (negative disables admission control)")
+	limitQueue := fs.Int("limit-queue", 0, "admission queue depth (0 = 2×ceiling, negative = shed immediately)")
+	limitQueueTimeout := fs.Duration("limit-queue-timeout", 5*time.Second, "longest a request waits in the admission queue")
+	maxStreams := fs.Int("max-streams", 64, "ceiling of the /v1/watch limiter: most connections open at once, arrivals past it shed with 429 + Retry-After, no queue (negative disables the cap)")
+	readTimeout := fs.Duration("read-timeout", 30*time.Second, "http.Server read timeout (full request including body)")
+	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "http.Server keep-alive idle timeout")
+	writeTimeout := fs.Duration("write-timeout", time.Minute, "per-write response deadline, re-armed before every write (bounds stalled clients without cutting long-lived streams)")
+	faultSpec := fs.String("faults", "", "fault-injection spec, e.g. 'seed=42;handler.*=error:0.2;runner.run=latency:0.1:50ms' (empty = faults off; runtime control via /v1/faults)")
+	traceCapacity := fs.Int("trace-capacity", 0, "finished request traces retained for GET /v1/trace/{id} (0 = 256)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this loopback admin address (e.g. "+debugmux.DefaultAddr+"; empty = disabled)")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if *version {
+		buildinfo.Print(stdout, "llserved")
+		return nil
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+	logf := func(format string, args ...any) { logger.Printf("llserved: "+format, args...) }
 
 	cfg := service.Config{
 		DefaultTimeout:    *timeout,
@@ -128,35 +161,32 @@ func main() {
 	if *faultSpec != "" {
 		seed, rules, err := faults.ParseSpec(*faultSpec)
 		if err != nil {
-			log.Fatalf("llserved: -faults: %v", err)
+			return fmt.Errorf("-faults: %w", err)
 		}
 		if err := faults.Global().Configure(seed, rules); err != nil {
-			log.Fatalf("llserved: -faults: %v", err)
+			return fmt.Errorf("-faults: %w", err)
 		}
-		log.Printf("llserved: fault injection armed (%s)", faults.FormatSpec(seed, rules))
+		logf("fault injection armed (%s)", faults.FormatSpec(seed, rules))
 	}
 	srv := service.New(cfg)
 
 	if *pprofAddr != "" {
 		got, closePprof, err := debugmux.Serve(*pprofAddr)
 		if err != nil {
-			log.Fatalf("llserved: -pprof: %v", err)
+			return fmt.Errorf("-pprof: %w", err)
 		}
 		defer closePprof()
-		log.Printf("llserved: pprof on http://%s/debug/pprof/", got)
+		logf("pprof on http://%s/debug/pprof/", got)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	if *warm {
 		go func() {
 			for _, p := range platform.All() {
 				if _, err := srv.Warm(ctx, p.Name); err != nil {
-					log.Printf("llserved: warm %s: %v", p.Name, err)
+					logf("warm %s: %v", p.Name, err)
 					return
 				}
-				log.Printf("llserved: profile for %s ready", p.Name)
+				logf("profile for %s ready", p.Name)
 			}
 		}()
 	}
@@ -166,30 +196,32 @@ func main() {
 	// deadline (-write-timeout) before each write instead, which bounds
 	// stalled clients while letting healthy streams run indefinitely.
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       *readTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("llserved: listening on %s (profiles: %s)", *addr, profileMode(*paperProfiles))
+	go func() { errc <- httpSrv.Serve(ln) }()
+	logf("listening on %s (profiles: %s)", ln.Addr(), profileMode(*paperProfiles))
 
 	select {
 	case err := <-errc:
-		log.Fatalf("llserved: %v", err)
+		return err
 	case <-ctx.Done():
 	}
 
 	// Drain first, listener open: the prober sees "draining" and reroutes
 	// before this process stops answering.
-	logf := func(format string, args ...any) { log.Printf("llserved: "+format, args...) }
 	if err := srv.DrainAndShutdown(httpSrv, *drainTimeout, *shutdownGrace, logf); err != nil {
-		log.Printf("llserved: shutdown: %v", err)
-		os.Exit(1)
+		return fmt.Errorf("shutdown: %w", err)
 	}
-	log.Printf("llserved: bye")
+	logf("bye")
+	return nil
 }
 
 func profileMode(paper bool) string {

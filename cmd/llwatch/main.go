@@ -1,20 +1,3 @@
-// Command llwatch runs the sliding-window Little's-Law monitor live, in
-// either of two places. Locally, it tails a stream of bandwidth counter
-// samples (NDJSON on stdin or a file) and runs the monitor itself. Remotely
-// (-url), it tails a named llserved stream — GET /v1/watch/{stream} — over
-// the resilient client: the connection retries with backoff, a broken
-// stream reconnects and deduplicates replayed events by sequence number,
-// and a terminal "error" event from the server (its monitor died) is
-// surfaced instead of a silent hang. Either way: every window prints a
-// sparkline of n_avg against the binding MSHR ceiling, every detected
-// phase prints its Figure-1 recipe advice, and the final summary calls out
-// when the whole-stream average would have misled (§III-D).
-//
-// Usage:
-//
-//	llserved-style counters | llwatch -platform SKL
-//	llwatch -platform SKL -f samples.ndjson -window 8 -stride 4
-//	llwatch -url http://localhost:8080 -stream run42    # remote tail
 package main
 
 import (
@@ -39,25 +22,52 @@ import (
 	"littleslaw/internal/xmem"
 )
 
+// errUsage marks a command line the flag package rejected; it has already
+// printed why, with the usage.
+var errUsage = errors.New("usage")
+
 func main() {
-	platName := flag.String("platform", "SKL", "platform whose curve and MSHR ceilings apply (local mode)")
-	input := flag.String("f", "-", "NDJSON sample file ('-' = stdin; local mode)")
-	remoteURL := flag.String("url", "", "llserved base URL — tail a server-side stream instead of running the monitor locally")
-	streamName := flag.String("stream", "", "named stream to tail on the server (with -url)")
-	reconnects := flag.Int("reconnect", 5, "times to reconnect a broken remote stream before giving up (with -url)")
-	period := flag.Float64("period", 1, "seconds between samples that carry no t_s")
-	window := flag.Int("window", 8, "sliding-window width in samples")
-	stride := flag.Int("stride", 0, "window stride in samples (0 = half the window)")
-	cores := flag.Int("cores", 0, "active cores the samples were measured on (0 = whole node)")
-	threads := flag.Int("threads", 1, "threads per core in the measured run")
-	random := flag.Bool("random-access", false, "classify the stream as random-access when samples carry no prefetch fraction")
-	paper := flag.Bool("paper-profile", true, "use the paper's anchor curve (false = run the X-Mem characterization first)")
-	spark := flag.Int("spark", 32, "sparkline width in windows")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "llwatch:", err)
+		os.Exit(1)
+	}
+}
+
+// run monitors one stream to its end — the samples on stdin or -f, or the
+// server-side stream named by -url and -stream — printing to stdout.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("llwatch", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	platName := fs.String("platform", "SKL", "platform whose curve and MSHR ceilings apply (local mode)")
+	input := fs.String("f", "-", "NDJSON sample file ('-' = stdin; local mode)")
+	remoteURL := fs.String("url", "", "llserved base URL — tail a server-side stream instead of running the monitor locally")
+	streamName := fs.String("stream", "", "named stream to tail on the server (with -url)")
+	reconnects := fs.Int("reconnect", 5, "times to reconnect a broken remote stream before giving up (with -url)")
+	period := fs.Float64("period", 1, "seconds between samples that carry no t_s")
+	window := fs.Int("window", 8, "sliding-window width in samples")
+	stride := fs.Int("stride", 0, "window stride in samples (0 = half the window)")
+	cores := fs.Int("cores", 0, "active cores the samples were measured on (0 = whole node)")
+	threads := fs.Int("threads", 1, "threads per core in the measured run")
+	random := fs.Bool("random-access", false, "classify the stream as random-access when samples carry no prefetch fraction")
+	paper := fs.Bool("paper-profile", true, "use the paper's anchor curve (false = run the X-Mem characterization first)")
+	spark := fs.Int("spark", 32, "sparkline width in windows")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 	if *version {
-		buildinfo.Print(os.Stdout, "llwatch")
-		return
+		buildinfo.Print(stdout, "llwatch")
+		return nil
 	}
 	if *spark < 1 {
 		// -spark 0 would slide an empty history ring and panic; one column
@@ -65,41 +75,35 @@ func main() {
 		*spark = 1
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	pr := &printer{spark: *spark, history: make([]float64, 0, *spark)}
+	pr := &printer{w: stdout, spark: *spark, history: make([]float64, 0, *spark)}
 
 	if *remoteURL != "" {
 		if *streamName == "" {
-			fail(fmt.Errorf("-url needs -stream (the server-side stream name)"))
+			return errors.New("-url needs -stream (the server-side stream name)")
 		}
-		if err := tail(ctx, *remoteURL, *streamName, *reconnects, pr); err != nil {
-			fail(err)
-		}
-		return
+		return tail(ctx, *remoteURL, *streamName, *reconnects, pr, stderr)
 	}
 
 	p, err := platform.ByName(*platName)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	var profile *queueing.Curve
 	if *paper {
 		profile, err = experiments.PaperProfileFor(p)
 	} else {
-		fmt.Fprintf(os.Stderr, "llwatch: characterizing %s...\n", p.Name)
+		fmt.Fprintf(stderr, "llwatch: characterizing %s...\n", p.Name)
 		profile, err = xmem.Characterize(p, xmem.Options{})
 	}
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	var r io.Reader = os.Stdin
 	if *input != "-" {
 		f, err := os.Open(*input)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer f.Close()
 		r = f
@@ -116,14 +120,16 @@ func main() {
 	}
 	sum, err := stream.Monitor(ctx, stream.NewNDJSONSource(r, *period), cfg, pr.print)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	pr.summary(*sum)
+	return nil
 }
 
 // printer renders monitor events; both the local monitor and the remote
 // tail feed it.
 type printer struct {
+	w       io.Writer
 	spark   int
 	history []float64
 }
@@ -142,26 +148,26 @@ func (pr *printer) print(ev stream.Event) error {
 		if w.Saturated {
 			mark = "!"
 		}
-		fmt.Printf("%*s  n_avg %5.1f /%2d %-2s%s  %6.1f GB/s  %5.1f ns  [%.0f–%.0fs]\n",
+		fmt.Fprintf(pr.w, "%*s  n_avg %5.1f /%2d %-2s%s  %6.1f GB/s  %5.1f ns  [%.0f–%.0fs]\n",
 			pr.spark, textplot.Sparkline(pr.history, 0, float64(w.LimiterCapacity)),
 			w.Occupancy, w.LimiterCapacity, w.Limiter, mark, w.BandwidthGBs, w.LatencyNs, w.StartS, w.EndS)
 	case "phase":
 		ph := ev.Phase
-		fmt.Printf("-- phase %d [%.0f–%.0fs, %d windows]: %s (n_avg %.1f/%d %s at %.1f GB/s)\n",
+		fmt.Fprintf(pr.w, "-- phase %d [%.0f–%.0fs, %d windows]: %s (n_avg %.1f/%d %s at %.1f GB/s)\n",
 			ph.Index, ph.StartS, ph.EndS, ph.Windows, ph.Action,
 			ph.Occupancy, ph.LimiterCapacity, ph.Limiter, ph.BandwidthGBs)
 		for _, a := range ph.Advice {
-			fmt.Printf("     %-10s %-22s %s\n", a.Stance, a.Optimization, a.Reason)
+			fmt.Fprintf(pr.w, "     %-10s %-22s %s\n", a.Stance, a.Optimization, a.Reason)
 		}
 	}
 	return nil
 }
 
 func (pr *printer) summary(sum stream.SummaryEvent) {
-	fmt.Printf("== %d samples, %d windows, %d phases; whole-stream mean %.1f GB/s -> n_avg %.1f, action %s\n",
+	fmt.Fprintf(pr.w, "== %d samples, %d windows, %d phases; whole-stream mean %.1f GB/s -> n_avg %.1f, action %s\n",
 		sum.Samples, sum.Windows, sum.Phases, sum.BandwidthGBs, sum.Occupancy, sum.Action)
 	if sum.MisleadingAggregate {
-		fmt.Printf("!! the whole-stream average misleads: %s\n", sum.Detail)
+		fmt.Fprintf(pr.w, "!! the whole-stream average misleads: %s\n", sum.Detail)
 	}
 }
 
@@ -173,7 +179,7 @@ var errStreamDone = errors.New("stream done")
 // tail follows a server-side stream. Reconnects replay recent events from
 // the broker's buffer; lastSeq filters the replay so each event prints
 // exactly once.
-func tail(ctx context.Context, baseURL, name string, reconnects int, pr *printer) error {
+func tail(ctx context.Context, baseURL, name string, reconnects int, pr *printer, stderr io.Writer) error {
 	cl, err := client.New(client.Config{BaseURL: baseURL})
 	if err != nil {
 		return err
@@ -217,16 +223,11 @@ func tail(ctx context.Context, baseURL, name string, reconnects int, pr *printer
 		case tryConnect >= reconnects:
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "llwatch: stream broken (%v), reconnecting %d/%d\n", err, tryConnect+1, reconnects)
+		fmt.Fprintf(stderr, "llwatch: stream broken (%v), reconnecting %d/%d\n", err, tryConnect+1, reconnects)
 		select {
 		case <-ctx.Done():
 			return nil
 		case <-time.After(500 * time.Millisecond):
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "llwatch:", err)
-	os.Exit(1)
 }
