@@ -29,13 +29,9 @@ import (
 	"syscall"
 	"time"
 
-	"littleslaw/internal/buildinfo"
+	"littleslaw/internal/cli"
 	"littleslaw/internal/loadgen"
 )
-
-// errUsage marks a command line the flag package rejected; it has already
-// printed why, with the usage.
-var errUsage = errors.New("usage")
 
 // targetList collects -targets values: the flag is repeatable and each
 // occurrence may carry a comma-separated list.
@@ -56,21 +52,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, "llload:", err)
-		os.Exit(1)
-	}
+	cli.Exit("llload", err)
 }
 
 // run drives the target until -duration, -n or ctx ends the run, then
 // prints the summary to stdout.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("llload", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	url := fs.String("url", "", "target URL (required unless -targets is given)")
 	var targets targetList
 	fs.Var(&targets, "targets", "comma-separated target URLs to round-robin (repeatable); prints a per-target breakdown")
@@ -88,14 +76,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	timeout := fs.Duration("timeout", 10*time.Second, "per-attempt client timeout")
 	seed := fs.Int64("seed", 0, "seed for the arrival schedule and retry jitter (0 = from the clock); same seed replays the same offered load")
 	version := fs.Bool("version", false, "print version and exit")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errUsage
+	if err := cli.Parse(fs, args, stderr); err != nil {
+		return err
 	}
 	if *version {
-		buildinfo.Print(stdout, "llload")
+		cli.Print(stdout, "llload")
 		return nil
 	}
 	if *url == "" && len(targets) == 0 {

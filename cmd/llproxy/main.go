@@ -59,35 +59,23 @@ import (
 	"syscall"
 	"time"
 
-	"littleslaw/internal/buildinfo"
+	"littleslaw/internal/cli"
 	"littleslaw/internal/cluster"
 	"littleslaw/internal/debugmux"
 	"littleslaw/internal/faults"
 )
 
-// errUsage marks a command line the flag package rejected; it has already
-// printed why, with the usage.
-var errUsage = errors.New("usage")
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, "llproxy:", err)
-		os.Exit(1)
-	}
+	cli.Exit("llproxy", err)
 }
 
 // run proxies until ctx is done, then drains and shuts down. It logs to
 // stderr; stdout carries only -version.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("llproxy", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8000", "listen address")
 	backends := fs.String("backends", "", "comma-separated llserved base URLs (required)")
 	ceiling := fs.Float64("occupancy-ceiling", 32, "forwards in flight to the affinity owner at which affinity is overridden and requests spill to the backend with the fewest in flight")
@@ -105,14 +93,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	traceCapacity := fs.Int("trace-capacity", 0, "finished forward traces retained for GET /v1/trace/{id} (0 = 256)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this loopback admin address (e.g. "+debugmux.DefaultAddr+"; empty = disabled)")
 	version := fs.Bool("version", false, "print version and exit")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errUsage
+	if err := cli.Parse(fs, args, stderr); err != nil {
+		return err
 	}
 	if *version {
-		buildinfo.Print(stdout, "llproxy")
+		cli.Print(stdout, "llproxy")
 		return nil
 	}
 	logger := log.New(stderr, "", log.LstdFlags)

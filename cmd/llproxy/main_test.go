@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"littleslaw/internal/cli"
 	"littleslaw/internal/experiments"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
@@ -45,7 +46,7 @@ func TestUsage(t *testing.T) {
 
 func TestFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run(context.Background(), []string{"-bogus"}, &stdout, &stderr); !errors.Is(err, errUsage) {
+	if err := run(context.Background(), []string{"-bogus"}, &stdout, &stderr); !errors.Is(err, cli.ErrUsage) {
 		t.Errorf("unknown flag: err %v, want errUsage", err)
 	}
 	stdout.Reset()

@@ -61,7 +61,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -74,7 +73,7 @@ import (
 	"syscall"
 	"time"
 
-	"littleslaw/internal/buildinfo"
+	"littleslaw/internal/cli"
 	"littleslaw/internal/debugmux"
 	"littleslaw/internal/experiments"
 	"littleslaw/internal/faults"
@@ -83,29 +82,17 @@ import (
 	"littleslaw/internal/service"
 )
 
-// errUsage marks a command line the flag package rejected; it has already
-// printed why, with the usage.
-var errUsage = errors.New("usage")
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, "llserved:", err)
-		os.Exit(1)
-	}
+	cli.Exit("llserved", err)
 }
 
 // run serves until ctx is done, then drains and shuts down. It logs to
 // stderr; stdout carries only -version.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("llserved", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address")
 	timeout := fs.Duration("timeout", 5*time.Minute, "default per-request deadline (?timeout= overrides, capped by -max-timeout)")
 	maxTimeout := fs.Duration("max-timeout", 30*time.Minute, "largest accepted per-request deadline")
@@ -127,14 +114,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	traceCapacity := fs.Int("trace-capacity", 0, "finished request traces retained for GET /v1/trace/{id} (0 = 256)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this loopback admin address (e.g. "+debugmux.DefaultAddr+"; empty = disabled)")
 	version := fs.Bool("version", false, "print version and exit")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errUsage
+	if err := cli.Parse(fs, args, stderr); err != nil {
+		return err
 	}
 	if *version {
-		buildinfo.Print(stdout, "llserved")
+		cli.Print(stdout, "llserved")
 		return nil
 	}
 	logger := log.New(stderr, "", log.LstdFlags)

@@ -13,6 +13,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"littleslaw/internal/cli"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/usage.golden from this build")
@@ -44,7 +46,7 @@ func TestUsage(t *testing.T) {
 
 func TestFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run(context.Background(), []string{"-bogus"}, &stdout, &stderr); !errors.Is(err, errUsage) {
+	if err := run(context.Background(), []string{"-bogus"}, &stdout, &stderr); !errors.Is(err, cli.ErrUsage) {
 		t.Errorf("unknown flag: err %v, want errUsage", err)
 	}
 	stdout.Reset()

@@ -12,7 +12,7 @@ import (
 	"syscall"
 	"time"
 
-	"littleslaw/internal/buildinfo"
+	"littleslaw/internal/cli"
 	"littleslaw/internal/client"
 	"littleslaw/internal/experiments"
 	"littleslaw/internal/platform"
@@ -22,29 +22,17 @@ import (
 	"littleslaw/internal/xmem"
 )
 
-// errUsage marks a command line the flag package rejected; it has already
-// printed why, with the usage.
-var errUsage = errors.New("usage")
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, "llwatch:", err)
-		os.Exit(1)
-	}
+	cli.Exit("llwatch", err)
 }
 
 // run monitors one stream to its end — the samples on stdin or -f, or the
 // server-side stream named by -url and -stream — printing to stdout.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("llwatch", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	platName := fs.String("platform", "SKL", "platform whose curve and MSHR ceilings apply (local mode)")
 	input := fs.String("f", "-", "NDJSON sample file ('-' = stdin; local mode)")
 	remoteURL := fs.String("url", "", "llserved base URL — tail a server-side stream instead of running the monitor locally")
@@ -59,14 +47,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	paper := fs.Bool("paper-profile", true, "use the paper's anchor curve (false = run the X-Mem characterization first)")
 	spark := fs.Int("spark", 32, "sparkline width in windows")
 	version := fs.Bool("version", false, "print version and exit")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errUsage
+	if err := cli.Parse(fs, args, stderr); err != nil {
+		return err
 	}
 	if *version {
-		buildinfo.Print(stdout, "llwatch")
+		cli.Print(stdout, "llwatch")
 		return nil
 	}
 	if *spark < 1 {

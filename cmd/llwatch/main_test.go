@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"littleslaw/internal/cli"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this build")
@@ -43,7 +45,7 @@ func TestUsage(t *testing.T) {
 
 func TestFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run(context.Background(), []string{"-bogus"}, &stdout, &stderr); !errors.Is(err, errUsage) {
+	if err := run(context.Background(), []string{"-bogus"}, &stdout, &stderr); !errors.Is(err, cli.ErrUsage) {
 		t.Errorf("unknown flag: err %v, want errUsage", err)
 	}
 	stdout.Reset()

@@ -26,7 +26,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,7 +36,7 @@ import (
 
 	"littleslaw/internal/access"
 	"littleslaw/internal/autotune"
-	"littleslaw/internal/buildinfo"
+	"littleslaw/internal/cli"
 	"littleslaw/internal/core"
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
@@ -50,19 +49,8 @@ import (
 	"littleslaw/internal/xmem"
 )
 
-// errUsage marks a command line the flag package rejected; it has already
-// printed why, with the usage.
-var errUsage = errors.New("usage")
-
 func main() {
-	switch err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, "mlptool:", err)
-		os.Exit(1)
-	}
+	cli.Exit("mlptool", run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -94,11 +82,11 @@ func runAnalyze(ctx context.Context, args []string, stdout, stderr io.Writer) er
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations for -autotune and characterization (1 = serial; results are identical)")
 	timeout := fs.Duration("timeout", 0, "overall deadline (0 = none)")
 	version := fs.Bool("version", false, "print version and exit")
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *version {
-		buildinfo.Print(stdout, "mlptool")
+		cli.Print(stdout, "mlptool")
 		return nil
 	}
 	ctx, cancel := withTimeout(ctx, *timeout)
@@ -186,7 +174,7 @@ func runProfile(ctx context.Context, args []string, stdout, stderr io.Writer) er
 	plot := fs.Bool("plot", false, "render the profile as a terminal chart")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "max concurrently measured operating points (1 = serial; the profile is identical)")
 	timeout := fs.Duration("timeout", 0, "overall deadline (0 = none)")
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	ctx, cancel := withTimeout(ctx, *timeout)
@@ -234,18 +222,6 @@ func runProfile(ctx context.Context, args []string, stdout, stderr io.Writer) er
 		fmt.Fprintf(stdout, "%.2f,%.2f\n", pt.BandwidthGBs, pt.LatencyNs)
 	}
 	return nil
-}
-
-// parse parses args into fs, with usage and parse errors on stderr, turning
-// a rejected command line into errUsage (flag.ErrHelp, for -h, passes
-// through).
-func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
-	fs.SetOutput(stderr)
-	err := fs.Parse(args)
-	if err != nil && !errors.Is(err, flag.ErrHelp) {
-		return errUsage
-	}
-	return err
 }
 
 // withTimeout bounds ctx by d; 0 means no deadline.

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"littleslaw/internal/cli"
 )
 
 // runArgs drives run in-process and returns what it wrote to stdout.
@@ -175,7 +177,7 @@ func TestErrors(t *testing.T) {
 		}
 	}
 	for _, args := range [][]string{{"-bogus"}, {"profile", "-version"}, {"trace", "info", "-bogus"}} {
-		if _, err := runArgs(t, args...); !errors.Is(err, errUsage) {
+		if _, err := runArgs(t, args...); !errors.Is(err, cli.ErrUsage) {
 			t.Errorf("mlptool %s: err %v, want errUsage", strings.Join(args, " "), err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"littleslaw/internal/access"
+	"littleslaw/internal/cli"
 	"littleslaw/internal/core"
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
@@ -38,7 +39,7 @@ func traceRecord(args []string, stderr io.Writer) error {
 	out := fs.String("o", "", "output trace file (required)")
 	ops := fs.Int("ops", 0, "record at most this many operations (0 = whole stream)")
 	scale := fs.Float64("scale", 0.2, "workload scale")
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *out == "" {
@@ -66,7 +67,7 @@ func traceRecord(args []string, stderr io.Writer) error {
 
 func traceInfo(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mlptool trace info", flag.ContinueOnError)
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
@@ -91,7 +92,7 @@ func traceAnalyze(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	platName := fs.String("platform", "SKL", "platform to replay on")
 	cores := fs.Int("cores", 0, "cores replaying the trace (0 = full node)")
 	window := fs.Int("window", 8, "per-thread demand window")
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {

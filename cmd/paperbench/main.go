@@ -18,7 +18,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,29 +25,17 @@ import (
 	"runtime"
 	"time"
 
-	"littleslaw/internal/buildinfo"
+	"littleslaw/internal/cli"
 	"littleslaw/internal/experiments"
 	"littleslaw/internal/report"
 )
 
-// errUsage marks a command line the flag package rejected; it has already
-// printed why, with the usage.
-var errUsage = errors.New("usage")
-
 func main() {
-	switch err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		os.Exit(1)
-	}
+	cli.Exit("paperbench", run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	table := fs.String("table", "", "regenerate one table (I..IX); default all")
 	figure := fs.String("figure", "", "regenerate one figure (2)")
 	experiment := fs.String("experiment", "", "run one critique experiment (tma-critique, latency-counter, mshr-stalls, idle-latency)")
@@ -59,14 +46,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial; output is identical either way)")
 	timeout := fs.Duration("timeout", 0, "overall deadline (0 = none)")
 	version := fs.Bool("version", false, "print version and exit")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errUsage
+	if err := cli.Parse(fs, args, stderr); err != nil {
+		return err
 	}
 	if *version {
-		buildinfo.Print(stdout, "paperbench")
+		cli.Print(stdout, "paperbench")
 		return nil
 	}
 	if *timeout > 0 {

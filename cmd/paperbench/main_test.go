@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"littleslaw/internal/cli"
 )
 
 // runArgs drives run in-process and returns what it wrote to stdout.
@@ -61,7 +63,7 @@ func TestErrors(t *testing.T) {
 			t.Errorf("paperbench %s: err %v, want it to mention %q", strings.Join(tc.args, " "), err, tc.want)
 		}
 	}
-	if _, err := runArgs(t, "-bogus"); !errors.Is(err, errUsage) {
+	if _, err := runArgs(t, "-bogus"); !errors.Is(err, cli.ErrUsage) {
 		t.Errorf("unknown flag: err %v, want errUsage", err)
 	}
 	if _, err := runArgs(t, "-h"); !errors.Is(err, flag.ErrHelp) {

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 
-	"littleslaw/internal/buildinfo"
+	"littleslaw/internal/cli"
 	"littleslaw/internal/service"
 )
 
@@ -69,7 +69,7 @@ type HealthResponse struct {
 
 func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	now := p.cfg.Now()
-	resp := HealthResponse{Status: "degraded", Version: buildinfo.Version()}
+	resp := HealthResponse{Status: "degraded", Version: cli.Version()}
 	for _, b := range p.order {
 		st, healthy := b.snapshotState()
 		if healthy {

@@ -23,7 +23,7 @@ import (
 
 	"littleslaw/internal/autotune"
 	"littleslaw/internal/brownout"
-	"littleslaw/internal/buildinfo"
+	"littleslaw/internal/cli"
 	"littleslaw/internal/experiments"
 	"littleslaw/internal/faults"
 	"littleslaw/internal/limit"
@@ -355,7 +355,7 @@ func (s *Server) Warm(ctx context.Context, platformName string) (bool, error) {
 // ---- handlers ----
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := HealthzResponse{Status: "ok", Version: buildinfo.Version()}
+	h := HealthzResponse{Status: "ok", Version: cli.Version()}
 	if s.limiter != nil {
 		snap := s.limiter.Snapshot()
 		h.LimiterNAvg = &snap.NAvg
