@@ -15,6 +15,9 @@
 //	llload -url ... -mode open -arrivals poisson -seed 42   # reproducible Poisson arrivals
 //	llload -targets http://a:8181/v1/analyze,http://b:8182/v1/analyze -body ...
 //	                                                        # round-robin a fleet, per-target breakdown
+//
+// The body goes out as application/json with POST; without one, requests
+// are GETs.
 package main
 
 import (
@@ -62,10 +65,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	url := fs.String("url", "", "target URL (required unless -targets is given)")
 	var targets targetList
 	fs.Var(&targets, "targets", "comma-separated target URLs to round-robin (repeatable); prints a per-target breakdown")
-	method := fs.String("method", "", "HTTP method (default POST with -body, GET without)")
 	body := fs.String("body", "", "request body sent with every request")
 	bodyFile := fs.String("body-file", "", "read the request body from a file")
-	contentType := fs.String("content-type", "application/json", "request body content type")
 	mode := fs.String("mode", "closed", "driving discipline: closed (fixed clients) or open (fixed arrival rate)")
 	concurrency := fs.Int("c", 4, "closed-loop client population")
 	rate := fs.Float64("rate", 100, "open-loop arrival rate, requests/second")
@@ -105,7 +106,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			where = targets[0]
 		}
 	}
-	fmt.Fprintf(stdout, "llload: %s %s  mode=%s", methodFor(*method, payload), where, *mode)
+	fmt.Fprintf(stdout, "llload: %s %s  mode=%s", loadgen.Method(payload), where, *mode)
 	if *mode == "open" {
 		fmt.Fprintf(stdout, " rate=%g/s arrivals=%s", *rate, *arrivals)
 	} else {
@@ -120,9 +121,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	res, err := loadgen.Run(ctx, loadgen.Options{
 		URL:         *url,
 		Targets:     targets,
-		Method:      *method,
 		Body:        payload,
-		ContentType: *contentType,
 		Mode:        *mode,
 		Concurrency: *concurrency,
 		Rate:        *rate,
@@ -157,14 +156,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("none of %d requests succeeded", res.Sent)
 	}
 	return nil
-}
-
-func methodFor(m string, body []byte) string {
-	if m != "" {
-		return m
-	}
-	if len(body) > 0 {
-		return "POST"
-	}
-	return "GET"
 }

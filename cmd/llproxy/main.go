@@ -80,17 +80,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	backends := fs.String("backends", "", "comma-separated llserved base URLs (required)")
 	ceiling := fs.Float64("occupancy-ceiling", 32, "forwards in flight to the affinity owner at which affinity is overridden and requests spill to the backend with the fewest in flight")
 	probeInterval := fs.Duration("probe-interval", 2*time.Second, "background /healthz probe spacing (negative disables probing)")
-	probeTimeout := fs.Duration("probe-timeout", time.Second, "per-probe deadline")
-	breakerFailures := fs.Int("breaker-failures", 3, "consecutive transport failures that open a backend's circuit breaker")
-	breakerCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker rejects before a half-open trial")
 	hedgeDelay := fs.Duration("hedge-delay", 250*time.Millisecond, "how long an idempotent GET waits before racing a second backend (negative disables hedging)")
-	clientTimeout := fs.Duration("client-timeout", 10*time.Second, "deadline of one forward to one backend (a timed-out forward fails over to the next)")
-	readTimeout := fs.Duration("read-timeout", 30*time.Second, "http.Server read timeout")
-	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "http.Server keep-alive idle timeout")
 	shutdownGrace := fs.Duration("shutdown-grace", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long to keep the listener open in draining mode (healthz reports draining, new forwards shed 503) before closing it")
 	faultSpec := fs.String("faults", "", "fault-injection spec for the proxy's own sites, e.g. 'seed=1;cluster.forward=error:0.1'")
-	traceCapacity := fs.Int("trace-capacity", 0, "finished forward traces retained for GET /v1/trace/{id} (0 = 256)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this loopback admin address (e.g. "+debugmux.DefaultAddr+"; empty = disabled)")
 	version := fs.Bool("version", false, "print version and exit")
 	if err := cli.Parse(fs, args, stderr); err != nil {
@@ -126,12 +119,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Backends:         urls,
 		OccupancyCeiling: *ceiling,
 		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		BreakerFailures:  *breakerFailures,
-		BreakerCooldown:  *breakerCooldown,
 		HedgeDelay:       *hedgeDelay,
-		ClientTimeout:    *clientTimeout,
-		TraceCapacity:    *traceCapacity,
 	})
 	if err != nil {
 		return err
@@ -152,8 +140,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	httpSrv := &http.Server{
 		Handler:           p.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       *readTimeout,
-		IdleTimeout:       *idleTimeout,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -47,8 +47,8 @@
 // it counts the requests in flight, reports their windowed mean as n_avg,
 // and sheds with 429 + Retry-After once -limit-ceiling of them are in
 // flight and the queue behind them is full (cmd/llload drives it);
-// /v1/watch connections pass a second limiter of the same kind
-// (-max-streams). On top of the limiter sits the brownout ladder
+// /v1/watch connections pass a second limiter of the same kind, with a
+// ceiling of 64. On top of the limiter sits the brownout ladder
 // (internal/brownout): sustained pressure — in flight plus queued, over
 // the ceiling — steps the server through stale serving, analytic fallback
 // and selective shedding before anything fails outright; -no-brownout
@@ -94,8 +94,7 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("llserved", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	timeout := fs.Duration("timeout", 5*time.Minute, "default per-request deadline (?timeout= overrides, capped by -max-timeout)")
-	maxTimeout := fs.Duration("max-timeout", 30*time.Minute, "largest accepted per-request deadline")
+	timeout := fs.Duration("timeout", 5*time.Minute, "default per-request deadline (?timeout= overrides, capped at 30m)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations per request pipeline")
 	paperProfiles := fs.Bool("paper-profiles", false, "serve the paper's published anchor curves instead of running the X-Mem characterization (instant, deterministic)")
 	warm := fs.Bool("warm", false, "characterize all platforms in the background at startup")
@@ -106,10 +105,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	limitCeiling := fs.Float64("limit-ceiling", 64, "admission ceiling: most requests in flight at once, arrivals past it queue then shed (negative disables admission control)")
 	limitQueue := fs.Int("limit-queue", 0, "admission queue depth (0 = 2×ceiling, negative = shed immediately)")
 	limitQueueTimeout := fs.Duration("limit-queue-timeout", 5*time.Second, "longest a request waits in the admission queue")
-	maxStreams := fs.Int("max-streams", 64, "ceiling of the /v1/watch limiter: most connections open at once, arrivals past it shed with 429 + Retry-After, no queue (negative disables the cap)")
-	readTimeout := fs.Duration("read-timeout", 30*time.Second, "http.Server read timeout (full request including body)")
-	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "http.Server keep-alive idle timeout")
-	writeTimeout := fs.Duration("write-timeout", time.Minute, "per-write response deadline, re-armed before every write (bounds stalled clients without cutting long-lived streams)")
 	faultSpec := fs.String("faults", "", "fault-injection spec, e.g. 'seed=42;handler.*=error:0.2;runner.run=latency:0.1:50ms' (empty = faults off; runtime control via /v1/faults)")
 	traceCapacity := fs.Int("trace-capacity", 0, "finished request traces retained for GET /v1/trace/{id} (0 = 256)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this loopback admin address (e.g. "+debugmux.DefaultAddr+"; empty = disabled)")
@@ -126,13 +121,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	cfg := service.Config{
 		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
 		Workers:           *workers,
 		LimitCeiling:      *limitCeiling,
 		LimitQueue:        *limitQueue,
 		LimitQueueTimeout: *limitQueueTimeout,
-		MaxStreamClients:  *maxStreams,
-		WriteTimeout:      *writeTimeout,
 		TraceCapacity:     *traceCapacity,
 		RunnerTTL:         *runnerTTL,
 		DisableBrownout:   *noBrownout,
@@ -177,13 +169,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	// No http.Server WriteTimeout: it is a whole-response deadline that
 	// would sever long-lived /v1/watch streams. The service arms a per-write
-	// deadline (-write-timeout) before each write instead, which bounds
+	// deadline (one minute) before each write instead, which bounds
 	// stalled clients while letting healthy streams run indefinitely.
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       *readTimeout,
-		IdleTimeout:       *idleTimeout,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

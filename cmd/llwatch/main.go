@@ -37,7 +37,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	input := fs.String("f", "-", "NDJSON sample file ('-' = stdin; local mode)")
 	remoteURL := fs.String("url", "", "llserved base URL — tail a server-side stream instead of running the monitor locally")
 	streamName := fs.String("stream", "", "named stream to tail on the server (with -url)")
-	reconnects := fs.Int("reconnect", 5, "times to reconnect a broken remote stream before giving up (with -url)")
 	period := fs.Float64("period", 1, "seconds between samples that carry no t_s")
 	window := fs.Int("window", 8, "sliding-window width in samples")
 	stride := fs.Int("stride", 0, "window stride in samples (0 = half the window)")
@@ -45,7 +44,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	threads := fs.Int("threads", 1, "threads per core in the measured run")
 	random := fs.Bool("random-access", false, "classify the stream as random-access when samples carry no prefetch fraction")
 	paper := fs.Bool("paper-profile", true, "use the paper's anchor curve (false = run the X-Mem characterization first)")
-	spark := fs.Int("spark", 32, "sparkline width in windows")
 	version := fs.Bool("version", false, "print version and exit")
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
@@ -54,19 +52,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		cli.Print(stdout, "llwatch")
 		return nil
 	}
-	if *spark < 1 {
-		// -spark 0 would slide an empty history ring and panic; one column
-		// is the narrowest sparkline that still means anything.
-		*spark = 1
-	}
-
-	pr := &printer{w: stdout, spark: *spark, history: make([]float64, 0, *spark)}
+	pr := &printer{w: stdout, history: make([]float64, 0, sparkWidth)}
 
 	if *remoteURL != "" {
 		if *streamName == "" {
 			return errors.New("-url needs -stream (the server-side stream name)")
 		}
-		return tail(ctx, *remoteURL, *streamName, *reconnects, pr, stderr)
+		return tail(ctx, *remoteURL, *streamName, pr, stderr)
 	}
 
 	p, err := platform.ByName(*platName)
@@ -111,12 +103,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
+// sparkWidth is the sparkline's width in windows.
+const sparkWidth = 32
+
 // printer renders monitor events; both the local monitor and the remote
 // tail feed it.
 type printer struct {
 	w       io.Writer
-	spark   int
-	history []float64
+	history []float64 // the last sparkWidth windows' n_avg
 }
 
 func (pr *printer) print(ev stream.Event) error {
@@ -125,7 +119,7 @@ func (pr *printer) print(ev stream.Event) error {
 		w := ev.Window
 		// The sparkline's fixed ceiling is the window's binding MSHR
 		// capacity, so a full block always reads "queue at its limit".
-		if len(pr.history) == pr.spark {
+		if len(pr.history) == sparkWidth {
 			pr.history = append(pr.history[:0], pr.history[1:]...)
 		}
 		pr.history = append(pr.history, w.Occupancy)
@@ -134,7 +128,7 @@ func (pr *printer) print(ev stream.Event) error {
 			mark = "!"
 		}
 		fmt.Fprintf(pr.w, "%*s  n_avg %5.1f /%2d %-2s%s  %6.1f GB/s  %5.1f ns  [%.0f–%.0fs]\n",
-			pr.spark, textplot.Sparkline(pr.history, 0, float64(w.LimiterCapacity)),
+			sparkWidth, textplot.Sparkline(pr.history, 0, float64(w.LimiterCapacity)),
 			w.Occupancy, w.LimiterCapacity, w.Limiter, mark, w.BandwidthGBs, w.LatencyNs, w.StartS, w.EndS)
 	case "phase":
 		ph := ev.Phase
@@ -161,10 +155,14 @@ func (pr *printer) summary(sum stream.SummaryEvent) {
 // event itself means a stalled close cannot hang the watcher.
 var errStreamDone = errors.New("stream done")
 
+// reconnects is how many times tail reconnects a broken stream before it
+// gives up.
+const reconnects = 5
+
 // tail follows a server-side stream. Reconnects replay recent events from
 // the broker's buffer; lastSeq filters the replay so each event prints
 // exactly once.
-func tail(ctx context.Context, baseURL, name string, reconnects int, pr *printer, stderr io.Writer) error {
+func tail(ctx context.Context, baseURL, name string, pr *printer, stderr io.Writer) error {
 	cl, err := client.New(client.Config{BaseURL: baseURL})
 	if err != nil {
 		return err

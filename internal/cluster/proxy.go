@@ -83,9 +83,6 @@ type Config struct {
 	// so there is no backoff jitter to seed. It stays only while
 	// bench/stack.go still sets it.
 	Seed int64
-	// TraceCapacity bounds the ring of finished forward traces served by
-	// GET /v1/trace/{id} and GET /v1/traces (0 = trace.DefaultCapacity).
-	TraceCapacity int
 	// FaultInjector backs the cluster.* sites (nil = faults.Global()).
 	FaultInjector *faults.Injector
 	// Now is the clock (tests; nil = time.Now).
@@ -160,7 +157,7 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 	p := &Proxy{
-		Envelope: service.NewEnvelope("proxy", cfg.TraceCapacity, 0),
+		Envelope: service.NewEnvelope("proxy", 0, 0),
 		cfg:      cfg,
 		reg:      metrics.NewRegistry(),
 		faults:   cfg.FaultInjector,

@@ -45,12 +45,9 @@ type Options struct {
 	// a fleet of llserved backends directly, for comparison against the
 	// same fleet behind llproxy's affinity routing.
 	Targets []string
-	// Method defaults to POST when Body is non-empty, GET otherwise.
-	Method string
-	// Body is sent with every request.
+	// Body is sent with every request, as application/json; it also
+	// picks the method (see Method).
 	Body []byte
-	// ContentType for the body (default application/json).
-	ContentType string
 	// Mode is "closed" (default) or "open".
 	Mode string
 	// Concurrency is the closed-loop client population (default 1).
@@ -81,22 +78,21 @@ type Options struct {
 	Client *http.Client
 }
 
+// Method is the HTTP method a run sends body with: POST when there is a
+// body, GET otherwise.
+func Method(body []byte) string {
+	if len(body) > 0 {
+		return http.MethodPost
+	}
+	return http.MethodGet
+}
+
 func (o *Options) normalize() error {
 	if len(o.Targets) == 0 {
 		if o.URL == "" {
 			return fmt.Errorf("loadgen: URL is required")
 		}
 		o.Targets = []string{o.URL}
-	}
-	if o.Method == "" {
-		if len(o.Body) > 0 {
-			o.Method = http.MethodPost
-		} else {
-			o.Method = http.MethodGet
-		}
-	}
-	if o.ContentType == "" {
-		o.ContentType = "application/json"
 	}
 	switch o.Mode {
 	case "":
@@ -472,7 +468,7 @@ func arrival(ctx context.Context, tg *target, o *Options, res *Result) {
 	res.record(func(r *Result) { r.Sent++; tg.counts.Sent++ }, 0)
 	// Detach the attempt from the run deadline (the old behavior): the run
 	// context only gates new arrivals and retry sleeps.
-	cr, err := tg.cl.Do(context.WithoutCancel(ctx), o.Method, tg.path, o.ContentType, o.Body)
+	cr, err := tg.cl.Do(context.WithoutCancel(ctx), Method(o.Body), tg.path, "application/json", o.Body)
 	if err != nil {
 		res.record(func(r *Result) { r.Failed++; tg.counts.Failed++ }, 0)
 		return

@@ -467,6 +467,6 @@ type HealthzResponse struct {
 	// ActiveStreams counts named /v1/watch brokers currently registered.
 	ActiveStreams int `json:"active_streams"`
 	// StreamClients counts live watch connections held by the stream
-	// limiter (ceiling -max-streams).
+	// limiter (ceiling 64).
 	StreamClients int `json:"stream_clients"`
 }

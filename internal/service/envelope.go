@@ -474,7 +474,7 @@ func (s *Server) route(name string, gate *limit.Limiter, fn func(w http.Response
 }
 
 // requestContext derives the per-request deadline: ?timeout=30s overrides
-// the default, capped at the configured maximum.
+// the default, capped at maxTimeout.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
 	d := s.cfg.DefaultTimeout
 	if v := r.URL.Query().Get("timeout"); v != "" {
@@ -482,7 +482,7 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 		if err != nil || parsed <= 0 {
 			return nil, nil, fmt.Errorf("invalid timeout %q", v)
 		}
-		d = min(parsed, s.cfg.MaxTimeout)
+		d = min(parsed, maxTimeout)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil

@@ -36,15 +36,23 @@ import (
 	"littleslaw/internal/xmem"
 )
 
+const (
+	// maxTimeout caps a client-requested ?timeout=.
+	maxTimeout = 30 * time.Minute
+	// writeTimeout is the per-write deadline armed immediately before each
+	// response write. It bounds how long a stalled client can hold a
+	// connection without imposing a whole-response deadline that would kill
+	// long-lived /v1/watch streams.
+	writeTimeout = time.Minute
+)
+
 // Config tunes a Server. The zero value serves the honest pipeline with
 // production defaults.
 type Config struct {
 	// DefaultTimeout bounds a request when the client does not pass
 	// ?timeout=; 0 means 5m (characterizations and full-scale tables are
-	// legitimately slow).
+	// legitimately slow). A ?timeout= is capped at maxTimeout.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested timeouts; 0 means 30m.
-	MaxTimeout time.Duration
 	// Workers bounds per-request simulation concurrency (0 = GOMAXPROCS).
 	Workers int
 	// ProfileFor overrides the X-Mem characterization as the profile
@@ -87,11 +95,6 @@ type Config struct {
 	// are admitted while fewer are open and shed with 429 at it, never
 	// queued (0 = 64; negative disables the cap).
 	MaxStreamClients int
-	// WriteTimeout is the per-write deadline armed immediately before each
-	// response write (0 = 1m). It bounds how long a stalled client can
-	// hold a connection without imposing a whole-response deadline that
-	// would kill long-lived /v1/watch streams.
-	WriteTimeout time.Duration
 
 	// TraceCapacity bounds the ring of finished request traces served by
 	// GET /v1/trace/{id} and replayed by GET /v1/traces
@@ -109,9 +112,6 @@ func (c *Config) normalize() {
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 5 * time.Minute
 	}
-	if c.MaxTimeout == 0 {
-		c.MaxTimeout = 30 * time.Minute
-	}
 	if c.LimitCeiling == 0 {
 		c.LimitCeiling = 64
 	}
@@ -120,9 +120,6 @@ func (c *Config) normalize() {
 	}
 	if c.MaxStreamClients == 0 {
 		c.MaxStreamClients = 64
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = time.Minute
 	}
 	if c.FaultInjector == nil {
 		c.FaultInjector = faults.Global()
@@ -178,7 +175,7 @@ func New(cfg Config) *Server {
 		}
 	}
 	s := &Server{
-		Envelope:    NewEnvelope("server", cfg.TraceCapacity, cfg.WriteTimeout),
+		Envelope:    NewEnvelope("server", cfg.TraceCapacity, writeTimeout),
 		cfg:         cfg,
 		reg:         metrics.NewRegistry(),
 		profiles:    xmem.NewProfiles(profileSource),
@@ -280,7 +277,7 @@ func New(cfg Config) *Server {
 		s.faults.FiredTotal)
 	if s.streams != nil {
 		s.reg.Derived("llserved_stream_clients",
-			"Live /v1/watch connections admitted by the stream limiter (ceiling -max-streams).",
+			"Live /v1/watch connections admitted by the stream limiter (ceiling 64).",
 			func() float64 { return float64(s.streams.Snapshot().InFlight) })
 		s.reg.DerivedCounter("llserved_stream_denied_total",
 			"/v1/watch connections shed at the stream limiter's ceiling.",
