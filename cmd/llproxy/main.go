@@ -52,7 +52,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -105,14 +104,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *faultSpec != "" {
-		fseed, rules, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
+		in := faults.Global()
+		if err := in.ConfigureSpec(*faultSpec); err != nil {
 			return fmt.Errorf("-faults: %w", err)
 		}
-		if err := faults.Global().Configure(fseed, rules); err != nil {
-			return fmt.Errorf("-faults: %w", err)
-		}
-		logf("fault injection armed (%s)", faults.FormatSpec(fseed, rules))
+		logf("fault injection armed (%s)", faults.FormatSpec(in.Seed(), in.Rules()))
 	}
 
 	p, err := cluster.New(cluster.Config{
@@ -136,31 +132,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		logf("pprof on http://%s/debug/pprof/", got)
 	}
 
-	// No http.Server WriteTimeout: proxied /v1/watch streams are long-lived.
-	httpSrv := &http.Server{
-		Handler:           p.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
 	logf("listening on %s, sharding across %s", ln.Addr(), strings.Join(p.Backends(), ", "))
-
-	select {
-	case err := <-errc:
+	if err := p.Serve(ctx, ln, p.Handler(), *drainTimeout, *shutdownGrace, logf); err != nil {
 		return err
-	case <-ctx.Done():
-	}
-
-	// Drain first, listener open: the prober sees "draining" and reroutes
-	// before this process stops answering.
-	if err := p.DrainAndShutdown(httpSrv, *drainTimeout, *shutdownGrace, logf); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
 	}
 	logf("bye")
 	return nil

@@ -66,7 +66,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -135,14 +134,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *faultSpec != "" {
-		seed, rules, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
+		in := faults.Global()
+		if err := in.ConfigureSpec(*faultSpec); err != nil {
 			return fmt.Errorf("-faults: %w", err)
 		}
-		if err := faults.Global().Configure(seed, rules); err != nil {
-			return fmt.Errorf("-faults: %w", err)
-		}
-		logf("fault injection armed (%s)", faults.FormatSpec(seed, rules))
+		logf("fault injection armed (%s)", faults.FormatSpec(in.Seed(), in.Rules()))
 	}
 	srv := service.New(cfg)
 
@@ -167,34 +163,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	// No http.Server WriteTimeout: it is a whole-response deadline that
-	// would sever long-lived /v1/watch streams. The service arms a per-write
-	// deadline (one minute) before each write instead, which bounds
-	// stalled clients while letting healthy streams run indefinitely.
-	httpSrv := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
 	logf("listening on %s (profiles: %s)", ln.Addr(), profileMode(*paperProfiles))
-
-	select {
-	case err := <-errc:
+	if err := srv.Serve(ctx, ln, srv.Handler(), *drainTimeout, *shutdownGrace, logf); err != nil {
 		return err
-	case <-ctx.Done():
-	}
-
-	// Drain first, listener open: the prober sees "draining" and reroutes
-	// before this process stops answering.
-	if err := srv.DrainAndShutdown(httpSrv, *drainTimeout, *shutdownGrace, logf); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
 	}
 	logf("bye")
 	return nil

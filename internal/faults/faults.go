@@ -218,8 +218,8 @@ var global = func() *Injector {
 	return in
 }()
 
-// Global returns the process-wide Injector. The llserved -faults flag and
-// the /v1/faults admin endpoint configure it; the instrumented layers
+// Global returns the process-wide Injector. The -faults flag of llserved and
+// llproxy and the /v1/faults admin endpoint configure it; the instrumented layers
 // (runner, engine, limit, service, stream) evaluate against it.
 func Global() *Injector { return global }
 
@@ -240,6 +240,17 @@ func (i *Injector) Configure(seed int64, rules []Rule) error {
 	i.mu.Unlock()
 	i.enabled.Store(len(rules) > 0)
 	return nil
+}
+
+// ConfigureSpec is Configure from a spec in the -faults grammar (see
+// ParseSpec). A spec that does not parse or validate leaves the injector
+// as it was.
+func (i *Injector) ConfigureSpec(spec string) error {
+	seed, rules, err := ParseSpec(spec)
+	if err != nil {
+		return err
+	}
+	return i.Configure(seed, rules)
 }
 
 // SetEnabled toggles evaluation without touching the rule set: a runtime

@@ -248,3 +248,24 @@ func TestConcurrentEval(t *testing.T) {
 		t.Fatalf("evals = %d, want %d", evals, goroutines*per)
 	}
 }
+
+func TestConfigureSpec(t *testing.T) {
+	in, err := New(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.ConfigureSpec("seed=7;handler.*=error:0.5"); err != nil {
+		t.Fatal(err)
+	}
+	if !in.Enabled() || in.Seed() != 7 || len(in.Rules()) != 1 {
+		t.Fatalf("after a good spec: enabled %v, seed %d, rules %v", in.Enabled(), in.Seed(), in.Rules())
+	}
+	for _, bad := range []string{"seed=x", "handler.*=error:2"} {
+		if err := in.ConfigureSpec(bad); err == nil {
+			t.Errorf("ConfigureSpec(%q) accepted", bad)
+		}
+	}
+	if !in.Enabled() || in.Seed() != 7 || len(in.Rules()) != 1 {
+		t.Fatalf("a rejected spec changed the injector: enabled %v, seed %d, rules %v", in.Enabled(), in.Seed(), in.Rules())
+	}
+}

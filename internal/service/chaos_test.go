@@ -44,11 +44,7 @@ const chaosSpec = "seed=42" +
 // at cleanup so the rest of the package runs fault-free.
 func armGlobalFaults(t *testing.T, spec string) {
 	t.Helper()
-	seed, rules, err := faults.ParseSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := faults.Global().Configure(seed, rules); err != nil {
+	if err := faults.Global().ConfigureSpec(spec); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -224,11 +225,32 @@ func (e *Envelope) Draining() bool { return e.draining.Load() }
 // the quantity a draining main loop polls to zero.
 func (e *Envelope) InFlight() int64 { return e.occupancy.InFlight() }
 
-// DrainAndShutdown is the SIGTERM path of both binaries: BeginDrain with the
-// listener still open, so a prober sees "draining" and reroutes before the
-// socket closes; up to drain for the requests in flight to finish; then
-// hs.Shutdown with up to grace for what is left. logf narrates each step.
-func (e *Envelope) DrainAndShutdown(hs *http.Server, drain, grace time.Duration, logf func(string, ...any)) error {
+// Serve is the listener's whole life in both binaries: it serves h on ln
+// until ctx is done, then takes the SIGTERM path. That is BeginDrain with
+// the listener still open, so a prober sees "draining" and reroutes before
+// the socket closes; up to drain for the requests in flight to finish; then
+// Shutdown with up to grace for what is left. logf narrates each step.
+// Serve returns nil after a clean shutdown, or the error that ended serving
+// or shutdown.
+func (e *Envelope) Serve(ctx context.Context, ln net.Listener, h http.Handler, drain, grace time.Duration, logf func(string, ...any)) error {
+	// No WriteTimeout: it is a whole-response deadline that would sever
+	// long-lived /v1/watch streams. llserved arms a per-write deadline
+	// (writeTimeout) before each write instead, which bounds stalled
+	// clients while letting healthy streams run indefinitely.
+	hs := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+
 	e.BeginDrain()
 	logf("draining (up to %s for %d in-flight requests, listener open)", drain, e.InFlight())
 	deadline := time.Now().Add(drain)
@@ -236,9 +258,12 @@ func (e *Envelope) DrainAndShutdown(hs *http.Server, drain, grace time.Duration,
 		time.Sleep(20 * time.Millisecond)
 	}
 	logf("shutting down (waiting up to %s for in-flight requests)", grace)
-	ctx, cancel := context.WithTimeout(context.Background(), grace)
+	sctx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
-	return hs.Shutdown(ctx)
+	if err := hs.Shutdown(sctx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	return nil
 }
 
 // ---- errors and the hardened writer ----

@@ -1,17 +1,17 @@
 package service
 
 import (
-	"errors"
+	"context"
 	"net"
 	"net/http"
 	"testing"
 	"time"
 )
 
-// TestDrainAndShutdown runs the SIGTERM path both mains share on a real
-// listener: a request in flight when the drain begins finishes inside the
-// drain window while new work sheds 503, and then Shutdown returns and the
-// listener closes.
+// TestDrainAndShutdown runs Serve, the listener's life both mains share, on
+// a real listener and cancels it: a request in flight when the drain
+// begins finishes inside the drain window while new work sheds 503, and
+// then Serve returns nil and the listener is closed.
 func TestDrainAndShutdown(t *testing.T) {
 	env := NewEnvelope("server", 0, 0)
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -30,9 +30,10 @@ func TestDrainAndShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: mux}
-	served := make(chan error, 1)
-	go func() { served <- hs.Serve(ln) }()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- env.Serve(ctx, ln, mux, 10*time.Second, 10*time.Second, t.Logf) }()
 	base := "http://" + ln.Addr().String()
 	cl := &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
 
@@ -48,8 +49,7 @@ func TestDrainAndShutdown(t *testing.T) {
 	}()
 	<-entered
 
-	done := make(chan error, 1)
-	go func() { done <- env.DrainAndShutdown(hs, 10*time.Second, 10*time.Second, t.Logf) }()
+	cancel()
 	for !env.Draining() {
 		time.Sleep(time.Millisecond)
 	}
@@ -71,13 +71,14 @@ func TestDrainAndShutdown(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("DrainAndShutdown: %v", err)
+			t.Fatalf("Serve: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("DrainAndShutdown did not return")
+		t.Fatal("Serve did not return")
 	}
-	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
-		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	if c, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		c.Close()
+		t.Fatal("listener still accepts after Serve returned")
 	}
 	if n := env.InFlight(); n != 0 {
 		t.Fatalf("InFlight = %d after shutdown, want 0", n)

@@ -87,11 +87,7 @@ func (s *Server) handleFaultsPost(w http.ResponseWriter, r *http.Request) error 
 	case (req.Spec == nil) == (req.Enabled == nil):
 		return failWith(http.StatusBadRequest, fmt.Errorf("exactly one of spec or enabled is required"))
 	case req.Spec != nil:
-		seed, rules, err := faults.ParseSpec(*req.Spec)
-		if err == nil {
-			err = s.faults.Configure(seed, rules)
-		}
-		if err != nil {
+		if err := s.faults.ConfigureSpec(*req.Spec); err != nil {
 			return failWith(http.StatusBadRequest, err)
 		}
 	default:
