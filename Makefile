@@ -265,7 +265,12 @@ tier1-time:
 
 # scoreboard prints the size-and-sediment rows ROADMAP.md's re-anchor table
 # tracks, so the next table is generated rather than counted by hand. The
-# exported-names row lists each func or type declared at the start of a line
+# unnamed-flags row lists each flag name no file but its defining one
+# names as -name: it searches code, tests, scripts, CI, the Makefile and the
+# user docs (README.md, DESIGN.md, EXPERIMENTS.md and the markdown below the
+# root), but not the root's other markdown files, the change log, roadmap
+# and paper notes, which name flags to discuss them rather than to set them,
+# nor the -h goldens, which main.go generates. The exported-names row lists each func or type declared at the start of a line
 # in non-test Go under internal/ or cmd/ whose name is on no other
 # non-comment line of any tracked Go file. The root package is left out: it
 # is the module's public API, whose names need no caller inside the module.
@@ -274,7 +279,13 @@ scoreboard:
 	echo "non-test Go lines, all:              $$(gofiles | xargs cat | wc -l)"; \
 	echo "non-test Go lines, outside bench/:   $$(gofiles | grep -v '^bench/' | xargs cat | wc -l)"; \
 	echo "engine.NewLRU sites in product code: $$(gofiles | grep -v '^bench/' | xargs grep -h 'engine\.NewLRU' | wc -l)"; \
-	echo "flags defined in cmd/ (package flag or a FlagSet): $$(gofiles | grep '^cmd/' | xargs grep -hoE '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(|\b[A-Za-z_][A-Za-z0-9_]*\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc)\("' | wc -l)"; \
+	echo "flags defined in cmd/ (package flag or a FlagSet): $$(gofiles | grep '^cmd/' | xargs grep -hoE '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(|\b[A-Za-z_][A-Za-z0-9_]*\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\((&[A-Za-z0-9_.]+, )?"' | wc -l)"; \
+	echo "flags named nowhere outside their own main.go: $$(gofiles | grep '^cmd/' | while read f; do \
+		grep -oE '\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\([^"]*"[^"]+"' $$f \
+		| sed -E 's/.*"([^"]+)"$$/\1/' | while read n; do \
+			{ git ls-files | grep -vxF $$f | grep -vE '^[A-Z]+\.md$$|/testdata/usage\.golden$$'; echo README.md; echo DESIGN.md; echo EXPERIMENTS.md; } \
+			| xargs grep -lIE -- "(^|[^A-Za-z0-9_-])-$$n([^A-Za-z0-9_-]|$$)" | grep -q . || echo -$$n; \
+		done; done | sort -u | awk '{ l = l " " $$0 } END { printf "%d:%s", NR, l }')"; \
 	echo "Go packages: internal / main:        $$($(GO) list -f '{{.ImportPath}} {{.Name}}' ./... | awk '$$1 ~ /\/internal\// { i++ } $$2 == "main" { m++ } END { printf "%d / %d (of %d)", i, m, NR }')"; \
 	echo "main packages with no test file:     $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}} {{len .TestGoFiles}} {{len .XTestGoFiles}}{{end}}' ./... | awk 'NF { n++ } NF && $$2 + $$3 == 0 { u++; l = l " " $$1 } END { printf "%d of %d:%s", u, n, l }')"; \
 	echo "internal packages with ≤ 1 non-test importer: $$($(GO) list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}' ./... \

@@ -199,11 +199,11 @@ func TestAnalyzeViewNotServedDegraded(t *testing.T) {
 }
 
 // maxAllocsPerHit bounds one B0 analyze hit through Handler() into a
-// recorder, request and recorder construction included. Measured at 87 on
-// Go 1.24 with the kept view (127 when every hit re-analyzed and
-// re-encoded); the margin absorbs toolchain drift, not a return to per-hit
-// rendering.
-const maxAllocsPerHit = 95
+// recorder, request and recorder construction included. Measured at 79 on
+// Go 1.24.0 with the kept view (127 when every hit re-analyzed and
+// re-encoded); the ~10 % margin absorbs toolchain drift, not a return to
+// per-hit rendering.
+const maxAllocsPerHit = 87
 
 func TestAnalyzeHitAllocs(t *testing.T) {
 	s := New(Config{ProfileFor: (&profileStub{}).fn, SimRunner: runner.New(64)})

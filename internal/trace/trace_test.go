@@ -72,22 +72,34 @@ func TestExclusiveAccounting(t *testing.T) {
 }
 
 // TestSetQueueShiftsStart: queue declared at End time covers wait that
-// happened before Begin, so the span's start moves back to include it.
+// happened before Begin, so the span's start moves back to include it. The
+// bounds come from clock readings around New and Begin, not from how long
+// the sleep between them lasted.
 func TestSetQueueShiftsStart(t *testing.T) {
+	const queue = 3 * time.Millisecond
+	beforeNew := time.Now()
 	tr := New("t2", "r")
+	afterNew := time.Now()
+	// Begin must come later than the declared queue, or the shifted start
+	// would clamp at zero and show nothing.
 	time.Sleep(4 * time.Millisecond)
+	beforeBegin := time.Now()
 	a := tr.Begin("engine")
-	a.SetQueue(3 * time.Millisecond)
+	afterBegin := time.Now()
+	a.SetQueue(queue)
 	a.End("job")
-	v := tr.View()
-	sp := v.Spans[0]
+	sp := tr.View().Spans[0]
 	if sp.QueueMs != 3 {
 		t.Fatalf("queue = %v, want 3ms", sp.QueueMs)
 	}
-	// Begin happened ~4ms in; declaring 3ms of pre-Begin queue pulls the
-	// start back to ~1ms.
-	if sp.StartMs > 3.5 {
-		t.Fatalf("start = %.2fms, want shifted back by the declared queue", sp.StartMs)
+	// Begin's offset into the trace lies between these two readings; the
+	// start is that offset less the queue. The slack covers the view's
+	// float rounding.
+	lo := float64(beforeBegin.Sub(afterNew)-queue) / float64(time.Millisecond)
+	hi := float64(afterBegin.Sub(beforeNew)-queue) / float64(time.Millisecond)
+	const slack = 1e-6
+	if sp.StartMs < lo-slack || sp.StartMs > hi+slack {
+		t.Fatalf("start = %.4fms, want in [%.4f, %.4f]: Begin's offset shifted back by the declared queue", sp.StartMs, lo, hi)
 	}
 }
 
