@@ -287,7 +287,7 @@ func TestWatchValidation(t *testing.T) {
 	}
 }
 
-// TestStreamCapSheds pins -max-streams: with a cap of one, a held
+// TestStreamCapSheds pins Config.MaxStreamClients: with a cap of one, a held
 // subscriber takes the only slot, the next is shed with 429, a Retry-After
 // hint and the JSON error envelope, the shed is counted, and the slot comes
 // back the moment the holder leaves.
