@@ -44,7 +44,7 @@ func TestUsage(t *testing.T) {
 func TestFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run(context.Background(), []string{"-bogus"}, &stdout, &stderr); !errors.Is(err, cli.ErrUsage) {
-		t.Errorf("unknown flag: err %v, want errUsage", err)
+		t.Errorf("unknown flag: err %v, want cli.ErrUsage", err)
 	}
 	stdout.Reset()
 	if err := run(context.Background(), []string{"-version"}, &stdout, &stderr); err != nil || !strings.HasPrefix(stdout.String(), "llload ") {

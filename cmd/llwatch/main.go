@@ -1,3 +1,20 @@
+// Command llwatch runs the sliding-window Little's-Law monitor live, in
+// either of two places. Locally, it tails a stream of bandwidth counter
+// samples (NDJSON on stdin or a file) and runs the monitor itself. Remotely
+// (-url), it tails a named llserved stream — GET /v1/watch/{stream} — over
+// the resilient client: the connection retries with backoff, a broken
+// stream reconnects and deduplicates replayed events by sequence number,
+// and a terminal "error" event from the server (its monitor died) is
+// surfaced instead of a silent hang. Either way: every window prints a
+// sparkline of n_avg against the binding MSHR ceiling, every detected
+// phase prints its Figure-1 recipe advice, and the final summary calls out
+// when the whole-stream average would have misled (§III-D).
+//
+// Usage:
+//
+//	llserved-style counters | llwatch -platform SKL
+//	llwatch -platform SKL -f samples.ndjson -window 8 -stride 4
+//	llwatch -url http://localhost:8080 -stream run42    # remote tail
 package main
 
 import (

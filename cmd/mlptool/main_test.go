@@ -178,7 +178,7 @@ func TestErrors(t *testing.T) {
 	}
 	for _, args := range [][]string{{"-bogus"}, {"profile", "-version"}, {"trace", "info", "-bogus"}} {
 		if _, err := runArgs(t, args...); !errors.Is(err, cli.ErrUsage) {
-			t.Errorf("mlptool %s: err %v, want errUsage", strings.Join(args, " "), err)
+			t.Errorf("mlptool %s: err %v, want cli.ErrUsage", strings.Join(args, " "), err)
 		}
 	}
 	if _, err := runArgs(t, "trace", "analyze", "-h"); !errors.Is(err, flag.ErrHelp) {

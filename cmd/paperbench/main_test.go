@@ -64,7 +64,7 @@ func TestErrors(t *testing.T) {
 		}
 	}
 	if _, err := runArgs(t, "-bogus"); !errors.Is(err, cli.ErrUsage) {
-		t.Errorf("unknown flag: err %v, want errUsage", err)
+		t.Errorf("unknown flag: err %v, want cli.ErrUsage", err)
 	}
 	if _, err := runArgs(t, "-h"); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h: err %v, want flag.ErrHelp", err)

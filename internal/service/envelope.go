@@ -222,7 +222,7 @@ func (e *Envelope) BeginDrain() {
 func (e *Envelope) Draining() bool { return e.draining.Load() }
 
 // InFlight returns the number of requests currently inside the envelope —
-// the quantity a draining main loop polls to zero.
+// the quantity Serve's drain polls to zero.
 func (e *Envelope) InFlight() int64 { return e.occupancy.InFlight() }
 
 // Serve is the listener's whole life in both binaries: it serves h on ln
@@ -260,7 +260,9 @@ func (e *Envelope) Serve(ctx context.Context, ln net.Listener, h http.Handler, d
 	logf("shutting down (waiting up to %s for in-flight requests)", grace)
 	sctx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
+	err := hs.Shutdown(sctx)
+	<-served // Shutdown closed the listener, so hs.Serve has returned
+	if err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	return nil
