@@ -237,10 +237,10 @@ func TestBrownoutStaleServing(t *testing.T) {
 	ps := &profileStub{}
 	cfg := brownoutTestConfig(ps)
 	// Everything expires immediately: any revisit under B1 is a stale serve.
-	// The TTL lands on the process-wide runner; later tests get it back
-	// without one.
+	// The TTL lands on a runner of the test's own, so the "miss" below is a
+	// miss on every run of the test, not only the first in the process.
 	cfg.RunnerTTL = time.Nanosecond
-	t.Cleanup(func() { runner.Default().SetTTL(0) })
+	cfg.SimRunner = runner.New(64)
 	_, ts := newTestServer(t, cfg)
 	analyzeBody := `{"platform":"SKL","workload":"ISx","scale":0.02}`
 
