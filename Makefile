@@ -274,6 +274,10 @@ tier1-time:
 # in non-test Go under internal/ or cmd/ whose name is on no other
 # non-comment line of any tracked Go file. The root package is left out: it
 # is the module's public API, whose names need no caller inside the module.
+# The singleton-reads row counts the non-comment lines under internal/,
+# tests included, that read one of the process-wide runner, profile store or
+# fault injector; each such read is state every server, table run and test
+# in a process shares.
 scoreboard:
 	@gofiles() { git ls-files '*.go' | grep -v '_test\.go$$'; }; \
 	echo "non-test Go lines, all:              $$(gofiles | xargs cat | wc -l)"; \
@@ -309,7 +313,8 @@ scoreboard:
 	echo "time.Sleep in tests:                 $$(git ls-files '*_test.go' | xargs grep -h 'time\.Sleep(' | wc -l)"; \
 	echo "ResponseWriter wrappers, non-test:   $$(gofiles | xargs grep -hE '^\s+http\.ResponseWriter$$' | wc -l)"; \
 	echo "X-Content-Type-Options sets, non-test: $$(gofiles | xargs grep -h 'Set("X-Content-Type-Options"' | wc -l)"; \
-	echo "direct timer sites, non-test:        $$(gofiles | xargs grep -hE 'time\.(After|AfterFunc|NewTimer|NewTicker|Tick)\(' | wc -l)"
+	echo "direct timer sites, non-test:        $$(gofiles | xargs grep -hE 'time\.(After|AfterFunc|NewTimer|NewTicker|Tick)\(' | wc -l)"; \
+	echo "singleton reads under internal/:     $$(git ls-files 'internal/*.go' | xargs grep -hE 'runner\.Default\(|runner\.Run\(|xmem\.DefaultProfiles\(|xmem\.ProfileFor(Context)?\(|faults\.Global\(' | grep -cvE '^[[:space:]]*//')"
 
 # check is the tier-1 gate plus the race and chaos jobs; leftovers goes last
 # so a process any earlier step stranded fails the gate.

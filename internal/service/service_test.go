@@ -401,6 +401,33 @@ func TestTableServedFromRunner(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAndTablesShareOneRunner: inside one llserved, /v1/tables and
+// /v1/analyze run on one runner, so analyzing a configuration a table has
+// already run is a hit on the server's runner and simulates nothing.
+func TestAnalyzeAndTablesShareOneRunner(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sims *runner.Runner
+	}{
+		{"nil SimRunner", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{ProfileFor: (&profileStub{}).fn, Platforms: []string{"SKL"}, SimRunner: tc.sims})
+			getTable(t, ts, "/v1/tables/IV?scale=0.01")
+			before := s.cfg.SimRunner.Stats()
+			// Table IV's first SKL row: ISx, base variant, one thread.
+			if resp, body := post(t, ts, "/v1/analyze", `{"platform":"SKL","workload":"ISx","scale":0.01}`); resp.StatusCode != http.StatusOK {
+				t.Fatalf("analyze = %d: %s", resp.StatusCode, body)
+			}
+			after := s.cfg.SimRunner.Stats()
+			if after.Misses != before.Misses || after.Hits <= before.Hits {
+				t.Fatalf("analyze after the table: misses %d → %d, hits %d → %d; want a hit and no miss",
+					before.Misses, after.Misses, before.Hits, after.Hits)
+			}
+		})
+	}
+}
+
 // TestTableHonoursRunnerTTL: no rendered table outlives the runner results
 // it was built from, so with every result expired a repeat simulates again.
 func TestTableHonoursRunnerTTL(t *testing.T) {
