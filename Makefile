@@ -10,7 +10,7 @@ RACE_PKGS = ./internal/engine/ ./internal/runner/ ./internal/sim/ ./internal/xme
 # with, e.g., go test ./internal/tracefile -fuzz FuzzParse -fuzztime 5m.
 FUZZTIME ?= 10s
 
-.PHONY: all vet build test race test-chaos bench bench-stream bench-json perf perf-compare fuzz lint check leftovers tier1-time scoreboard loadtest cluster-demo trace-demo brownout-demo
+.PHONY: all vet build test repeat race test-chaos bench bench-stream bench-json perf perf-compare fuzz lint check leftovers tier1-time scoreboard loadtest cluster-demo trace-demo brownout-demo
 
 all: check
 
@@ -26,6 +26,14 @@ build:
 # 10m, or test-chaos's 15m; 30 min is also the soak job's limit).
 test:
 	timeout -k 10 900 $(GO) test ./...
+
+# repeat runs every test twice in one process per package, in shuffled
+# order, so a test that leans on state an earlier test (or its own first
+# run) left behind fails here. A failing package's output starts with the
+# seed (-test.shuffle N) that replays its order. The budget is soak's,
+# above go test's 10m per package.
+repeat:
+	timeout -k 10 1800 $(GO) test -shuffle=on -count=2 ./...
 
 race:
 	timeout -k 10 900 $(GO) test -race -short $(RACE_PKGS)

@@ -103,8 +103,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			urls = append(urls, u)
 		}
 	}
+	in, _ := faults.New(0)
 	if *faultSpec != "" {
-		in := faults.Global()
 		if err := in.ConfigureSpec(*faultSpec); err != nil {
 			return fmt.Errorf("-faults: %w", err)
 		}
@@ -116,6 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		OccupancyCeiling: *ceiling,
 		ProbeInterval:    *probeInterval,
 		HedgeDelay:       *hedgeDelay,
+		FaultInjector:    in,
 	})
 	if err != nil {
 		return err

@@ -133,13 +133,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return experiments.PaperProfileFor(p)
 		}
 	}
+	in, _ := faults.New(0)
 	if *faultSpec != "" {
-		in := faults.Global()
 		if err := in.ConfigureSpec(*faultSpec); err != nil {
 			return fmt.Errorf("-faults: %w", err)
 		}
 		logf("fault injection armed (%s)", faults.FormatSpec(in.Seed(), in.Rules()))
 	}
+	cfg.FaultInjector = in
 	srv := service.New(cfg)
 
 	if *pprofAddr != "" {

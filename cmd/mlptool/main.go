@@ -42,7 +42,6 @@ import (
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
-	"littleslaw/internal/runner"
 	"littleslaw/internal/sim"
 	"littleslaw/internal/textplot"
 	"littleslaw/internal/workloads"
@@ -250,12 +249,12 @@ func lookup(platName, workName string) (*platform.Platform, workloads.Workload, 
 }
 
 // loadCurve reads p's bandwidth→latency profile from path, as mlptool
-// profile -o writes it, or, when path is empty, characterizes p (once per
-// process; a fraction of a second for SKL, about two for KNL).
+// profile -o writes it, or, when path is empty, characterizes p (a
+// fraction of a second for SKL, about two for KNL).
 func loadCurve(ctx context.Context, p *platform.Platform, path string, stderr io.Writer) (*queueing.Curve, error) {
 	if path == "" {
 		fmt.Fprintf(stderr, "mlptool: characterizing %s (once per platform; save with mlptool profile -o)...\n", p.Name)
-		return xmem.ProfileForContext(ctx, p)
+		return xmem.CharacterizeContext(ctx, p, xmem.Options{})
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -297,7 +296,7 @@ func classify(gen cpu.Generator, lineBytes, max int) (access.Profile, map[memsys
 // measure runs cfg and applies Equation 2 to the bandwidth it measured; m
 // brings what the run does not measure.
 func measure(ctx context.Context, p *platform.Platform, curve *queueing.Curve, cfg sim.Config, m core.Measurement) (*sim.Result, *core.Report, error) {
-	res, err := runner.Run(ctx, cfg)
+	res, err := sim.RunContext(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/roofline"
-	"littleslaw/internal/runner"
 	"littleslaw/internal/sim"
 	"littleslaw/internal/stream"
 	"littleslaw/internal/workloads"
@@ -368,7 +367,7 @@ func Example_gpuOccupancy() {
 	fmt.Printf("%8s %12s %10s %10s %s\n", "warps", "BW GB/s", "n_avg", "of MSHRs", "recipe reading")
 
 	for _, warps := range []int{1, 2, 4, 8, 16, 32} {
-		res, err := runner.Run(context.Background(), gatherKernel(gpu, warps))
+		res, err := sim.RunContext(context.Background(), gatherKernel(gpu, warps))
 		if err != nil {
 			log.Fatal(err)
 		}

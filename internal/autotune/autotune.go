@@ -66,6 +66,9 @@ type Options struct {
 	// leave the state unchanged (so later speculative runs stay valid)
 	// and the first acceptance discards the rest and re-gathers.
 	Workers int
+	// SimRunner is the runner every trial runs on (nil = one of the call's
+	// own, which only dedups within the call).
+	SimRunner *runner.Runner
 }
 
 func (o *Options) normalize() {
@@ -77,6 +80,9 @@ func (o *Options) normalize() {
 	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 8
+	}
+	if o.SimRunner == nil {
+		o.SimRunner = runner.New(0)
 	}
 }
 
@@ -134,7 +140,7 @@ func TuneContext(ctx context.Context, p *platform.Platform, profile *queueing.Cu
 		if opts.Cores != 0 {
 			cfg.Cores = opts.Cores
 		}
-		return runner.Run(ctx, cfg)
+		return opts.SimRunner.Run(ctx, cfg)
 	}
 
 	cur, err := run(ctx, state, threads)

@@ -8,7 +8,7 @@ import (
 	"littleslaw/internal/core"
 	"littleslaw/internal/platform"
 	"littleslaw/internal/queueing"
-	"littleslaw/internal/runner"
+	"littleslaw/internal/sim"
 	"littleslaw/internal/workloads"
 )
 
@@ -156,7 +156,7 @@ func TestGatherCandidatesMatchesPickSequence(t *testing.T) {
 	p := platform.KNL()
 	var opts Options
 	opts.normalize()
-	res, err := runner.Run(context.Background(), w.Config(p, 1, 0.1))
+	res, err := sim.RunContext(context.Background(), w.Config(p, 1, 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,6 @@ func TestChaosClusterFailover(t *testing.T) {
 		BreakerFailures:  3,
 		BreakerCooldown:  30 * time.Second, // no half-open trials inside the run
 		HedgeDelay:       -1,
-		FaultInjector:    inj, // no cluster.* rules armed; isolates from faults.Global()
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

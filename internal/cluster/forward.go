@@ -58,7 +58,7 @@ func (p *Proxy) unary(route string, hedgeable bool) http.Handler {
 // forwardFault evaluates the cluster.forward site; a non-nil error is the
 // injected failure to answer instead of forwarding.
 func (p *Proxy) forwardFault(r *http.Request) error {
-	switch f := p.faults.Eval(ForwardFaultSite); f.Kind {
+	switch f := faults.Eval(r.Context(), ForwardFaultSite); f.Kind {
 	case faults.KindLatency:
 		f.Sleep(r.Context())
 	case faults.KindError:

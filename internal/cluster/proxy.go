@@ -83,7 +83,9 @@ type Config struct {
 	// so there is no backoff jitter to seed. It stays only while
 	// bench/stack.go still sets it.
 	Seed int64
-	// FaultInjector backs the cluster.* sites (nil = faults.Global()).
+	// FaultInjector backs the cluster.* sites: each request carries it to
+	// cluster.forward, and the prober evaluates it at cluster.probe
+	// (nil = no faults).
 	FaultInjector *faults.Injector
 	// Now is the clock (tests; nil = time.Now).
 	Now func() time.Time
@@ -114,9 +116,6 @@ func (c *Config) normalize() error {
 	if c.ClientTimeout <= 0 {
 		c.ClientTimeout = 10 * time.Second
 	}
-	if c.FaultInjector == nil {
-		c.FaultInjector = faults.Global()
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -130,7 +129,6 @@ type Proxy struct {
 	*service.Envelope
 	cfg      Config
 	reg      *metrics.Registry
-	faults   *faults.Injector
 	ring     *Ring
 	backends map[string]*Backend
 	order    []*Backend // stable name order, for deterministic iteration
@@ -160,10 +158,10 @@ func New(cfg Config) (*Proxy, error) {
 		Envelope: service.NewEnvelope("proxy", 0, 0),
 		cfg:      cfg,
 		reg:      metrics.NewRegistry(),
-		faults:   cfg.FaultInjector,
 		backends: make(map[string]*Backend, len(cfg.Backends)),
 		stop:     make(chan struct{}),
 	}
+	p.Faults = cfg.FaultInjector
 	names := make([]string, 0, len(cfg.Backends))
 	for _, raw := range cfg.Backends {
 		u, err := url.Parse(raw)
@@ -344,7 +342,7 @@ func (p *Proxy) ProbeAll(ctx context.Context) {
 // Any 200 closes the breaker (up, even if drowning); the JSON body's
 // brownout rung and draining flag steer routing.
 func (p *Proxy) probe(ctx context.Context, b *Backend) {
-	switch f := p.faults.Eval(ProbeFaultSite); f.Kind {
+	switch f := p.Faults.Eval(ProbeFaultSite); f.Kind {
 	case faults.KindLatency:
 		f.Sleep(ctx)
 	case faults.KindError:

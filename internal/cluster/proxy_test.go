@@ -173,6 +173,63 @@ func TestProxyAffinityRoutesConsistently(t *testing.T) {
 	}
 }
 
+// TestProxyAffinityRoutesEveryKind: a repeated characterize, tune, batch or
+// table request lands, every time, on the ring owner of the identity its
+// request type declares — the backend whose profile or runner cache it
+// warmed the first time.
+func TestProxyAffinityRoutesEveryKind(t *testing.T) {
+	p, stubs := newStubCluster(t, 3, nil)
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+
+	batch := service.BatchAnalyzeRequest{Requests: []service.AnalyzeRequest{{Platform: "SKL", Workload: "CoMD", Scale: 0.03}}}
+	cases := []struct {
+		name, method, path, body string
+		key                      func() (string, bool)
+	}{
+		{"characterize", http.MethodPost, "/v1/characterize", `{"platform":"A64FX"}`,
+			(&service.CharacterizeRequest{Platform: "A64FX"}).AffinityKey},
+		{"tune", http.MethodPost, "/v1/tune", `{"platform":"KNL","workload":"HPCG","scale":0.05}`,
+			(&service.TuneRequest{Platform: "KNL", Workload: "HPCG", Scale: 0.05}).AffinityKey},
+		{"batch", http.MethodPost, "/v1/analyze/batch", `{"requests":[{"platform":"SKL","workload":"CoMD","scale":0.03}]}`,
+			batch.AffinityKey},
+		{"table", http.MethodGet, "/v1/tables/VI?scale=0.04", "",
+			func() (string, bool) { return service.TableAffinityKey("VI", 0.04) }},
+	}
+	for _, tc := range cases {
+		key, ok := tc.key()
+		if !ok {
+			t.Fatalf("%s: no affinity key", tc.name)
+		}
+		owner := stubByName(stubs, p.ring.Owner(key))
+		before := make([]int64, len(stubs))
+		for i, s := range stubs {
+			before[i] = s.hits.Load()
+		}
+		for i := 0; i < 3; i++ {
+			req, _ := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s %d: %v", tc.name, i, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %d: status %d", tc.name, i, resp.StatusCode)
+			}
+		}
+		for i, s := range stubs {
+			want := int64(0)
+			if s == owner {
+				want = 3
+			}
+			if got := s.hits.Load() - before[i]; got != want {
+				t.Errorf("%s: backend %s served %d of 3 repeats, want %d (owner %s)", tc.name, s.name, got, want, owner.name)
+			}
+		}
+	}
+}
+
 // TestProxyOccupancyOverrideSpills: when the affinity owner's occupancy is
 // past the ceiling, the request joins the least-loaded backend instead and
 // the override is counted. The occupancy is real: requests held in flight

@@ -79,15 +79,6 @@ type ThreadStats struct {
 	LoadLatencyPs uint64
 }
 
-// MeanLoadLatencyNs returns the thread's average demand load-to-use
-// latency in nanoseconds.
-func (s ThreadStats) MeanLoadLatencyNs() float64 {
-	if s.Retired == 0 {
-		return 0
-	}
-	return float64(s.LoadLatencyPs) / float64(s.Retired) / 1e3
-}
-
 // Thread is one hardware thread executing a Generator against a Hierarchy.
 type Thread struct {
 	sched  *events.Scheduler

@@ -79,7 +79,7 @@ func protect[T any](ctx context.Context, job func(context.Context) (T, error)) (
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	switch f := faults.Global().Eval(FaultSite); f.Kind {
+	switch f := faults.Eval(ctx, FaultSite); f.Kind {
 	case faults.KindLatency:
 		f.Sleep(ctx)
 	case faults.KindError:

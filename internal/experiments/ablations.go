@@ -7,7 +7,6 @@ import (
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
-	"littleslaw/internal/runner"
 	"littleslaw/internal/sim"
 	"littleslaw/internal/workloads"
 )
@@ -38,7 +37,7 @@ func (r *Runner) MSHRSweep(capacities []int) ([]MSHRSweepPoint, error) {
 		}
 		cfg := w.Config(p, 1, r.opts.Scale)
 		cfg.Window = c + 2 // keep the window from masking the MSHR file
-		res, err := runner.Run(context.Background(), cfg)
+		res, err := r.opts.SimRunner.Run(context.Background(), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: mshr sweep %d: %w", c, err)
 		}
@@ -82,7 +81,7 @@ func (r *Runner) StreamTableSweep(tableSizes []int) ([]StreamTableSweepPoint, er
 			// Half the node: the mechanism under test is prefetcher
 			// coverage, which DRAM saturation would mask.
 			cfg.Cores = 32
-			return runner.Run(context.Background(), cfg)
+			return r.opts.SimRunner.Run(context.Background(), cfg)
 		}
 		two, err := run(2)
 		if err != nil {
@@ -142,7 +141,7 @@ func (r *Runner) Coalescing() (*CoalescingAblation, error) {
 			},
 			ConfigureHierarchy: func(h *memsys.Hierarchy) { h.NoCoalesce = noCoalesce },
 		}
-		return runner.Run(context.Background(), cfg)
+		return r.opts.SimRunner.Run(context.Background(), cfg)
 	}
 	on, err := run(false)
 	if err != nil {
@@ -174,7 +173,7 @@ type FutureHBMResult struct {
 func (r *Runner) FutureHBM() (*FutureHBMResult, error) {
 	w, _ := workloads.ByName("HPCG")
 	p := platform.HBM3E()
-	res, err := runner.Run(context.Background(), w.WithVariant(workloads.Variant{Vectorized: true}).Config(p, 1, r.opts.Scale))
+	res, err := r.opts.SimRunner.Run(context.Background(), w.WithVariant(workloads.Variant{Vectorized: true}).Config(p, 1, r.opts.Scale))
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +202,7 @@ func (r *Runner) PrefetchLevel() (*PrefetchLevelResult, error) {
 	p, _ := platform.ByName("KNL")
 	run := func(v workloads.Variant) (*sim.Result, error) {
 		v.Vectorized = true
-		return runner.Run(context.Background(), w.WithVariant(v).Config(p, 2, r.opts.Scale))
+		return r.opts.SimRunner.Run(context.Background(), w.WithVariant(v).Config(p, 2, r.opts.Scale))
 	}
 	base, err := run(workloads.Variant{})
 	if err != nil {
@@ -244,12 +243,12 @@ func (r *Runner) CacheMode() ([]CacheModeResult, error) {
 	// Case 1: ISx — cache-unfriendly random footprint.
 	w, _ := workloads.ByName("ISx")
 	flatP, _ := platform.ByName("KNL")
-	flat, err := runner.Run(context.Background(), w.Config(flatP, 1, r.opts.Scale))
+	flat, err := r.opts.SimRunner.Run(context.Background(), w.Config(flatP, 1, r.opts.Scale))
 	if err != nil {
 		return nil, err
 	}
 	cacheP := platform.KNLCacheMode()
-	cached, err := runner.Run(context.Background(), w.Config(cacheP, 1, r.opts.Scale))
+	cached, err := r.opts.SimRunner.Run(context.Background(), w.Config(cacheP, 1, r.opts.Scale))
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +271,7 @@ func (r *Runner) CacheMode() ([]CacheModeResult, error) {
 		if ops < 6*arenaLines {
 			ops = 6 * arenaLines
 		}
-		return runner.Run(context.Background(), sim.Config{
+		return r.opts.SimRunner.Run(context.Background(), sim.Config{
 			Plat:   p,
 			Cores:  16, // a node slice: the mode comparison, not full contention
 			Window: 8,

@@ -81,10 +81,15 @@ type Options struct {
 	// Platforms restricts the run (nil = all three).
 	Platforms []string
 	// ProfileFor supplies the bandwidth→latency curve per platform;
-	// nil means the process-cached X-Mem characterization (the honest
-	// pipeline). It is called once per platform per table call, possibly
-	// concurrently, so a source that is not free keeps its own results.
+	// nil means the X-Mem characterization (the honest pipeline), run once
+	// per platform by each Runner. It is called once per platform per table
+	// call, possibly concurrently, so a source that is not free keeps its
+	// own results.
 	ProfileFor func(*platform.Platform) (*queueing.Curve, error)
+	// SimRunner is the runner every simulation runs on: it dedups a row
+	// and its successor, and the tables of one call. nil means
+	// runner.Default().
+	SimRunner *runner.Runner
 	// Workers bounds how many simulations run concurrently. 0 means
 	// runtime.GOMAXPROCS(0); 1 forces serial execution. Table output is
 	// byte-identical for any worker count.
@@ -97,6 +102,9 @@ func (o *Options) normalize() {
 	}
 	if len(o.Platforms) == 0 {
 		o.Platforms = []string{"SKL", "KNL", "A64FX"}
+	}
+	if o.SimRunner == nil {
+		o.SimRunner = runner.Default()
 	}
 }
 
@@ -254,22 +262,29 @@ type runKey struct {
 }
 
 // Runner executes table regenerations on a bounded worker pool. It holds
-// no results between calls: simulations are kept by internal/runner (a row
-// and its successor, concurrent pipelines and later calls all share runs
-// there) and platform profiles by the configured source.
+// no results between calls: simulations are kept by its runner.Runner (a
+// row and its successor, concurrent pipelines and later calls all share
+// runs there) and platform profiles by the configured source.
 type Runner struct {
-	opts Options
-	pool *engine.Pool
+	opts     Options
+	pool     *engine.Pool
+	profiles *xmem.Profiles // the X-Mem source when opts.ProfileFor is nil
 }
 
 // NewRunner builds a Runner.
 func NewRunner(opts Options) *Runner {
 	opts.normalize()
-	return &Runner{opts: opts, pool: engine.New(opts.Workers)}
+	r := &Runner{opts: opts, pool: engine.New(opts.Workers)}
+	if opts.ProfileFor == nil {
+		r.profiles = xmem.NewProfiles(func(ctx context.Context, p *platform.Platform) (*queueing.Curve, error) {
+			return xmem.CharacterizeContext(ctx, p, xmem.Options{})
+		})
+	}
+	return r
 }
 
 func (r *Runner) run(ctx context.Context, w workloads.Workload, p *platform.Platform, v workloads.Variant, threads int) (*sim.Result, error) {
-	res, err := runner.Run(ctx, w.WithVariant(v).Config(p, threads, r.opts.Scale))
+	res, err := r.opts.SimRunner.Run(ctx, w.WithVariant(v).Config(p, threads, r.opts.Scale))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%s %s: %w", w.Name(), p.Name, v.Label(threads), err)
 	}
@@ -282,7 +297,7 @@ func (r *Runner) profile(ctx context.Context, p *platform.Platform) (curve *queu
 	if r.opts.ProfileFor != nil {
 		curve, err = r.opts.ProfileFor(p)
 	} else {
-		curve, _, err = xmem.DefaultProfiles().Get(ctx, p)
+		curve, _, err = r.profiles.Get(ctx, p)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("experiments: profiling %s: %w", p.Name, err)

@@ -75,21 +75,20 @@ func TestTableIVShapeSKL(t *testing.T) {
 // TestRunCacheSharesConfigs: a row and its successor share runs. SKL Table
 // IV has two rows, each naming a next configuration, and needs exactly three
 // simulations: base/1t, vect/1t, vect/2t. A second regeneration needs none.
-// (Scale 0.032 is this test's own, so the runner starts cold for it.)
 func TestRunCacheSharesConfigs(t *testing.T) {
-	r := NewRunner(Options{Scale: 0.032, Platforms: []string{"SKL"}, ProfileFor: paperProfiles})
-	before := runner.Default().Stats().Misses
+	sims := runner.New(0)
+	r := NewRunner(Options{Scale: 0.03, Platforms: []string{"SKL"}, ProfileFor: paperProfiles, SimRunner: sims})
 	if _, err := r.Table("IV"); err != nil {
 		t.Fatal(err)
 	}
-	first := runner.Default().Stats().Misses
-	if got := first - before; got != 3 {
-		t.Fatalf("Table IV/SKL ran %d simulations, want 3 distinct configs", got)
+	first := sims.Stats().Misses
+	if first != 3 {
+		t.Fatalf("Table IV/SKL ran %d simulations, want 3 distinct configs", first)
 	}
 	if _, err := r.Table("IV"); err != nil {
 		t.Fatal(err)
 	}
-	if got := runner.Default().Stats().Misses - first; got != 0 {
+	if got := sims.Stats().Misses - first; got != 0 {
 		t.Fatalf("a second Table IV ran %d more simulations, want 0", got)
 	}
 }

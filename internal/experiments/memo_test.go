@@ -11,10 +11,6 @@ import (
 	"littleslaw/internal/workloads"
 )
 
-// Each test below measures runner.Default()'s counters, so each uses a scale
-// no other test in this binary uses (0.1 and 0.05 are taken): its keys are
-// cold when it starts.
-
 // TestRunIsTheRunnerLookup is the property the memo layers above the runner
 // were deleted on: for every configuration Tables IV and VII need on SKL,
 // the experiments lookup and the bare runner lookup return the same
@@ -22,7 +18,8 @@ import (
 // often and in whatever order the two are called.
 func TestRunIsTheRunnerLookup(t *testing.T) {
 	const scale = 0.03
-	r := NewRunner(Options{Scale: scale, Platforms: []string{"SKL"}, ProfileFor: paperProfiles})
+	sims := runner.New(0)
+	r := NewRunner(Options{Scale: scale, Platforms: []string{"SKL"}, ProfileFor: paperProfiles, SimRunner: sims})
 	plats, keys, err := r.tableWork([]string{"IV", "VII"})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +37,6 @@ func TestRunIsTheRunnerLookup(t *testing.T) {
 	rand.New(rand.NewSource(24)).Shuffle(len(calls), func(i, j int) { calls[i], calls[j] = calls[j], calls[i] })
 
 	ctx := context.Background()
-	before := runner.Default().Stats().Misses
 	distinct := map[runner.Key]bool{}
 	seen := map[runKey]*sim.Result{}
 	for _, c := range calls {
@@ -55,7 +51,7 @@ func TestRunIsTheRunnerLookup(t *testing.T) {
 		if c.layered {
 			res, err = r.run(ctx, w, p, c.key.variant, c.key.threads)
 		} else {
-			res, err = runner.Default().Run(ctx, cfg)
+			res, err = sims.Run(ctx, cfg)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +61,7 @@ func TestRunIsTheRunnerLookup(t *testing.T) {
 		}
 		seen[c.key] = res
 	}
-	if got := runner.Default().Stats().Misses - before; got != uint64(len(distinct)) {
+	if got := sims.Stats().Misses; got != uint64(len(distinct)) {
 		t.Fatalf("kernel ran %d times for %d distinct canonical keys over %d lookups", got, len(distinct), len(calls))
 	}
 }
@@ -75,11 +71,9 @@ func TestRunIsTheRunnerLookup(t *testing.T) {
 // assembly must be handed the results the dispatch computed, not look them
 // up again (llserved -runner-ttl sets the TTL on the runner tables use).
 func TestTableSurvivesRunnerTTL(t *testing.T) {
-	runner.Default().SetTTL(time.Nanosecond)
-	t.Cleanup(func() { runner.Default().SetTTL(0) })
-
-	r := NewRunner(Options{Scale: 0.031, Platforms: []string{"SKL"}, ProfileFor: paperProfiles})
-	before := runner.Default().Stats()
+	sims := runner.New(0)
+	sims.SetTTL(time.Nanosecond)
+	r := NewRunner(Options{Scale: 0.03, Platforms: []string{"SKL"}, ProfileFor: paperProfiles, SimRunner: sims})
 	tab, err := r.Table("IV")
 	if err != nil {
 		t.Fatal(err)
@@ -87,11 +81,11 @@ func TestTableSurvivesRunnerTTL(t *testing.T) {
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tab.Rows))
 	}
-	after := runner.Default().Stats()
-	if got := after.Misses - before.Misses; got != 3 {
+	stats := sims.Stats()
+	if got := stats.Misses; got != 3 {
 		t.Errorf("kernel ran %d times, want 3 (base/1t, vect/1t, vect/2t)", got)
 	}
-	if got := after.Expirations - before.Expirations; got != 0 {
+	if got := stats.Expirations; got != 0 {
 		t.Errorf("%d results expired and re-ran between dispatch and assembly", got)
 	}
 }

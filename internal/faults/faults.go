@@ -3,7 +3,8 @@
 // from a hope into a testable property. Call sites across the serving
 // stack — the run spine, the engine pool, the admission queue, the
 // llserved handlers, the stream monitor — name themselves (a *site*) and
-// ask the process-wide Injector whether a fault fires here, now. Rules
+// ask the Injector their request's context carries whether a fault fires
+// here, now (Eval; the binary's envelope puts it there). Rules
 // scope faults to sites (exact names or glob patterns), pick a kind —
 // injected latency, a transient error, a panic, or a slow-drip delay per
 // response chunk — and fire with a per-evaluation probability drawn from a
@@ -189,8 +190,8 @@ type SiteCount struct {
 }
 
 // Injector evaluates fault rules at named call sites. All methods are safe
-// for concurrent use. The zero value is unusable; construct with New or
-// use the process-wide Global().
+// for concurrent use. The zero value is unusable; construct with New. A nil
+// *Injector fires nothing.
 type Injector struct {
 	enabled atomic.Bool
 
@@ -210,18 +211,27 @@ func New(seed int64, rules ...Rule) (*Injector, error) {
 	return in, nil
 }
 
-// global is the process-wide injector every instrumented layer consults.
-// It starts empty and disabled, so a process that never configures faults
-// pays one atomic load per site evaluation and nothing else.
-var global = func() *Injector {
-	in, _ := New(0)
-	return in
-}()
+var global, _ = New(0)
 
-// Global returns the process-wide Injector. The -faults flag of llserved and
-// llproxy and the /v1/faults admin endpoint configure it; the instrumented layers
-// (runner, engine, limit, service, stream) evaluate against it.
+// Global returns a process-wide Injector that starts empty. No layer of
+// this module evaluates it: every binary builds its own injector and hands
+// it to its server, whose requests carry it (NewContext).
 func Global() *Injector { return global }
+
+type contextKey struct{}
+
+// NewContext returns ctx carrying in: the injector every fault site under
+// ctx evaluates.
+func NewContext(ctx context.Context, in *Injector) context.Context {
+	return context.WithValue(ctx, contextKey{}, in)
+}
+
+// Eval evaluates siteName against the injector ctx carries. A context that
+// carries none fires nothing.
+func Eval(ctx context.Context, siteName string) Fault {
+	in, _ := ctx.Value(contextKey{}).(*Injector)
+	return in.Eval(siteName)
+}
 
 // Configure replaces the injector's seed and rule set, resets every
 // per-site RNG stream and counter, and enables the injector iff rules is
@@ -275,15 +285,15 @@ func (i *Injector) Rules() []Rule {
 	return append([]Rule(nil), i.rules...)
 }
 
-// Eval asks whether a fault fires at the named site. Disabled injectors
-// answer with one atomic load and draw no randomness — the provable-no-op
-// property the chaos test pins. Enabled injectors evaluate the site's
+// Eval asks whether a fault fires at the named site. A nil injector fires
+// nothing, and a disabled one answers with one atomic load and draws no
+// randomness — the provable-no-op property the chaos test pins. Enabled injectors evaluate the site's
 // matching rules in configuration order against the site's own seeded RNG
 // stream (one draw per rule per evaluation, so a site's fault schedule is
 // a pure function of the seed and its evaluation count); the first rule
 // whose draw lands under its probability fires.
 func (i *Injector) Eval(siteName string) Fault {
-	if !i.enabled.Load() {
+	if i == nil || !i.enabled.Load() {
 		return Fault{}
 	}
 	s := i.site(siteName)

@@ -32,6 +32,21 @@ func TestDisabledInjectorNeverFires(t *testing.T) {
 	}
 }
 
+// TestEvalReadsTheContextInjector: a site evaluates the injector its
+// context carries, and a context with none — or a nil one — fires nothing.
+func TestEvalReadsTheContextInjector(t *testing.T) {
+	in := mustNew(t, 1, Rule{Site: "runner.run", Kind: KindError, P: 1})
+	if f := Eval(context.Background(), "runner.run"); f.Kind != KindNone {
+		t.Fatalf("a context with no injector fired %v", f)
+	}
+	if f := Eval(NewContext(context.Background(), nil), "runner.run"); f.Kind != KindNone {
+		t.Fatalf("a nil injector fired %v", f)
+	}
+	if f := Eval(NewContext(context.Background(), in), "runner.run"); f.Kind != KindError {
+		t.Fatalf("the context's armed injector gave %v, want error", f)
+	}
+}
+
 func TestEmptyInjectorDisabled(t *testing.T) {
 	in := mustNew(t, 7)
 	if in.Enabled() {

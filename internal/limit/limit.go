@@ -157,7 +157,7 @@ func (l *Limiter) Acquire(ctx context.Context, route string) (release func(), wa
 			tr.Add("limit", note, time.Since(entered), 0)
 		}()
 	}
-	if f := faults.Global().Eval(FaultSite); f.Kind == faults.KindLatency {
+	if f := faults.Eval(ctx, FaultSite); f.Kind == faults.KindLatency {
 		f.Sleep(ctx)
 		if err := ctx.Err(); err != nil {
 			return nil, false, err

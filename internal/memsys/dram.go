@@ -33,15 +33,6 @@ func (s DRAMStats) MeanReadLatencyNs() float64 {
 	return float64(s.LatencyPs) / float64(s.Reads) / 1e3
 }
 
-// RowHitFraction returns hits / (hits+misses), or 0.
-func (s DRAMStats) RowHitFraction() float64 {
-	t := s.RowHits + s.RowMisses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(t)
-}
-
 // dramReq is one request in flight at the device. Requests live by value
 // in DRAM.reqs for their whole life and are named by their index there:
 // in event arguments, and in the bank queues.

@@ -30,16 +30,6 @@ type HierarchyStats struct {
 	L2MissSWPrefetch uint64
 }
 
-// PrefetchedReadFraction returns the fraction of memory reads initiated by
-// prefetchers (hardware or software) rather than demand misses.
-func (s HierarchyStats) PrefetchedReadFraction() float64 {
-	total := s.L2MissDemand + s.L2MissHWPrefetch + s.L2MissSWPrefetch
-	if total == 0 {
-		return 0
-	}
-	return float64(s.L2MissHWPrefetch+s.L2MissSWPrefetch) / float64(total)
-}
-
 // Node is the memory system shared by all cores: the memory device and,
 // on Skylake, the shared L3. A simulated machine has one Node — built by
 // NewNode on the caller's scheduler, or rented with a scheduler of its own

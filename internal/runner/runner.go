@@ -1,8 +1,7 @@
-// Package runner is the single execution spine for node simulations: every
-// caller in the repository — the littleslaw facade, the experiments and
-// ablation pipelines, the autotuner, the analysis service, the stream
-// replayer and the command-line tools — starts its simulations here
-// rather than calling the simulator directly.
+// Package runner is the single execution spine for node simulations: the
+// littleslaw facade, the experiments and ablation pipelines, the
+// autotuner, the analysis service and the stream replayer each run their
+// simulations on a Runner their owner built and passed in.
 //
 // The runner deduplicates identical work (singleflight: concurrent
 // requests for the same canonical configuration share one execution),
@@ -295,22 +294,17 @@ func (r *Runner) expired(e entry) bool {
 	return ttl > 0 && r.now().Sub(e.at) > time.Duration(ttl)
 }
 
-// defaultCapacity bounds the process-wide cache. A full six-table
-// regeneration across three platforms needs ~90 distinct runs; 512 leaves
-// room for sweeps and service traffic on top without unbounded growth.
-const defaultCapacity = 512
+// DefaultCapacity is the cache size a binary gives the runner it owns. A
+// full six-table regeneration across three platforms needs ~90 distinct
+// runs; 512 leaves room for sweeps and service traffic on top without
+// unbounded growth.
+const DefaultCapacity = 512
 
-var std = New(defaultCapacity)
+var std = New(DefaultCapacity)
 
-// Default returns the process-wide Runner every layer shares; using it is
-// what makes cross-caller deduplication (a service request joining a
-// pipeline's in-flight run) happen.
+// Default returns a process-wide Runner. Nothing in this module runs on it
+// but an experiments.Runner built without a runner of its own.
 func Default() *Runner { return std }
-
-// Run executes cfg through the default Runner.
-func Run(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-	return std.Run(ctx, cfg)
-}
 
 // Run executes cfg, deduplicating against concurrent and past runs of the
 // same canonical configuration. Uncacheable configs (empty Fingerprint or
@@ -444,7 +438,7 @@ func (r *Runner) execute(ctx context.Context, cfg sim.Config) (*sim.Result, erro
 		trace.Add(ctx, "sim", "", 0, time.Since(begin))
 		r.occupancy.Complete()
 	}()
-	switch f := faults.Global().Eval(FaultSite); f.Kind {
+	switch f := faults.Eval(ctx, FaultSite); f.Kind {
 	case faults.KindLatency:
 		f.Sleep(ctx)
 	case faults.KindError:

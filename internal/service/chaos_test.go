@@ -16,7 +16,10 @@ import (
 	"time"
 
 	"littleslaw/internal/client"
+	"littleslaw/internal/engine"
 	"littleslaw/internal/faults"
+	"littleslaw/internal/limit"
+	"littleslaw/internal/runner"
 	"littleslaw/internal/stream"
 )
 
@@ -39,19 +42,19 @@ const chaosSpec = "seed=42" +
 	";runner.run=error:0.15" +
 	";engine.job=panic:0.10"
 
-// armGlobalFaults configures the process-global injector (the one the
-// runner, engine, limiter and stream sites consult) and disarms it again
-// at cleanup so the rest of the package runs fault-free.
-func armGlobalFaults(t *testing.T, spec string) {
+// newInjector builds an injector armed with spec, for one server's
+// FaultInjector: its requests carry it to every site beneath them.
+func newInjector(t *testing.T, spec string) *faults.Injector {
 	t.Helper()
-	if err := faults.Global().ConfigureSpec(spec); err != nil {
+	seed, rules, err := faults.ParseSpec(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if err := faults.Global().Configure(1, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
+	in, err := faults.New(seed, rules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
 }
 
 // metricValue extracts one gauge/counter value from a /metrics text dump.
@@ -79,13 +82,12 @@ func TestChaosEventualSuccess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos run")
 	}
-	armGlobalFaults(t, chaosSpec)
-
 	before := runtime.NumGoroutine()
 	stub := &profileStub{}
 	const ceiling = 4
 	s := New(Config{
 		ProfileFor:        stub.fn,
+		FaultInjector:     newInjector(t, chaosSpec),
 		LimitCeiling:      ceiling,
 		LimitQueueTimeout: 200 * time.Millisecond,
 	})
@@ -200,9 +202,8 @@ func TestChaosEventualSuccess(t *testing.T) {
 // stream closes — the graceful alternative to a silently truncated tail.
 func TestChaosStreamTerminalError(t *testing.T) {
 	// stream.monitor faults with P=1: the first sample kills the monitor.
-	armGlobalFaults(t, "seed=7;stream.monitor=error:1")
 	stub := &profileStub{}
-	_, ts := newTestServer(t, Config{ProfileFor: stub.fn})
+	_, ts := newTestServer(t, Config{ProfileFor: stub.fn, FaultInjector: newInjector(t, "seed=7;stream.monitor=error:1")})
 
 	samples := `{"platform":"SKL","stream":"doomed","samples":[` +
 		`{"t_s":0,"bandwidth_gbs":50},{"t_s":1,"bandwidth_gbs":60},{"t_s":2,"bandwidth_gbs":70},` +
@@ -244,6 +245,39 @@ func TestChaosStreamTerminalError(t *testing.T) {
 	}
 	if !sawError {
 		t.Fatal("stream closed without a terminal error event")
+	}
+}
+
+// TestServerInjectorReachesEverySite: the injector a server is given is the
+// one every fault site under its requests evaluates — the runner, the
+// engine pool, the limiter and the stream monitor as much as the handler.
+func TestServerInjectorReachesEverySite(t *testing.T) {
+	sites := []string{runner.FaultSite, engine.FaultSite, limit.FaultSite, stream.FaultSite}
+	var rules []faults.Rule
+	for _, site := range sites {
+		rules = append(rules, faults.Rule{Site: site, Kind: faults.KindLatency, P: 1, D: time.Microsecond})
+	}
+	inj, err := faults.New(3, rules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{ProfileFor: (&profileStub{}).fn, FaultInjector: inj})
+	// A workload analysis is admitted (limit.acquire) and misses the
+	// server's runner (runner.run, engine.job); a watch runs the monitor.
+	if resp, body := post(t, ts, "/v1/analyze", `{"platform":"SKL","workload":"ISx","scale":0.005}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze = %d: %s", resp.StatusCode, body)
+	}
+	if resp, body := post(t, ts, "/v1/watch", `{"platform":"SKL","samples":[{"t_s":0,"bandwidth_gbs":50},{"t_s":1,"bandwidth_gbs":60}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("watch = %d: %s", resp.StatusCode, body)
+	}
+	fired := map[string]uint64{}
+	for _, sc := range inj.Counts() {
+		fired[sc.Site] = sc.Fired[faults.KindLatency.String()]
+	}
+	for _, site := range sites {
+		if fired[site] == 0 {
+			t.Errorf("%s never fired from the server's own injector", site)
+		}
 	}
 }
 

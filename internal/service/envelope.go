@@ -47,6 +47,9 @@ type Envelope struct {
 	// OnDrain, if set, runs once inside BeginDrain, before the trace tail
 	// closes (llserved ends its watch streams there).
 	OnDrain func()
+	// Faults, if set, rides on every wrapped request's context: the one
+	// injector each fault site under the request evaluates (faults.Eval).
+	Faults *faults.Injector
 
 	writeTimeout time.Duration
 	drainErr     error
@@ -101,9 +104,10 @@ func (e *Envelope) Register(reg *metrics.Registry, prefix string) {
 
 // Wrap puts fn inside the envelope as the named route, in a fixed order:
 // occupancy, the trace (X-Trace-Id now, X-Trace-Summary at first write), the
-// drain gate, then fn with the trace on its request context. An error fn
-// returns is answered by WriteError unless fn already started its response;
-// a panic becomes a JSON 500 the same way, after fn's deferred releases ran.
+// drain gate, then fn with the trace and Faults on its request context. An
+// error fn returns is answered by WriteError unless fn already started its
+// response; a panic becomes a JSON 500 the same way, after fn's deferred
+// releases ran.
 func (e *Envelope) Wrap(route string, fn func(http.ResponseWriter, *http.Request) error) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -132,7 +136,11 @@ func (e *Envelope) Wrap(route string, fn func(http.ResponseWriter, *http.Request
 			e.answer(rw, e.drainErr)
 			return
 		}
-		if err := fn(rw, r.WithContext(trace.NewContext(r.Context(), tr))); err != nil {
+		ctx := trace.NewContext(r.Context(), tr)
+		if e.Faults != nil {
+			ctx = faults.NewContext(ctx, e.Faults)
+		}
+		if err := fn(rw, r.WithContext(ctx)); err != nil {
 			e.answer(rw, err)
 		}
 	})
@@ -486,7 +494,7 @@ func (s *Server) route(name string, gate *limit.Limiter, fn func(w http.Response
 
 		h := tr.Begin("handler")
 		defer h.End("")
-		switch f := s.faults.Eval("handler." + name); f.Kind {
+		switch f := faults.Eval(r.Context(), "handler."+name); f.Kind {
 		case faults.KindLatency:
 			f.Sleep(r.Context())
 		case faults.KindError:

@@ -50,9 +50,9 @@ type FaultsRequest struct {
 }
 
 func (s *Server) faultsResponse() FaultsResponse {
-	seed, rules := s.faults.Seed(), s.faults.Rules()
+	seed, rules := s.Faults.Seed(), s.Faults.Rules()
 	resp := FaultsResponse{
-		Enabled: s.faults.Enabled(),
+		Enabled: s.Faults.Enabled(),
 		Seed:    seed,
 		Spec:    faults.FormatSpec(seed, rules),
 	}
@@ -64,7 +64,7 @@ func (s *Server) faultsResponse() FaultsResponse {
 			DurationMS: float64(r.D) / float64(time.Millisecond),
 		})
 	}
-	for _, sc := range s.faults.Counts() {
+	for _, sc := range s.Faults.Counts() {
 		resp.Sites = append(resp.Sites, FaultSiteJSON{Site: sc.Site, Evals: sc.Evals, Fired: sc.Fired})
 	}
 	return resp
@@ -87,11 +87,11 @@ func (s *Server) handleFaultsPost(w http.ResponseWriter, r *http.Request) error 
 	case (req.Spec == nil) == (req.Enabled == nil):
 		return failWith(http.StatusBadRequest, fmt.Errorf("exactly one of spec or enabled is required"))
 	case req.Spec != nil:
-		if err := s.faults.ConfigureSpec(*req.Spec); err != nil {
+		if err := s.Faults.ConfigureSpec(*req.Spec); err != nil {
 			return failWith(http.StatusBadRequest, err)
 		}
 	default:
-		s.faults.SetEnabled(*req.Enabled)
+		s.Faults.SetEnabled(*req.Enabled)
 	}
 	s.WriteJSON(w, http.StatusOK, s.faultsResponse())
 	return nil

@@ -74,7 +74,7 @@ func TestAnalyticMatchesDESOnISx(t *testing.T) {
 		t.Skip("characterization is slow")
 	}
 	p := platform.SKL()
-	curve, err := xmem.ProfileFor(p)
+	curve, err := xmem.Characterize(p, xmem.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

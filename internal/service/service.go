@@ -62,10 +62,9 @@ type Config struct {
 	// Platforms restricts table regeneration to the named machines
 	// (nil = all three; tests use one platform for speed).
 	Platforms []string
-	// SimRunner is the simulation spine this server's workload analyses run
-	// through (nil = runner.Default(), the process-wide cache). Tests that
-	// boot several in-process backends give each its own so cache-affinity
-	// effects are observable per server.
+	// SimRunner is the simulation spine every simulation this server runs
+	// goes through: analyses, tables, tuning and watch replays share its
+	// cache and its RunnerTTL (nil = a runner of the server's own).
 	SimRunner *runner.Runner
 
 	// LimitCeiling is the admission controller's MSHR-style occupancy
@@ -101,10 +100,10 @@ type Config struct {
 	// (0 = trace.DefaultCapacity).
 	TraceCapacity int
 
-	// FaultInjector is the fault layer the per-handler sites and the
-	// /v1/faults admin endpoint operate on (nil = faults.Global(), the
-	// injector the rest of the stack — runner, engine, limiter, stream —
-	// evaluates; tests may isolate themselves with their own).
+	// FaultInjector is the server's fault layer: every request carries it,
+	// so the handler, limiter, engine, runner and stream sites under a
+	// request evaluate it, and /v1/faults configures it (nil = one of the
+	// server's own, disarmed).
 	FaultInjector *faults.Injector
 }
 
@@ -122,10 +121,10 @@ func (c *Config) normalize() {
 		c.MaxStreamClients = 64
 	}
 	if c.FaultInjector == nil {
-		c.FaultInjector = faults.Global()
+		c.FaultInjector, _ = faults.New(0)
 	}
 	if c.SimRunner == nil {
-		c.SimRunner = runner.Default()
+		c.SimRunner = runner.New(runner.DefaultCapacity)
 	}
 }
 
@@ -141,7 +140,6 @@ type Server struct {
 
 	limiter  *limit.Limiter // unary routes
 	streams  *limit.Limiter // /v1/watch connections
-	faults   *faults.Injector
 	brownout *brownout.Controller
 
 	liveMu sync.Mutex
@@ -181,8 +179,8 @@ func New(cfg Config) *Server {
 		profiles:    xmem.NewProfiles(profileSource),
 		watches:     map[string]*stream.Broker{},
 		liveStreams: map[*stream.Broker]struct{}{},
-		faults:      cfg.FaultInjector,
 	}
+	s.Faults = cfg.FaultInjector
 	s.OnDrain = s.endStreams
 	s.Drained = func(route string) { s.admissions.With(route, "drained").Inc() }
 	s.Finished = func(route string, status int, w time.Duration) {
@@ -253,10 +251,9 @@ func New(cfg Config) *Server {
 			"The brownout controller's input: (inflight+queued) / ceiling.",
 			s.pressure)
 	}
-	// The simulation spine's own instrumentation: analyze requests bottom
-	// out in the server's runner (runner.Default() unless the config
-	// isolated one — the table/tune pipelines always share the default), so
-	// its cache and occupancy telemetry belong on the service's scrape page.
+	// The simulation spine's own instrumentation: every simulation the
+	// server runs bottoms out in its runner, so the runner's cache and
+	// occupancy telemetry belong on the service's scrape page.
 	cfg.SimRunner.Register(s.reg, "llserved_runner")
 	// The envelope's in-flight count, its n_avg, the drain flag and the
 	// per-stage decomposition: λ, W and n_avg for every traced stage, the
@@ -267,14 +264,14 @@ func New(cfg Config) *Server {
 	s.reg.Derived("llserved_faults_enabled",
 		"1 when the fault-injection layer is evaluating rules, 0 when it is a no-op.",
 		func() float64 {
-			if s.faults.Enabled() {
+			if s.Faults.Enabled() {
 				return 1
 			}
 			return 0
 		})
 	s.reg.DerivedCounter("llserved_faults_injected_total",
 		"Faults fired across every instrumented site since the injector was configured.",
-		s.faults.FiredTotal)
+		s.Faults.FiredTotal)
 	if s.streams != nil {
 		s.reg.Derived("llserved_stream_clients",
 			"Live /v1/watch connections admitted by the stream limiter (ceiling 64).",
@@ -464,6 +461,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) error {
 		AcceptThreshold: req.AcceptThreshold,
 		UserIntuition:   req.UserIntuition,
 		Workers:         s.cfg.Workers,
+		SimRunner:       s.cfg.SimRunner,
 	})
 	if err != nil {
 		return err
@@ -509,6 +507,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) error {
 		Scale:     scale,
 		Workers:   s.cfg.Workers,
 		Platforms: s.cfg.Platforms,
+		SimRunner: s.cfg.SimRunner,
 		ProfileFor: func(p *platform.Platform) (*queueing.Curve, error) {
 			curve, _, err := s.profile(r.Context(), p)
 			return curve, err

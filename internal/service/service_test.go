@@ -385,15 +385,19 @@ func getTable(t *testing.T, ts *httptest.Server, path string) TableResponse {
 	return out
 }
 
-// TestTableServedFromRunner: a table is rendered from the runner's results
-// on every request, so a repeat returns the same rows and simulates
-// nothing. Tables simulate through the process-wide runner.
+// TestTableServedFromRunner: a table simulates on its server's runner and
+// is rendered from that runner's results on every request, so a repeat
+// returns the same rows and simulates nothing.
 func TestTableServedFromRunner(t *testing.T) {
-	_, ts := newTestServer(t, Config{ProfileFor: (&profileStub{}).fn, Platforms: []string{"SKL"}})
+	sims := runner.New(64)
+	_, ts := newTestServer(t, Config{ProfileFor: (&profileStub{}).fn, Platforms: []string{"SKL"}, SimRunner: sims})
 	first := getTable(t, ts, "/v1/tables/IV?scale=0.02")
-	misses := runner.Default().Stats().Misses
+	misses := sims.Stats().Misses
+	if misses != 3 {
+		t.Fatalf("Table IV/SKL ran %d simulations on the server's runner, want 3 distinct configs", misses)
+	}
 	second := getTable(t, ts, "/v1/tables/IV?scale=0.02")
-	if got := runner.Default().Stats().Misses - misses; got != 0 {
+	if got := sims.Stats().Misses - misses; got != 0 {
 		t.Fatalf("repeat table request ran %d simulations, want 0", got)
 	}
 	if len(first.Rows) == 0 || !reflect.DeepEqual(first.Rows, second.Rows) {
@@ -410,6 +414,7 @@ func TestAnalyzeAndTablesShareOneRunner(t *testing.T) {
 		sims *runner.Runner
 	}{
 		{"nil SimRunner", nil},
+		{"own SimRunner", runner.New(64)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts := newTestServer(t, Config{ProfileFor: (&profileStub{}).fn, Platforms: []string{"SKL"}, SimRunner: tc.sims})
@@ -431,16 +436,38 @@ func TestAnalyzeAndTablesShareOneRunner(t *testing.T) {
 // TestTableHonoursRunnerTTL: no rendered table outlives the runner results
 // it was built from, so with every result expired a repeat simulates again.
 func TestTableHonoursRunnerTTL(t *testing.T) {
-	// The TTL lands on the process-wide runner tables simulate through.
-	t.Cleanup(func() { runner.Default().SetTTL(0) })
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		ProfileFor: (&profileStub{}).fn, Platforms: []string{"SKL"}, RunnerTTL: time.Nanosecond,
 	})
 	getTable(t, ts, "/v1/tables/IV?scale=0.02")
-	misses := runner.Default().Stats().Misses
+	misses := s.cfg.SimRunner.Stats().Misses
 	getTable(t, ts, "/v1/tables/IV?scale=0.02")
-	if got := runner.Default().Stats().Misses - misses; got == 0 {
+	if got := s.cfg.SimRunner.Stats().Misses - misses; got == 0 {
 		t.Fatal("repeat table request with every runner result expired ran no simulation")
+	}
+}
+
+// TestWarmCharacterizesAheadOfTraffic: Warm (llserved -warm) characterizes
+// a platform once, ahead of traffic, so the first analysis on it pays for
+// no characterization of its own.
+func TestWarmCharacterizesAheadOfTraffic(t *testing.T) {
+	stub := &profileStub{}
+	s, ts := newTestServer(t, Config{ProfileFor: stub.fn})
+	ctx := context.Background()
+	if hit, err := s.Warm(ctx, "KNL"); err != nil || hit {
+		t.Fatalf("first Warm(KNL) = (cached %v, %v), want a fresh characterization", hit, err)
+	}
+	if hit, err := s.Warm(ctx, "KNL"); err != nil || !hit {
+		t.Fatalf("second Warm(KNL) = (cached %v, %v), want the cached profile", hit, err)
+	}
+	if resp, body := post(t, ts, "/v1/analyze", `{"platform":"KNL","measurement":{"bandwidth_gbs":216,"random_access":true}}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze = %d: %s", resp.StatusCode, body)
+	}
+	if n := stub.calls.Load(); n != 1 {
+		t.Fatalf("profile source ran %d times, want 1 (the warm-up)", n)
+	}
+	if _, err := s.Warm(ctx, "P4"); err == nil {
+		t.Fatal("Warm accepted an unknown platform")
 	}
 }
 

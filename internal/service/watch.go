@@ -189,7 +189,7 @@ func (s *Server) watchSource(ctx context.Context, p *platform.Platform, req *Wat
 		phases[i] = stream.ReplayPhase{Label: wl.Routine(), Config: cfgSim, Samples: ph.Samples}
 		cfg.RandomAccess = cfg.RandomAccess || wl.RandomAccess()
 	}
-	src, results, err := stream.Replay(ctx, phases, stream.ReplayOptions{PeriodS: req.PeriodS, Workers: s.cfg.Workers})
+	src, results, err := stream.Replay(ctx, phases, stream.ReplayOptions{PeriodS: req.PeriodS, Workers: s.cfg.Workers, SimRunner: s.cfg.SimRunner})
 	if err != nil {
 		return nil, cfg, err
 	}
@@ -334,7 +334,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, label strin
 		// The stream-serving fault site: a drip fault delays each event
 		// write (a client on a congested link); bounded by the same
 		// per-write deadline as a genuinely slow peer.
-		if f := s.faults.Eval("stream.serve"); f.Kind == faults.KindDrip || f.Kind == faults.KindLatency {
+		if f := faults.Eval(r.Context(), "stream.serve"); f.Kind == faults.KindDrip || f.Kind == faults.KindLatency {
 			f.Sleep(r.Context())
 		}
 		if !sse {

@@ -35,6 +35,9 @@ type ReplayOptions struct {
 	// The emitted series is identical at any worker count: engine.Map
 	// returns results in submission order.
 	Workers int
+	// SimRunner is the runner the phases run on (nil = one of the call's
+	// own, which only dedups within the call).
+	SimRunner *runner.Runner
 }
 
 // Replay runs every phase's simulation through the shared worker pool and
@@ -50,12 +53,16 @@ func Replay(ctx context.Context, phases []ReplayPhase, opts ReplayOptions) (*Sli
 	if period <= 0 {
 		period = 1
 	}
+	sims := opts.SimRunner
+	if sims == nil {
+		sims = runner.New(0)
+	}
 
 	jobs := make([]func(context.Context) (*sim.Result, error), len(phases))
 	for i, ph := range phases {
 		cfg := ph.Config
 		jobs[i] = func(ctx context.Context) (*sim.Result, error) {
-			return runner.Run(ctx, cfg)
+			return sims.Run(ctx, cfg)
 		}
 	}
 	results, err := engine.Map(ctx, engine.New(opts.Workers), jobs)

@@ -280,7 +280,7 @@ func Monitor(ctx context.Context, src Source, cfg Config, emit func(Event) error
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		switch f := faults.Global().Eval(FaultSite); f.Kind {
+		switch f := faults.Eval(ctx, FaultSite); f.Kind {
 		case faults.KindLatency:
 			f.Sleep(ctx)
 		case faults.KindError:

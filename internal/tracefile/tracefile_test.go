@@ -11,7 +11,6 @@ import (
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/memsys"
 	"littleslaw/internal/platform"
-	"littleslaw/internal/runner"
 	"littleslaw/internal/sim"
 	"littleslaw/internal/workloads"
 )
@@ -136,7 +135,7 @@ func TestRecordedWorkloadReplaysThroughSim(t *testing.T) {
 	}
 
 	data := buf.Bytes()
-	res, err := runner.Run(context.Background(), sim.Config{
+	res, err := sim.RunContext(context.Background(), sim.Config{
 		Plat:   p,
 		Cores:  2,
 		Window: cfg.Window,

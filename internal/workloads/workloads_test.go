@@ -6,7 +6,6 @@ import (
 
 	"littleslaw/internal/cpu"
 	"littleslaw/internal/platform"
-	"littleslaw/internal/runner"
 	"littleslaw/internal/sim"
 )
 
@@ -167,7 +166,7 @@ func runSmall(t *testing.T, w Workload, p *platform.Platform, threads int) *sim.
 	t.Helper()
 	cfg := w.Config(p, threads, 0.08)
 	cfg.Cores = 8
-	res, err := runner.Run(context.Background(), cfg)
+	res, err := sim.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", w.Name(), p.Name, err)
 	}

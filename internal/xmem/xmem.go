@@ -344,24 +344,3 @@ func (ps *Profiles) Get(ctx context.Context, p *platform.Platform) (curve *queue
 		return ps.source(ctx, p)
 	})
 }
-
-var std = NewProfiles(func(ctx context.Context, p *platform.Platform) (*queueing.Curve, error) {
-	return CharacterizeContext(ctx, p, Options{})
-})
-
-// DefaultProfiles returns the process-wide Profiles of default
-// characterizations, the one ProfileFor reads.
-func DefaultProfiles() *Profiles { return std }
-
-// ProfileFor returns the (process-cached) default characterization for a
-// platform.
-func ProfileFor(p *platform.Platform) (*queueing.Curve, error) {
-	return ProfileForContext(context.Background(), p)
-}
-
-// ProfileForContext is ProfileFor with cancellation; the underlying sweep
-// also fans its operating points across the default worker pool.
-func ProfileForContext(ctx context.Context, p *platform.Platform) (*queueing.Curve, error) {
-	curve, _, err := std.Get(ctx, p)
-	return curve, err
-}

@@ -107,22 +107,6 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestProfileForCaches(t *testing.T) {
-	// Seed the default Profiles to avoid a full characterization in unit
-	// tests.
-	std.cache.Put("FAKE", queueing.MustCurve([]queueing.CurvePoint{{BandwidthGBs: 1, LatencyNs: 100}}))
-	defer std.cache.Forget("FAKE")
-	p := platform.SKL()
-	p.Name = "FAKE"
-	c, err := ProfileFor(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.IdleLatencyNs() != 100 {
-		t.Fatal("cached profile not returned")
-	}
-}
-
 // TestProfilesCharacterizeOncePerPlatform: the source runs once per platform
 // name, later Gets report a hit, and a failed run is retried, not retained.
 func TestProfilesCharacterizeOncePerPlatform(t *testing.T) {
@@ -277,7 +261,7 @@ func TestPredictedVsMeasuredCurve(t *testing.T) {
 		t.Skip("characterization is slow")
 	}
 	p := platform.SKL()
-	measured, err := ProfileFor(p)
+	measured, err := Characterize(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

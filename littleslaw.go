@@ -97,28 +97,40 @@ func Workload(name string) (WorkloadSpec, error) {
 // Workloads returns all six applications in Table II order.
 func Workloads() []WorkloadSpec { return workloads.All() }
 
+// The facade's runner and profile store: every simulation and
+// characterization a caller of this package starts shares them.
+var (
+	sims     = runner.New(runner.DefaultCapacity)
+	profiles = xmem.NewProfiles(func(ctx context.Context, p *platform.Platform) (*queueing.Curve, error) {
+		return xmem.CharacterizeContext(ctx, p, xmem.Options{})
+	})
+)
+
 // Characterize measures (and process-caches) the platform's
 // bandwidth→latency profile — the paper's once-per-processor artifact.
-func Characterize(p *PlatformSpec) (*Curve, error) { return xmem.ProfileFor(p) }
+func Characterize(p *PlatformSpec) (*Curve, error) {
+	return CharacterizeContext(context.Background(), p)
+}
 
 // CharacterizeContext is Characterize with cancellation; the sweep's
 // operating points fan out across the default worker pool.
 func CharacterizeContext(ctx context.Context, p *PlatformSpec) (*Curve, error) {
-	return xmem.ProfileForContext(ctx, p)
+	curve, _, err := profiles.Get(ctx, p)
+	return curve, err
 }
 
 // Run simulates a workload on the full node with the given SMT depth.
 // scale multiplies per-thread work (1.0 = benchmark size). All runs go
-// through the shared runner spine: identical configurations are
+// through the package's runner: identical configurations are
 // deduplicated and served from its cache.
 func Run(w WorkloadSpec, p *PlatformSpec, threadsPerCore int, scale float64) (*RunResult, error) {
-	return runner.Run(context.Background(), w.Config(p, threadsPerCore, scale))
+	return RunContext(context.Background(), w, p, threadsPerCore, scale)
 }
 
 // RunContext is Run with cooperative cancellation: the simulation's event
 // loop polls ctx and aborts early when it is cancelled or times out.
 func RunContext(ctx context.Context, w WorkloadSpec, p *PlatformSpec, threadsPerCore int, scale float64) (*RunResult, error) {
-	return runner.Run(ctx, w.Config(p, threadsPerCore, scale))
+	return sims.Run(ctx, w.Config(p, threadsPerCore, scale))
 }
 
 // MeasurementFrom converts a simulated run into the metric's input, the
@@ -149,7 +161,7 @@ func TableIDs() []string { return experiments.TableIDs() }
 // RegenerateTable reproduces one of the paper's simulated tables
 // ("IV".."IX") at the given work scale (1.0 = full size).
 func RegenerateTable(id string, scale float64) (*experiments.Table, error) {
-	return experiments.NewRunner(experiments.Options{Scale: scale}).Table(id)
+	return experiments.NewRunner(experiments.Options{Scale: scale, ProfileFor: Characterize, SimRunner: sims}).Table(id)
 }
 
 type errUnknownWorkload string
@@ -167,13 +179,17 @@ type TuneResult = autotune.Result
 // Tune runs the Figure-1 recipe loop (measure → advise → apply →
 // re-measure) to a fixed point for a workload on a platform.
 func Tune(p *PlatformSpec, profile *Curve, w WorkloadSpec, opts TuneOptions) (*TuneResult, error) {
-	return autotune.Tune(p, profile, w, opts)
+	return TuneContext(context.Background(), p, profile, w, opts)
 }
 
 // TuneContext is Tune with cancellation and concurrent candidate
 // evaluation (opts.Workers); the step sequence is identical to Tune for
-// any worker count.
+// any worker count. Its runs share the package's runner unless
+// opts.SimRunner names another.
 func TuneContext(ctx context.Context, p *PlatformSpec, profile *Curve, w WorkloadSpec, opts TuneOptions) (*TuneResult, error) {
+	if opts.SimRunner == nil {
+		opts.SimRunner = sims
+	}
 	return autotune.TuneContext(ctx, p, profile, w, opts)
 }
 
