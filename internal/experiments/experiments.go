@@ -274,13 +274,9 @@ type Runner struct {
 // NewRunner builds a Runner.
 func NewRunner(opts Options) *Runner {
 	opts.normalize()
-	r := &Runner{opts: opts, pool: engine.New(opts.Workers)}
-	if opts.ProfileFor == nil {
-		r.profiles = xmem.NewProfiles(func(ctx context.Context, p *platform.Platform) (*queueing.Curve, error) {
-			return xmem.CharacterizeContext(ctx, p, xmem.Options{})
-		})
-	}
-	return r
+	return &Runner{opts: opts, pool: engine.New(opts.Workers), profiles: xmem.NewProfiles(func(ctx context.Context, p *platform.Platform) (*queueing.Curve, error) {
+		return xmem.CharacterizeContext(ctx, p, xmem.Options{})
+	})}
 }
 
 func (r *Runner) run(ctx context.Context, w workloads.Workload, p *platform.Platform, v workloads.Variant, threads int) (*sim.Result, error) {
