@@ -169,7 +169,7 @@ cluster-demo:
 	$$tmp/llload -targets http://127.0.0.1:$$(( $(CLUSTER_PORT) + 1 ))/v1/analyze,http://127.0.0.1:$$(( $(CLUSTER_PORT) + 2 ))/v1/analyze,http://127.0.0.1:$$(( $(CLUSTER_PORT) + 3 ))/v1/analyze \
 		-c 8 -duration $(CLUSTER_DURATION) -body '{"platform":"KNL","workload":"ISx","scale":0.02}'; \
 	echo "== llproxy per-backend view =="; \
-	curl -sf http://127.0.0.1:$(CLUSTER_PORT)/metrics | grep -E '^llproxy_(backend|requests|affinity|hedges|failovers)' || true; \
+	curl -sf http://127.0.0.1:$(CLUSTER_PORT)/metrics | grep -E '^llproxy_(backend|requests|affinity|failovers)' || true; \
 	exit $$code
 
 # brownout-demo pushes llserved past its ceiling hard enough to climb the

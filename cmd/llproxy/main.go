@@ -5,18 +5,19 @@
 // result — and spill to the backend with the fewest forwards in flight when
 // the affinity owner has the occupancy ceiling's worth in flight (their
 // windowed mean n_avg is reported, not routed on). Backends are health-checked
-// via /healthz behind per-backend circuit breakers; idempotent GETs are
-// hedged. Each backend gets one attempt per request: a transport error or a
+// via /healthz behind per-backend circuit breakers. Each backend gets one
+// attempt per request, and one backend at a time: a transport error or a
 // retryable status (429, 500, 502, 503, 504) fails over to the next
 // candidate, and that failover is the proxy's only retry. An in-place retry
 // would wait out the backend's Retry-After and count that wait as the
-// owner's occupancy, the signal requests are routed on.
+// owner's occupancy, the signal requests are routed on. An attempt lasts as
+// long as llserved lets the request run; only the caller's own deadline or
+// disconnect ends it sooner.
 //
 // Usage:
 //
 //	llproxy -backends http://h1:8080,http://h2:8080,http://h3:8080
 //	llproxy -addr :8000 -occupancy-ceiling 16    # spill earlier
-//	llproxy -hedge-delay 100ms                   # hedge GETs sooner (negative disables)
 //	llproxy -probe-interval 1s                   # faster failure detection
 //	llproxy -faults 'seed=1;cluster.forward=latency:0.1:50ms'
 //
@@ -24,7 +25,7 @@
 //
 //	GET /healthz        per-backend breaker state, health and measured occupancy
 //	GET /metrics        llproxy_* per-backend metrics (requests, breaker state,
-//	                    measured n_avg, hedges, failovers)
+//	                    measured n_avg, failovers)
 //	GET /v1/trace/{id}  the proxy's own waterfall for one forwarded request
 //	GET /v1/traces      NDJSON tail of the proxy's finished traces
 //
@@ -79,7 +80,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	backends := fs.String("backends", "", "comma-separated llserved base URLs (required)")
 	ceiling := fs.Float64("occupancy-ceiling", 32, "forwards in flight to the affinity owner at which affinity is overridden and requests spill to the backend with the fewest in flight")
 	probeInterval := fs.Duration("probe-interval", 2*time.Second, "background /healthz probe spacing (negative disables probing)")
-	hedgeDelay := fs.Duration("hedge-delay", 250*time.Millisecond, "how long an idempotent GET waits before racing a second backend (negative disables hedging)")
 	shutdownGrace := fs.Duration("shutdown-grace", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long to keep the listener open in draining mode (healthz reports draining, new forwards shed 503) before closing it")
 	faultSpec := fs.String("faults", "", "fault-injection spec for the proxy's own sites, e.g. 'seed=1;cluster.forward=error:0.1'")
@@ -115,7 +115,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Backends:         urls,
 		OccupancyCeiling: *ceiling,
 		ProbeInterval:    *probeInterval,
-		HedgeDelay:       *hedgeDelay,
 		FaultInjector:    in,
 	})
 	if err != nil {

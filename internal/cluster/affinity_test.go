@@ -141,7 +141,6 @@ func TestClusterCacheAffinityBeatsRandom(t *testing.T) {
 	p, err := New(Config{
 		Backends:      urls,
 		ProbeInterval: -1,
-		HedgeDelay:    -1,
 		FaultInjector: inj,
 	})
 	if err != nil {

@@ -16,6 +16,10 @@ import (
 	"littleslaw/internal/queueing"
 )
 
+// breakerFailures is the consecutive transport-failure count that opens a
+// backend's breaker.
+const breakerFailures = 3
+
 // BreakerState is a backend's circuit-breaker position.
 type BreakerState int
 
@@ -46,12 +50,10 @@ type Backend struct {
 	// URL is the backend's base URL.
 	URL string
 
-	cl    *client.Client // unary forwards: one attempt, per-attempt timeout
+	cl    *client.Client // unary forwards: one attempt, bounded by the request's deadline
 	httpc *http.Client   // streams and probes
 
-	// Breaker tuning, copied from the proxy config.
-	maxFails int // consecutive transport failures that open the breaker
-	cooldown time.Duration
+	cooldown time.Duration // open breaker's wait before a half-open trial
 
 	mu sync.Mutex
 	// est measures the forwards outstanding to this backend: exact
@@ -75,8 +77,8 @@ func (b *Backend) arrive(now time.Time) {
 }
 
 // complete records a forwarded request finishing, however it ended: a
-// transport error or a canceled hedge occupied the backend's lane for as
-// long as it lasted.
+// transport error or a caller's cancellation occupied the backend's lane
+// for as long as it lasted.
 func (b *Backend) complete(now time.Time) {
 	b.mu.Lock()
 	b.est.Complete(now)
@@ -131,14 +133,14 @@ func (b *Backend) success() {
 }
 
 // failure records a transport-level failure (connect refused, reset,
-// probe timeout). Reaching maxFails — or failing the half-open trial —
+// probe timeout). Reaching breakerFailures — or failing the half-open trial —
 // opens the breaker; openedAt re-arms on every failure so a backend that
 // keeps refusing keeps the breaker open a full cooldown past its last
 // observed failure.
 func (b *Backend) failure(now time.Time) {
 	b.mu.Lock()
 	b.fails++
-	if b.fails >= b.maxFails || b.state == BreakerHalfOpen {
+	if b.fails >= breakerFailures || b.state == BreakerHalfOpen {
 		b.state = BreakerOpen
 		b.openedAt = now
 		b.healthy = false

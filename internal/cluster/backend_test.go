@@ -12,11 +12,10 @@ import (
 
 // testBackend builds a bare backend whose estimator starts at the fake
 // clock's epoch.
-func testBackend(halfLife time.Duration, maxFails int, cooldown time.Duration) *Backend {
+func testBackend(halfLife, cooldown time.Duration) *Backend {
 	return &Backend{
 		Name:     "test:1",
 		est:      queueing.NewEstimator(halfLife, time.Unix(0, 0)),
-		maxFails: maxFails,
 		cooldown: cooldown,
 		healthy:  true,
 	}
@@ -35,7 +34,7 @@ func TestBackendNAvgMatchesOccupancyAt(t *testing.T) {
 		lineBytes = 64
 		duration  = 5 * time.Second
 	)
-	b := testBackend(500*time.Millisecond, 3, time.Second)
+	b := testBackend(500*time.Millisecond, time.Second)
 
 	type event struct{ at time.Time }
 	interval := time.Duration(float64(time.Second) / lambda)
@@ -70,7 +69,7 @@ func TestBackendNAvgMatchesOccupancyAt(t *testing.T) {
 // half-life — stale load memories cannot repel traffic forever.
 func TestBackendNAvgDecays(t *testing.T) {
 	halfLife := time.Second
-	b := testBackend(halfLife, 3, time.Second)
+	b := testBackend(halfLife, time.Second)
 	now := time.Unix(0, 0)
 	// Ten half-lives of back-to-back 50 ms forwards, so the window is full
 	// and what follows is pure decay.
@@ -94,7 +93,7 @@ func TestBackendNAvgDecays(t *testing.T) {
 // moment it completes, while the windowed mean — reported, not routed on —
 // still remembers it.
 func TestBackendLoadIsInFlight(t *testing.T) {
-	b := testBackend(time.Second, 3, time.Second)
+	b := testBackend(time.Second, time.Second)
 	now := time.Unix(0, 0)
 	if got := b.load(); got != 0 {
 		t.Fatalf("idle load = %v, want 0", got)
@@ -223,7 +222,7 @@ func TestOwnerLeadingAtCeilingIsNotASpill(t *testing.T) {
 // success.
 func TestBreakerTransitions(t *testing.T) {
 	cooldown := 5 * time.Second
-	b := testBackend(time.Second, 3, cooldown)
+	b := testBackend(time.Second, cooldown)
 	now := time.Unix(0, 0)
 
 	for i := 0; i < 2; i++ {

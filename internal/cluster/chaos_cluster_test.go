@@ -58,9 +58,7 @@ func TestChaosClusterFailover(t *testing.T) {
 		OccupancyCeiling: 1000,
 		ProbeInterval:    200 * time.Millisecond,
 		ProbeTimeout:     500 * time.Millisecond,
-		BreakerFailures:  3,
 		BreakerCooldown:  30 * time.Second, // no half-open trials inside the run
-		HedgeDelay:       -1,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

@@ -130,14 +130,12 @@ func TestChaosRollingRestart(t *testing.T) {
 		OccupancyCeiling: 1000,
 		// Fast probes: the drain window a restart waits for is one probe
 		// interval, not a human-scale health-check period.
-		ProbeInterval:   50 * time.Millisecond,
-		ProbeTimeout:    500 * time.Millisecond,
-		BreakerFailures: 3,
+		ProbeInterval: 50 * time.Millisecond,
+		ProbeTimeout:  500 * time.Millisecond,
 		// Short cooldown so the restarted backend's breaker (opened while
 		// its listener was closed) half-opens quickly; the next good probe
 		// closes it outright.
 		BreakerCooldown: 200 * time.Millisecond,
-		HedgeDelay:      -1,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

@@ -14,9 +14,8 @@ import (
 
 // unary builds the handler for a request/response route: the proxy's own
 // part of the request — body read, the cluster.forward site, routing,
-// forward (hedged for idempotent GETs, racing a second backend after
-// HedgeDelay) and relay — inside the shared envelope.
-func (p *Proxy) unary(route string, hedgeable bool) http.Handler {
+// forward and relay — inside the shared envelope.
+func (p *Proxy) unary(route string) http.Handler {
 	return p.Wrap(route, func(w http.ResponseWriter, r *http.Request) error {
 		body, err := service.ReadBody(r)
 		if err != nil {
@@ -32,20 +31,11 @@ func (p *Proxy) unary(route string, hedgeable bool) http.Handler {
 		// The routing decision as a zero-duration marker span: which rule
 		// won and which backend leads the candidate order.
 		trace.Add(r.Context(), "route", decision+" "+cands[0].Name, 0, 0)
-		path := forwardPath(r)
-		var res *client.Result
-		if hedgeable && r.Method == http.MethodGet && p.cfg.HedgeDelay > 0 && len(cands) > 1 {
-			res, err = p.hedged(r.Context(), cands, path)
-		} else {
-			res, err = p.sequential(r.Context(), cands, r.Method, path, r.Header.Get("Content-Type"), body)
-		}
-		if err != nil || res == nil {
+		res, err := p.sequential(r.Context(), cands, r.Method, forwardPath(r), r.Header.Get("Content-Type"), body)
+		if err != nil {
 			status := http.StatusBadGateway
 			if r.Context().Err() != nil {
 				status = http.StatusGatewayTimeout
-			}
-			if err == nil {
-				err = fmt.Errorf("no backend produced a response")
 			}
 			// %v, not %w: the status is chosen here, not by the error's cause.
 			return service.Fail(status, fmt.Errorf("forwarding failed: %v", err), 0)
@@ -92,10 +82,11 @@ func failoverWorthy(status int) bool {
 }
 
 // sequential walks the candidates in order until one yields a
-// non-failover-worthy response; the last response (or error) is returned
-// when all do.
+// non-failover-worthy response. When every candidate fails, the last
+// response any of them gave is relayed, Retry-After and all; an error
+// comes back only when none answered at all.
 func (p *Proxy) sequential(ctx context.Context, cands []*Backend, method, path, contentType string, body []byte) (*client.Result, error) {
-	var lastRes *client.Result
+	var last *client.Result
 	var lastErr error
 	for i, b := range cands {
 		if i > 0 {
@@ -104,74 +95,21 @@ func (p *Proxy) sequential(ctx context.Context, cands []*Backend, method, path, 
 		}
 		res, err := p.tryBackend(ctx, b, method, path, contentType, body)
 		if err != nil {
-			lastErr = err
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
+			lastErr = err
 			continue
 		}
-		lastRes, lastErr = res, nil
 		if !failoverWorthy(res.Status) {
 			return res, nil
 		}
+		last = res
 	}
-	return lastRes, lastErr
-}
-
-// hedged races candidates for an idempotent GET: the primary fires
-// immediately, a second lane opens when the primary outlives HedgeDelay
-// (or fails), and the first good response wins; losers are canceled.
-func (p *Proxy) hedged(ctx context.Context, cands []*Backend, path string) (*client.Result, error) {
-	type outcome struct {
-		res *client.Result
-		err error
+	if last != nil {
+		return last, nil
 	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan outcome, len(cands))
-	next := 0
-	fire := func() {
-		b := cands[next]
-		next++
-		go func() {
-			res, err := p.tryBackend(hctx, b, http.MethodGet, path, "", nil)
-			ch <- outcome{res, err}
-		}()
-	}
-	fire()
-	pending := 1
-	timer := time.NewTimer(p.cfg.HedgeDelay)
-	defer timer.Stop()
-	var last outcome
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-timer.C:
-			// The hedge proper: at most one speculative lane on top of the
-			// primary; failures below may still walk further candidates.
-			if next < len(cands) && next < 2 {
-				p.hedges.Inc()
-				trace.Add(ctx, "hedge", cands[next].Name, 0, 0)
-				fire()
-				pending++
-			}
-		case o := <-ch:
-			pending--
-			if o.err == nil && !failoverWorthy(o.res.Status) {
-				return o.res, nil
-			}
-			last = o
-			if next < len(cands) {
-				p.failovers.Inc()
-				trace.Add(ctx, "failover", cands[next].Name, 0, 0)
-				fire()
-				pending++
-			} else if pending == 0 {
-				return last.res, last.err
-			}
-		}
-	}
+	return nil, lastErr
 }
 
 // tryBackend makes one attempt at one backend, feeding the occupancy
@@ -185,8 +123,8 @@ func (p *Proxy) tryBackend(ctx context.Context, b *Backend, method, path, conten
 	b.complete(p.cfg.Now())
 	if err != nil {
 		if ctx.Err() != nil {
-			// A canceled hedge lane or an expired request says nothing
-			// about the backend's health.
+			// A caller that disconnected or ran out of deadline says
+			// nothing about the backend's health.
 			p.requests.With(b.Name, "canceled").Inc()
 			trace.Add(ctx, "forward", b.Name+" canceled", 0, elapsed)
 			return nil, err
@@ -201,9 +139,8 @@ func (p *Proxy) tryBackend(ctx context.Context, b *Backend, method, path, conten
 	b.success()
 	p.latency.With(b.Name).Observe(elapsed.Seconds())
 	p.requests.With(b.Name, outcomeOf(res.Status)).Inc()
-	// Forward attempts are leaf spans with the measured wall time: hedge
-	// lanes run concurrently, so a hedged trace's forward spans may sum
-	// past the request's W by design (work time, not wall time).
+	// Forward attempts are leaf spans with the measured wall time; they
+	// run one after another, so they sum to at most the request's W.
 	trace.Add(ctx, "forward", b.Name+" "+outcomeOf(res.Status), 0, elapsed)
 	return res, nil
 }

@@ -47,7 +47,7 @@ func TestProxyGetReachesOneBackend(t *testing.T) {
 // bounded by the request's own deadline, so a slow answer is neither a
 // failover nor a breaker strike.
 func TestProxySlowAnswerIsRelayed(t *testing.T) {
-	p, stubs := newStubCluster(t, 2, func(c *Config) { c.ClientTimeout = 100 * time.Millisecond })
+	p, stubs := newStubCluster(t, 2, nil)
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
 	for _, s := range stubs {

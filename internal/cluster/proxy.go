@@ -17,12 +17,14 @@
 //
 // Around that core: /healthz-driven probing with a per-backend circuit
 // breaker (open on consecutive transport failures, half-open trials),
-// hedged requests for idempotent GETs, stream-pinned routing for
-// /v1/watch/{stream} (every subscriber must reach the broker's owner),
-// one attempt per backend with failover to the next candidate as the only
-// retry (an in-place retry would wait out a shedding backend's Retry-After
-// and count the wait as that backend's occupancy), llproxy_* per-backend
-// metrics, and two fault sites (cluster.forward, cluster.probe).
+// stream-pinned routing for /v1/watch/{stream} (every subscriber must
+// reach the broker's owner), one attempt per backend with failover to the
+// next candidate as the only retry (an in-place retry would wait out a
+// shedding backend's Retry-After and count the wait as that backend's
+// occupancy), llproxy_* per-backend metrics, and two fault sites
+// (cluster.forward, cluster.probe). Every route forwards one way: one
+// backend at a time, each attempt bounded by the request's own deadline
+// and llserved's cap (service.MaxTimeout), never by a proxy-side timer.
 package cluster
 
 import (
@@ -67,18 +69,9 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe (0 = 1s).
 	ProbeTimeout time.Duration
-	// BreakerFailures is the consecutive transport-failure count that opens
-	// a backend's breaker (0 = 3).
-	BreakerFailures int
 	// BreakerCooldown is how long an open breaker rejects before granting a
 	// half-open trial (0 = 5s).
 	BreakerCooldown time.Duration
-	// HedgeDelay is how long an idempotent GET waits on its primary before
-	// opening a second lane to the next candidate (0 = 250ms; negative
-	// disables hedging).
-	HedgeDelay time.Duration
-	// ClientTimeout bounds each forward to one backend (0 = 10s).
-	ClientTimeout time.Duration
 	// Seed is read by nothing: each backend gets one attempt per request,
 	// so there is no backoff jitter to seed. It stays only while
 	// bench/stack.go still sets it.
@@ -104,17 +97,8 @@ func (c *Config) normalize() error {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
 	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 3
-	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.HedgeDelay == 0 {
-		c.HedgeDelay = 250 * time.Millisecond
-	}
-	if c.ClientTimeout <= 0 {
-		c.ClientTimeout = 10 * time.Second
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -136,7 +120,6 @@ type Proxy struct {
 
 	requests         *metrics.CounterVec
 	latency          *metrics.HistogramVec
-	hedges           *metrics.Counter
 	failovers        *metrics.Counter
 	overrides        *metrics.Counter
 	degradedReroutes *metrics.Counter
@@ -173,10 +156,12 @@ func New(cfg Config) (*Proxy, error) {
 			return nil, fmt.Errorf("cluster: duplicate backend %q", name)
 		}
 		// One attempt per backend: failover to the next candidate is the
-		// proxy's only retry (DESIGN §11).
+		// proxy's only retry (DESIGN §11). The attempt may last as long as
+		// llserved lets the request run; the caller's deadline or
+		// disconnect ends it sooner.
 		cl, err := client.New(client.Config{
 			BaseURL:     raw,
-			Timeout:     cfg.ClientTimeout,
+			Timeout:     service.MaxTimeout,
 			MaxAttempts: 1,
 		})
 		if err != nil {
@@ -188,7 +173,6 @@ func New(cfg Config) (*Proxy, error) {
 			cl:       cl,
 			httpc:    &http.Client{},
 			est:      queueing.NewEstimator(queueing.DefaultHalfLife, cfg.Now()),
-			maxFails: cfg.BreakerFailures,
 			cooldown: cfg.BreakerCooldown,
 			healthy:  true, // innocent until a probe or forward proves otherwise
 		}
@@ -211,8 +195,6 @@ func (p *Proxy) registerMetrics() {
 		"backend", "outcome")
 	p.latency = p.reg.HistogramVec("llproxy_request_seconds",
 		"Forwarded unary request latency by backend (transport errors excluded).", nil, "backend")
-	p.hedges = p.reg.Counter("llproxy_hedges_total",
-		"Secondary lanes opened for idempotent GETs whose primary outlived the hedge delay.")
 	p.failovers = p.reg.Counter("llproxy_failovers_total",
 		"Requests retried against another backend after a failure or retryable status.")
 	p.overrides = p.reg.Counter("llproxy_affinity_overrides_total",
@@ -257,7 +239,7 @@ func (p *Proxy) registerMetrics() {
 		func(b *Backend) float64 { _, draining := b.degradation(); return oneIf(draining) })
 	// The envelope's in-flight count, its n_avg, the drain flag, and the
 	// per-stage decomposition of the proxy's own W: route selection,
-	// forward attempts, hedge/failover markers.
+	// forward attempts, failover markers.
 	p.Envelope.Register(p.reg, "llproxy")
 }
 
@@ -265,18 +247,18 @@ func (p *Proxy) routes() {
 	p.mux = http.NewServeMux()
 	p.mux.Handle("GET /healthz", http.HandlerFunc(p.handleHealthz))
 	p.mux.Handle("GET /metrics", http.HandlerFunc(p.handleMetrics))
-	p.mux.Handle("GET /v1/platforms", p.unary("platforms", true))
-	p.mux.Handle("GET /v1/tables/{id}", p.unary("tables", true))
-	p.mux.Handle("POST /v1/characterize", p.unary("characterize", false))
-	p.mux.Handle("POST /v1/analyze", p.unary("analyze", false))
-	p.mux.Handle("POST /v1/analyze/batch", p.unary("analyze_batch", false))
-	p.mux.Handle("POST /v1/advise", p.unary("advise", false))
-	p.mux.Handle("POST /v1/tune", p.unary("tune", false))
+	p.mux.Handle("GET /v1/platforms", p.unary("platforms"))
+	p.mux.Handle("GET /v1/tables/{id}", p.unary("tables"))
+	p.mux.Handle("POST /v1/characterize", p.unary("characterize"))
+	p.mux.Handle("POST /v1/analyze", p.unary("analyze"))
+	p.mux.Handle("POST /v1/analyze/batch", p.unary("analyze_batch"))
+	p.mux.Handle("POST /v1/advise", p.unary("advise"))
+	p.mux.Handle("POST /v1/tune", p.unary("tune"))
 	p.mux.Handle("POST /v1/watch", p.Wrap("watch", p.handleWatchPost))
 	p.mux.Handle("GET /v1/watch/{stream}", p.Wrap("watch_subscribe", p.handleWatchSubscribe))
 	p.mux.Handle("GET /v1/faults", p.Admin(p.handleFaultsFanout))
 	p.mux.Handle("POST /v1/faults", p.Admin(p.handleFaultsFanout))
-	// The proxy's own trace ring — forward/route/hedge spans, not the
+	// The proxy's own trace ring — route/forward/failover spans, not the
 	// backends' (each llserved serves its own /v1/trace; the
 	// X-Backend-Trace-Id response header links the two tiers).
 	p.mux.Handle("GET /v1/trace/{id}", http.HandlerFunc(p.ServeTrace))

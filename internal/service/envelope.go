@@ -509,7 +509,7 @@ func (s *Server) route(name string, gate *limit.Limiter, fn func(w http.Response
 }
 
 // requestContext derives the per-request deadline: ?timeout=30s overrides
-// the default, capped at maxTimeout.
+// the default, capped at MaxTimeout.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
 	d := s.cfg.DefaultTimeout
 	if v := r.URL.Query().Get("timeout"); v != "" {
@@ -517,7 +517,7 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 		if err != nil || parsed <= 0 {
 			return nil, nil, fmt.Errorf("invalid timeout %q", v)
 		}
-		d = min(parsed, maxTimeout)
+		d = min(parsed, MaxTimeout)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil

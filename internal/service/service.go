@@ -37,8 +37,10 @@ import (
 )
 
 const (
-	// maxTimeout caps a client-requested ?timeout=.
-	maxTimeout = 30 * time.Minute
+	// MaxTimeout caps a client-requested ?timeout=. llproxy bounds each
+	// forward attempt by it too, so the proxy never abandons a request its
+	// backend is still allowed to finish.
+	MaxTimeout = 30 * time.Minute
 	// writeTimeout is the per-write deadline armed immediately before each
 	// response write. It bounds how long a stalled client can hold a
 	// connection without imposing a whole-response deadline that would kill
@@ -51,7 +53,7 @@ const (
 type Config struct {
 	// DefaultTimeout bounds a request when the client does not pass
 	// ?timeout=; 0 means 5m (characterizations and full-scale tables are
-	// legitimately slow). A ?timeout= is capped at maxTimeout.
+	// legitimately slow). A ?timeout= is capped at MaxTimeout.
 	DefaultTimeout time.Duration
 	// Workers bounds per-request simulation concurrency (0 = GOMAXPROCS).
 	Workers int

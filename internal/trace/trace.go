@@ -104,7 +104,7 @@ func FromContext(ctx context.Context) *Trace {
 
 // Add records a completed span whose durations the stage already measured:
 // queue wait plus service time, ending now. Zero-duration spans are legal
-// and serve as decision markers (a hedge fired, a failover happened).
+// and serve as decision markers (a route chosen, a failover happened).
 func (t *Trace) Add(stage, note string, queue, service time.Duration) {
 	if t == nil {
 		return
