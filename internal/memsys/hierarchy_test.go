@@ -126,6 +126,68 @@ func TestHierarchySoftwarePrefetchL2BypassesL1MSHR(t *testing.T) {
 	}
 }
 
+// TestHierarchyFlowControlledPrefetchL2QueuesOnFullMSHR: an L2 software
+// prefetch whose issuer waits for the resolve callback (the X-Mem load
+// generators) queues when the L2 MSHR file is full, issues once an entry
+// completes, and resolves exactly once. Past maxSWPend queued requests it
+// is dropped, and its callback fires at once so the issuer can reissue.
+func TestHierarchyFlowControlledPrefetchL2QueuesOnFullMSHR(t *testing.T) {
+	p := platform.SKL()
+	sched, _, h := newCore(p)
+	n := p.L2.MSHRs
+	resolved := make([]int, 2*n+1)
+	at := make([]events.Time, 2*n+1)
+	issue := func(i int) {
+		h.Access(uint64(i)*4096, PrefetchL2, func() { resolved[i]++; at[i] = sched.Now() })
+	}
+	for i := 0; i < n; i++ {
+		issue(i)
+	}
+	if !h.L2M.Full() || h.pendL2Len() != 0 {
+		t.Fatalf("after %d prefetches: MSHR full %v, %d queued; want full and 0", n, h.L2M.Full(), h.pendL2Len())
+	}
+	for i := n; i < 2*n; i++ {
+		issue(i)
+		if got := h.pendL2Len(); got != i-n+1 {
+			t.Fatalf("prefetch %d: %d queued, want %d", i, got, i-n+1)
+		}
+	}
+	if h.Stats.SWPrefetchDropped != 0 {
+		t.Fatalf("%d prefetches dropped while the queue had room", h.Stats.SWPrefetchDropped)
+	}
+
+	// One past the bound: dropped, and resolved at its issue time.
+	issue(2 * n)
+	if h.Stats.SWPrefetchDropped != 1 || h.pendL2Len() != n {
+		t.Fatalf("past the bound: %d dropped, %d queued; want 1 and %d", h.Stats.SWPrefetchDropped, h.pendL2Len(), n)
+	}
+	sched.Step()
+	if resolved[2*n] != 1 || at[2*n] != 0 {
+		t.Fatalf("dropped prefetch resolved %d times at %v ps, want once at 0", resolved[2*n], at[2*n])
+	}
+
+	sched.Run()
+	firstFill := at[0]
+	for i := 0; i < n; i++ {
+		firstFill = min(firstFill, at[i])
+	}
+	for i := 0; i < 2*n; i++ {
+		if resolved[i] != 1 {
+			t.Fatalf("prefetch %d resolved %d times, want 1", i, resolved[i])
+		}
+		if i >= n && at[i] <= firstFill {
+			t.Fatalf("queued prefetch %d resolved at %v ps, not after the first fill at %v ps", i, at[i], firstFill)
+		}
+	}
+	if h.pendL2Len() != 0 || h.Stats.L2MissSWPrefetch != uint64(2*n) {
+		t.Fatalf("after the run: %d queued, %d L2 prefetch misses issued; want 0 and %d",
+			h.pendL2Len(), h.Stats.L2MissSWPrefetch, 2*n)
+	}
+	if h.L2M.Occ.Peak() > n {
+		t.Fatalf("L2 MSHR occupancy peaked at %d, above its %d entries", h.L2M.Occ.Peak(), n)
+	}
+}
+
 func TestHierarchyHardwarePrefetcherCutsDemandLatency(t *testing.T) {
 	p := platform.SKL()
 
