@@ -10,7 +10,7 @@ RACE_PKGS = ./internal/engine/ ./internal/runner/ ./internal/sim/ ./internal/xme
 # with, e.g., go test ./internal/tracefile -fuzz FuzzParse -fuzztime 5m.
 FUZZTIME ?= 10s
 
-.PHONY: all vet build test repeat race test-chaos bench bench-stream bench-json perf perf-compare fuzz lint check leftovers tier1-time scoreboard loadtest cluster-demo trace-demo brownout-demo
+.PHONY: all vet build test repeat race test-chaos cover bench bench-stream bench-json perf perf-compare fuzz lint check leftovers tier1-time scoreboard loadtest cluster-demo trace-demo brownout-demo
 
 all: check
 
@@ -56,6 +56,19 @@ test-chaos:
 		./internal/service/ ./internal/cluster/ ./internal/brownout/
 	timeout -k 10 900 $(GO) test -count=5 -run 'TestChaosRollingRestart|TestChaosLadderRecoversToFull' \
 		./internal/cluster/ ./internal/brownout/
+
+# cover runs tier-1 once with statement coverage over every internal and
+# cmd package (about 4 min on 2 cores; the soak job runs it, not each push),
+# then prints the total and each non-main function tier-1 never runs, as
+# file:function. The profile stays in COVER_OUT for go tool cover -html.
+COVER_OUT ?= cover.out
+cover:
+	@out=$$(timeout -k 10 900 $(GO) test -count=1 -coverpkg=./internal/...,./cmd/... -coverprofile=$(COVER_OUT) ./... 2>&1) \
+		|| { echo "$$out"; exit 1; }
+	@$(GO) tool cover -func=$(COVER_OUT) | awk ' \
+		$$1 == "total:" { total = $$3; next } \
+		$$3 == "0.0%" && $$2 != "main" { f = $$1; sub(/^[^\/]*\//, "", f); sub(/:[0-9]+:$$/, "", f); n++; l = l " " f ":" $$2 } \
+		END { print "statement coverage:                  " total; printf "non-main functions tier-1 never runs: %d:%s\n", n, l }'
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
