@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -62,6 +63,28 @@ func TestLocal(t *testing.T) {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
 	checkGolden(t, "local.golden", stdout.String())
+}
+
+// TestLocalWindowFlags reruns the samples file with its timestamps
+// stripped, so -period spaces the samples; -stride 1 slides each window by
+// one sample, and -cores 12 (half the node) doubles each core's share of
+// the bandwidth and with it n_avg.
+func TestLocalWindowFlags(t *testing.T) {
+	timed, err := os.ReadFile(filepath.Join("testdata", "samples.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	untimed := filepath.Join(t.TempDir(), "untimed.ndjson")
+	if err := os.WriteFile(untimed, regexp.MustCompile(`"t_s": [0-9.]+, `).ReplaceAll(timed, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	err = run(context.Background(), []string{"-platform", "SKL", "-f", untimed, "-window", "4",
+		"-period", "0.5", "-stride", "1", "-cores", "12"}, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
+	}
+	checkGolden(t, "local_flags.golden", stdout.String())
 }
 
 // TestRemote tails a server that replays the stream monitor's recorded

@@ -54,6 +54,24 @@ func TestGoldenStdout(t *testing.T) {
 	}
 }
 
+// TestVariantFlags: the three variant bits of Fig. 1's ladder besides
+// -vect reach the workload and its label. On SKL, -l2pref moves SNAP's
+// bandwidth and occupancy; -tiled moves only MiniGhost and -nofuse only
+// the weak-store-forwarding A64FX, runs too slow for this test, so here
+// the label carries them.
+func TestVariantFlags(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-platform", "SKL", "-workload", "SNAP", "-scale", "0.01",
+		"-profile", filepath.Join("testdata", "skl_probes20.json"), "-tiled", "-l2pref", "-nofuse"}
+	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr.String(), "(+ tiling, l2-pref, nofuse)") {
+		t.Errorf("stderr does not name the variant:\n%s", stderr.String())
+	}
+	checkGolden(t, filepath.Join("testdata", "snap_skl_variant.txt"), stdout.Bytes())
+}
+
 func TestProfile(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "skl.json")
 	var stdout, stderr bytes.Buffer
