@@ -27,7 +27,7 @@ import (
 	"littleslaw/internal/service"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/envelope_contract.golden")
+var update = flag.Bool("update", false, "rewrite the testdata goldens")
 
 const contractGolden = "testdata/envelope_contract.golden"
 

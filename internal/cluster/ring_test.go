@@ -2,7 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
+	"os"
+	"slices"
+	"strings"
 	"testing"
+
+	"littleslaw/internal/service"
 )
 
 // fingerprintKeys fabricates n keys shaped like the affinity keys the proxy
@@ -110,5 +116,62 @@ func TestRingDegenerateCases(t *testing.T) {
 	}
 	if _, ok := one.OwnerWhere("x", func(string) bool { return false }); ok {
 		t.Fatalf("fully ineligible ring claimed an owner")
+	}
+}
+
+// TestRingHashMatchesFNV pins the ring's placement so a faster hashKey
+// cannot move a single owner: hashKey must equal FNV-64a plus the
+// splitmix64 finisher on keys of every length the proxy routes (among them
+// a real 753-byte runner-cache identity), and the owners of 1 000 keys on
+// a 3-backend ring must match testdata/ring_owners.golden (one digit per
+// key, indexing the sorted backend names).
+func TestRingHashMatchesFNV(t *testing.T) {
+	req, err := service.DecodeAnalyzeRequest([]byte(`{"platform":"SKL","workload":"CoMD","scale":0.005123}`))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	long, ok := req.AffinityKey()
+	if !ok || len(long) != 753 {
+		t.Fatalf("analyze affinity key: %d bytes (ok %v), want a 753-byte runner identity", len(long), ok)
+	}
+	reference := func(s string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		x := h.Sum64()
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		x ^= x >> 31
+		return x
+	}
+	for _, k := range []string{"", "a", "a:1#0", "10.0.0.1:8080#159", "platform|KNL",
+		service.StreamAffinityKey("s1"), fingerprintKeys(1)[0], long} {
+		if got, want := hashKey(k), reference(k); got != want {
+			t.Errorf("hashKey(%.40q…) = %#x, want %#x", k, got, want)
+		}
+	}
+
+	names := []string{"127.0.0.1:18401", "127.0.0.1:18402", "127.0.0.1:18403"}
+	r := NewRing(names, 0)
+	var sb strings.Builder
+	for i, k := range fingerprintKeys(1000) {
+		sb.WriteByte('0' + byte(slices.Index(names, r.Owner(k))))
+		if i%50 == 49 {
+			sb.WriteByte('\n')
+		}
+	}
+	const golden = "testdata/ring_owners.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Fatalf("ring owners moved:\n got %s\nwant %s", got, want)
 	}
 }
