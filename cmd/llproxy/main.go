@@ -12,7 +12,8 @@
 // would wait out the backend's Retry-After and count that wait as the
 // owner's occupancy, the signal requests are routed on. An attempt lasts as
 // long as llserved lets the request run; only the caller's own deadline or
-// disconnect ends it sooner.
+// disconnect ends it sooner. Backends are plain http:// URLs, each reached
+// over its own pool of keep-alive connections.
 //
 // Usage:
 //

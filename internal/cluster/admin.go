@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"net/http"
+	"time"
 
 	"littleslaw/internal/cli"
 	"littleslaw/internal/service"
@@ -19,8 +20,10 @@ func (p *Proxy) handleFaultsFanout(w http.ResponseWriter, r *http.Request) error
 	}
 	status := http.StatusOK
 	results := make(map[string]json.RawMessage, len(p.order))
+	x := unaryExchange(r, body)
 	for _, b := range p.order {
-		res, err := b.cl.Do(r.Context(), r.Method, "/v1/faults", r.Header.Get("Content-Type"), body)
+		x.target = b.prefix + "/v1/faults"
+		res, err := b.lane.do(r.Context(), &x, time.Now().Add(service.MaxTimeout))
 		if err != nil {
 			status = http.StatusBadGateway
 			msg, _ := json.Marshal(service.ErrorResponse{Error: err.Error()})

@@ -2,17 +2,16 @@
 // backend counts the forwards this proxy has outstanding to it — the
 // spill signal — in a queueing.Estimator, the same type internal/limit
 // keeps on a single server, which also reports their windowed n_avg. Beside
-// it: a consecutive-failure circuit breaker and the health view the prober
-// maintains from /healthz bodies.
+// it: a consecutive-failure circuit breaker, the health view the prober
+// maintains from /healthz bodies, and the lane (lane.go) every exchange
+// with the backend travels.
 package cluster
 
 import (
-	"net/http"
 	"sync"
 	"time"
 
 	"littleslaw/internal/brownout"
-	"littleslaw/internal/client"
 	"littleslaw/internal/queueing"
 )
 
@@ -50,8 +49,12 @@ type Backend struct {
 	// URL is the backend's base URL.
 	URL string
 
-	cl    *client.Client // unary forwards: one attempt, bounded by the request's deadline
-	httpc *http.Client   // streams and probes
+	lane   lane   // the keep-alive connections every exchange with it uses
+	prefix string // the URL's path, before every forwarded path ("" mostly)
+
+	// tags are the per-backend trace strings, "<name> <word>", built once
+	// for every forward outcome and routing decision.
+	tags map[string]string
 
 	cooldown time.Duration // open breaker's wait before a half-open trial
 
@@ -67,6 +70,15 @@ type Backend struct {
 	state    BreakerState
 	fails    int
 	openedAt time.Time
+}
+
+// tag returns "<name> <word>" for a trace span, prebuilt for the words the
+// proxy uses.
+func (b *Backend) tag(word string) string {
+	if s, ok := b.tags[word]; ok {
+		return s
+	}
+	return b.Name + " " + word
 }
 
 // arrive records a forwarded request starting.

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"littleslaw/internal/client"
 	"littleslaw/internal/faults"
 	"littleslaw/internal/service"
 	"littleslaw/internal/trace"
@@ -30,8 +29,9 @@ func (p *Proxy) unary(route string) http.Handler {
 		}
 		// The routing decision as a zero-duration marker span: which rule
 		// won and which backend leads the candidate order.
-		trace.Add(r.Context(), "route", decision+" "+cands[0].Name, 0, 0)
-		res, err := p.sequential(r.Context(), cands, r.Method, forwardPath(r), r.Header.Get("Content-Type"), body)
+		trace.Add(r.Context(), "route", cands[0].tag(decision), 0, 0)
+		x := unaryExchange(r, body)
+		res, err := p.sequential(r.Context(), cands, &x, r.URL.RequestURI())
 		if err != nil {
 			status := http.StatusBadGateway
 			if r.Context().Err() != nil {
@@ -61,12 +61,19 @@ func (p *Proxy) forwardFault(r *http.Request) error {
 	return nil
 }
 
-func forwardPath(r *http.Request) string {
-	path := r.URL.Path
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
+// unaryExchange is what a unary route sends on: r's method and body, with
+// the one header such a forward carries when there is a body —
+// Content-Type, JSON unless the caller named another type. The caller
+// sets the target.
+func unaryExchange(r *http.Request, body []byte) exchange {
+	x := exchange{method: r.Method, body: body}
+	if len(body) > 0 {
+		x.contentType = "application/json"
+		if ct := r.Header["Content-Type"]; len(ct) > 0 && ct[0] != "" {
+			x.contentType = ct[0]
+		}
 	}
-	return path
+	return x
 }
 
 // failoverWorthy reports whether a status is worth trying another backend:
@@ -85,15 +92,16 @@ func failoverWorthy(status int) bool {
 // non-failover-worthy response. When every candidate fails, the last
 // response any of them gave is relayed, Retry-After and all; an error
 // comes back only when none answered at all.
-func (p *Proxy) sequential(ctx context.Context, cands []*Backend, method, path, contentType string, body []byte) (*client.Result, error) {
-	var last *client.Result
+func (p *Proxy) sequential(ctx context.Context, cands []*Backend, x *exchange, target string) (*reply, error) {
+	var last *reply
 	var lastErr error
 	for i, b := range cands {
 		if i > 0 {
 			p.failovers.Inc()
 			trace.Add(ctx, "failover", b.Name, 0, 0)
 		}
-		res, err := p.tryBackend(ctx, b, method, path, contentType, body)
+		x.target = b.prefix + target
+		res, err := p.tryBackend(ctx, b, x)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -115,10 +123,13 @@ func (p *Proxy) sequential(ctx context.Context, cands []*Backend, method, path, 
 // tryBackend makes one attempt at one backend, feeding the occupancy
 // estimator, the breaker and the metrics with time spent at that backend
 // alone: a retry, if any, is the caller's failover to the next candidate.
-func (p *Proxy) tryBackend(ctx context.Context, b *Backend, method, path, contentType string, body []byte) (*client.Result, error) {
+// The attempt may last as long as llserved lets a request run
+// (service.MaxTimeout, a deadline on the connection); the caller's own
+// deadline or disconnect ends it sooner.
+func (p *Proxy) tryBackend(ctx context.Context, b *Backend, x *exchange) (*reply, error) {
 	b.arrive(p.cfg.Now())
 	begin := time.Now()
-	res, err := b.cl.Do(ctx, method, path, contentType, body)
+	res, err := b.lane.do(ctx, x, begin.Add(service.MaxTimeout))
 	elapsed := time.Since(begin)
 	b.complete(p.cfg.Now())
 	if err != nil {
@@ -126,22 +137,23 @@ func (p *Proxy) tryBackend(ctx context.Context, b *Backend, method, path, conten
 			// A caller that disconnected or ran out of deadline says
 			// nothing about the backend's health.
 			p.requests.With(b.Name, "canceled").Inc()
-			trace.Add(ctx, "forward", b.Name+" canceled", 0, elapsed)
+			trace.Add(ctx, "forward", b.tag("canceled"), 0, elapsed)
 			return nil, err
 		}
 		b.failure(p.cfg.Now())
 		p.requests.With(b.Name, "error").Inc()
-		trace.Add(ctx, "forward", b.Name+" error", 0, elapsed)
+		trace.Add(ctx, "forward", b.tag("error"), 0, elapsed)
 		return nil, err
 	}
 	// Any HTTP response — a shed, even a 500 — proves the process is alive;
 	// the breaker guards against unreachable backends, not unhappy ones.
 	b.success()
 	p.latency.With(b.Name).Observe(elapsed.Seconds())
-	p.requests.With(b.Name, outcomeOf(res.Status)).Inc()
+	outcome := outcomeOf(res.Status)
+	p.requests.With(b.Name, outcome).Inc()
 	// Forward attempts are leaf spans with the measured wall time; they
 	// run one after another, so they sum to at most the request's W.
-	trace.Add(ctx, "forward", b.Name+" "+outcomeOf(res.Status), 0, elapsed)
+	trace.Add(ctx, "forward", b.tag(outcome), 0, elapsed)
 	return res, nil
 }
 
@@ -158,26 +170,27 @@ func outcomeOf(status int) string {
 	}
 }
 
-// respond relays the backend's final response.
-func (p *Proxy) respond(w http.ResponseWriter, res *client.Result) {
-	ct := res.Header.Get("Content-Type")
-	if ct == "" {
-		ct = "application/json"
+// respond relays the backend's final response. Header keys are the
+// canonical forms, read and assigned directly.
+func (p *Proxy) respond(w http.ResponseWriter, res *reply) {
+	ct := "application/json"
+	if v := res.Header["Content-Type"]; len(v) > 0 && v[0] != "" {
+		ct = v[0]
 	}
 	h := w.Header()
 	service.HardenHeaders(h, ct, false)
 	// Degradation markers relay untouched: a client behind the proxy must
 	// see the same brownout honesty a direct client would.
-	for _, k := range []string{"Retry-After", "Cache-Control", "X-Brownout-Mode", "X-Degraded"} {
-		if v := res.Header.Get(k); v != "" {
-			h.Set(k, v)
+	for _, k := range [...]string{"Retry-After", "Cache-Control", "X-Brownout-Mode", "X-Degraded"} {
+		if v := res.Header[k]; len(v) > 0 && v[0] != "" {
+			h[k] = v[:1]
 		}
 	}
 	// The backend's own trace id, relayed under a distinct name so one
 	// response links both tiers' waterfalls (the proxy's X-Trace-Id is its
 	// own; fetch the backend's from that backend's /v1/trace).
-	if v := res.Header.Get("X-Trace-Id"); v != "" {
-		h.Set("X-Backend-Trace-Id", v)
+	if v := res.Header["X-Trace-Id"]; len(v) > 0 && v[0] != "" {
+		h["X-Backend-Trace-Id"] = v[:1]
 	}
 	w.WriteHeader(res.Status)
 	w.Write(res.Body)

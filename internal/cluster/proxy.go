@@ -24,14 +24,21 @@
 // occupancy), llproxy_* per-backend metrics, and two fault sites
 // (cluster.forward, cluster.probe). Every route forwards one way: one
 // backend at a time, each attempt bounded by the request's own deadline
-// and llserved's cap (service.MaxTimeout), never by a proxy-side timer.
+// and llserved's cap (service.MaxTimeout, a deadline on the connection),
+// never by a proxy-side timer.
+//
+// The proxy reaches each backend on its own lane (lane.go): a small pool
+// of HTTP/1.1 keep-alive connections, every exchange written and parsed in
+// the caller's goroutine, with no net/http client in between. A reused
+// connection found closed before any response byte is replayed once on a
+// fresh dial; nothing else is retried in place. Backends are http:// only.
 package cluster
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"sort"
@@ -40,7 +47,6 @@ import (
 	"time"
 
 	"littleslaw/internal/brownout"
-	"littleslaw/internal/client"
 	"littleslaw/internal/faults"
 	"littleslaw/internal/metrics"
 	"littleslaw/internal/queueing"
@@ -151,30 +157,30 @@ func New(cfg Config) (*Proxy, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("cluster: backend %q: want an absolute URL like http://host:port", raw)
 		}
+		if u.Scheme != "http" {
+			return nil, fmt.Errorf("cluster: backend %q: only http:// backends are supported", raw)
+		}
 		name := u.Host
 		if _, dup := p.backends[name]; dup {
 			return nil, fmt.Errorf("cluster: duplicate backend %q", name)
 		}
-		// One attempt per backend: failover to the next candidate is the
-		// proxy's only retry (DESIGN §11). The attempt may last as long as
-		// llserved lets the request run; the caller's deadline or
-		// disconnect ends it sooner.
-		cl, err := client.New(client.Config{
-			BaseURL:     raw,
-			Timeout:     service.MaxTimeout,
-			MaxAttempts: 1,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: backend %q: %w", raw, err)
+		addr := u.Host
+		if u.Port() == "" {
+			addr = net.JoinHostPort(u.Hostname(), "80")
 		}
 		b := &Backend{
 			Name:     name,
 			URL:      strings.TrimRight(raw, "/"),
-			cl:       cl,
-			httpc:    &http.Client{},
+			lane:     lane{addr: addr, host: u.Host},
+			prefix:   strings.TrimRight(u.EscapedPath(), "/"),
+			tags:     make(map[string]string),
 			est:      queueing.NewEstimator(queueing.DefaultHalfLife, cfg.Now()),
 			cooldown: cfg.BreakerCooldown,
 			healthy:  true, // innocent until a probe or forward proves otherwise
+		}
+		for _, word := range []string{"ok", "shed", "client_error", "server_error", "error", "canceled", "stream",
+			"owner", "pinned", "spill", "degraded", "load"} {
+			b.tags[word] = name + " " + word
 		}
 		p.backends[name] = b
 		names = append(names, name)
@@ -301,10 +307,14 @@ func (p *Proxy) Start() {
 	}()
 }
 
-// Close stops the background prober and waits for it.
+// Close stops the background prober, waits for it, and closes every
+// backend's idle connections.
 func (p *Proxy) Close() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	p.wg.Wait()
+	for _, b := range p.order {
+		b.lane.close()
+	}
 }
 
 // ProbeAll health-checks every backend once, concurrently.
@@ -320,7 +330,8 @@ func (p *Proxy) ProbeAll(ctx context.Context) {
 	wg.Wait()
 }
 
-// probe is one /healthz check: a single unretried GET under ProbeTimeout.
+// probe is one /healthz check: a single GET under ProbeTimeout (replayed
+// only if its pooled connection turns out stale).
 // Any 200 closes the breaker (up, even if drowning); the JSON body's
 // brownout rung and draining flag steer routing.
 func (p *Proxy) probe(ctx context.Context, b *Backend) {
@@ -332,21 +343,9 @@ func (p *Proxy) probe(ctx context.Context, b *Backend) {
 		b.failure(p.cfg.Now())
 		return
 	}
-	pctx, cancel := context.WithTimeout(ctx, p.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.URL+"/healthz", nil)
-	if err != nil {
-		return
-	}
-	resp, err := b.httpc.Do(req)
-	if err != nil {
-		p.probeFailures.With(b.Name).Inc()
-		b.failure(p.cfg.Now())
-		return
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	res, err := b.lane.do(ctx, &exchange{method: http.MethodGet, target: b.prefix + "/healthz"},
+		time.Now().Add(p.cfg.ProbeTimeout))
+	if err != nil || res.Status != http.StatusOK {
 		p.probeFailures.With(b.Name).Inc()
 		b.failure(p.cfg.Now())
 		return
@@ -355,7 +354,7 @@ func (p *Proxy) probe(ctx context.Context, b *Backend) {
 	draining := false
 	var h service.HealthzResponse
 	// Tolerate non-JSON bodies: an older backend's plain "ok" is still up.
-	if json.Unmarshal(body, &h) == nil {
+	if json.Unmarshal(res.Body, &h) == nil {
 		if h.BrownoutMode != "" {
 			if m, err := brownout.Parse(h.BrownoutMode); err == nil {
 				mode = m

@@ -10,7 +10,7 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -68,16 +68,18 @@ func (r *Ring) OwnerWhere(key string, eligible func(name string) bool) (string, 
 	}
 	h := hashKey(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	rejected := make(map[string]bool, r.names)
+	// The names already turned down, on the stack for any fleet up to 8.
+	var buf [8]string
+	rejected := buf[:0]
 	for off := 0; off < len(r.points); off++ {
 		p := r.points[(start+off)%len(r.points)]
-		if rejected[p.name] {
+		if slices.Contains(rejected, p.name) {
 			continue
 		}
 		if eligible == nil || eligible(p.name) {
 			return p.name, true
 		}
-		rejected[p.name] = true
+		rejected = append(rejected, p.name)
 		if len(rejected) == r.names {
 			return "", false
 		}
@@ -90,9 +92,17 @@ func (r *Ring) OwnerWhere(key string, eligible func(name string) bool) (string, 
 // counter), which skews vnode placement; the finisher's avalanche spreads
 // those deltas over all 64 bits.
 func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+	// FNV-64a over the string in place: no []byte copy of a key that can
+	// run to hundreds of bytes.
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	x := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		x ^= uint64(s[i])
+		x *= prime64
+	}
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

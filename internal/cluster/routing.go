@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 
 	"littleslaw/internal/brownout"
 	"littleslaw/internal/service"
@@ -34,7 +35,8 @@ func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, string) {
 		degraded bool
 		draining bool
 	}
-	elig := make([]cand, 0, len(p.order))
+	var buf [8]cand // on the stack for any fleet up to 8
+	elig := buf[:0]
 	drainingN := 0
 	for _, b := range p.order {
 		if !b.allow(now) {
@@ -61,11 +63,14 @@ func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, string) {
 		}
 		elig = kept
 	}
-	sort.SliceStable(elig, func(i, j int) bool {
-		if elig[i].degraded != elig[j].degraded {
-			return !elig[i].degraded
+	slices.SortStableFunc(elig, func(a, b cand) int {
+		if a.degraded != b.degraded {
+			if a.degraded {
+				return 1
+			}
+			return -1
 		}
-		return elig[i].load < elig[j].load
+		return cmp.Compare(a.load, b.load)
 	})
 	out := make([]*Backend, len(elig))
 	for i, c := range elig {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -38,12 +37,13 @@ func (p *Proxy) handleWatchSubscribe(w http.ResponseWriter, r *http.Request) err
 }
 
 // forwardStream proxies a long-lived NDJSON/SSE connection: raw
-// passthrough with a per-chunk flush, outside the unary client (which
-// buffers whole responses — wrong for a stream). Stream lifetimes do not
-// feed the backend's occupancy estimator: a healthy stream lasts as long
-// as its client, which says nothing about backend load. They are accounted
-// by llproxy_stream_clients (and, like every request inside the proxy, by
-// its own in-flight gauge).
+// passthrough with a per-chunk flush, on a lane connection of its own that
+// is closed, never pooled, when the stream ends (the unary path reads whole
+// answers — wrong for a stream). Stream lifetimes do not feed the
+// backend's occupancy estimator: a healthy stream lasts as long as its
+// client, which says nothing about backend load. They are accounted by
+// llproxy_stream_clients (and, like every request inside the proxy, by its
+// own in-flight gauge).
 func (p *Proxy) forwardStream(w http.ResponseWriter, r *http.Request, key string, pinned bool, body []byte) error {
 	if err := p.forwardFault(r); err != nil {
 		return err
@@ -53,32 +53,30 @@ func (p *Proxy) forwardStream(w http.ResponseWriter, r *http.Request, key string
 		return p.shedNoBackend()
 	}
 	b := cands[0]
-	trace.Add(r.Context(), "route", decision+" "+b.Name, 0, 0)
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, b.URL+forwardPath(r), bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	for _, k := range []string{"Accept", "Content-Type"} {
-		if v := r.Header.Get(k); v != "" {
-			req.Header.Set(k, v)
-		}
+	trace.Add(r.Context(), "route", b.tag(decision), 0, 0)
+	x := &exchange{
+		method:      r.Method,
+		target:      b.prefix + r.URL.RequestURI(),
+		body:        body,
+		contentType: r.Header.Get("Content-Type"),
+		accept:      r.Header.Get("Accept"),
 	}
 	connStart := time.Now()
-	resp, err := b.httpc.Do(req)
+	resp, done, err := b.lane.open(r.Context(), x)
 	if err != nil {
 		if r.Context().Err() == nil {
 			b.failure(p.cfg.Now())
 		}
 		p.requests.With(b.Name, "error").Inc()
-		trace.Add(r.Context(), "forward", b.Name+" error", 0, time.Since(connStart))
+		trace.Add(r.Context(), "forward", b.tag("error"), 0, time.Since(connStart))
 		return service.Fail(http.StatusBadGateway, fmt.Errorf("stream to %s failed: %v", b.Name, err), 0)
 	}
-	defer resp.Body.Close()
+	defer done()
 	b.success()
 	p.requests.With(b.Name, "stream").Inc()
 	// Connection setup only: the stream's lifetime is its client's, not a
 	// latency worth decomposing (mirrors the occupancy exclusion above).
-	trace.Add(r.Context(), "forward", b.Name+" stream", 0, time.Since(connStart))
+	trace.Add(r.Context(), "forward", b.tag("stream"), 0, time.Since(connStart))
 
 	service.HardenHeaders(w.Header(), resp.Header.Get("Content-Type"), true)
 	w.WriteHeader(resp.StatusCode)

@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,13 +223,14 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("metrics: want %d label values, got %d", len(v.labels), len(values)))
 	}
-	key := labelKey(v.labels, values)
+	var buf [128]byte
+	key := appendLabelKey(buf[:0], v.labels, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	c, ok := v.children[key]
+	c, ok := v.children[string(key)]
 	if !ok {
 		c = &Counter{}
-		v.children[key] = c
+		v.children[string(key)] = c
 	}
 	return c
 }
@@ -264,13 +266,14 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("metrics: want %d label values, got %d", len(v.labels), len(values)))
 	}
-	key := labelKey(v.labels, values)
+	var buf [128]byte
+	key := appendLabelKey(buf[:0], v.labels, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	g, ok := v.children[key]
+	g, ok := v.children[string(key)]
 	if !ok {
 		g = &Gauge{}
-		v.children[key] = g
+		v.children[string(key)] = g
 	}
 	return g
 }
@@ -307,26 +310,33 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("metrics: want %d label values, got %d", len(v.labels), len(values)))
 	}
-	key := labelKey(v.labels, values)
+	var buf [128]byte
+	key := appendLabelKey(buf[:0], v.labels, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	h, ok := v.children[key]
+	h, ok := v.children[string(key)]
 	if !ok {
 		h = newHistogram(v.bounds)
-		v.children[key] = h
+		v.children[string(key)] = h
 	}
 	return h
 }
 
-func labelKey(labels, values []string) string {
-	s := ""
+// appendLabelKey appends the child key for values — the rendered label
+// set, label="escaped value" pairs joined by commas — to b. With builds it
+// in a stack buffer and looks the child up as children[string(key)], which
+// the compiler does without a copy, so a warm With allocates nothing.
+func appendLabelKey(b []byte, labels, values []string) []byte {
 	for i, l := range labels {
 		if i > 0 {
-			s += ","
+			b = append(b, ',')
 		}
-		s += l + `="` + EscapeLabelValue(values[i]) + `"`
+		b = append(b, l...)
+		b = append(b, '=', '"')
+		b = appendEscapedLabelValue(b, values[i])
+		b = append(b, '"')
 	}
-	return s
+	return b
 }
 
 // EscapeLabelValue escapes a label value for the Prometheus text exposition
@@ -336,18 +346,15 @@ func labelKey(labels, values []string) string {
 // format does not define (label values are raw UTF-8).
 func EscapeLabelValue(v string) string {
 	// Fast path: nothing to escape (the common case for route/stream names).
-	i := 0
-	for ; i < len(v); i++ {
-		if c := v[i]; c == '\\' || c == '"' || c == '\n' {
-			break
-		}
-	}
-	if i == len(v) {
+	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
-	var b []byte
-	b = append(b, v[:i]...)
-	for ; i < len(v); i++ {
+	return string(appendEscapedLabelValue(nil, v))
+}
+
+// appendEscapedLabelValue appends v to b with EscapeLabelValue's escapes.
+func appendEscapedLabelValue(b []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
 		switch c := v[i]; c {
 		case '\\':
 			b = append(b, '\\', '\\')
@@ -359,7 +366,7 @@ func EscapeLabelValue(v string) string {
 			b = append(b, c)
 		}
 	}
-	return string(b)
+	return b
 }
 
 func writeHistogram(w io.Writer, name, labels string, h *Histogram) {

@@ -280,3 +280,30 @@ func TestDerivedVec(t *testing.T) {
 		t.Errorf("DerivedVec not recomputed at scrape:\n%s", sb.String())
 	}
 }
+
+// TestWarmWithAllocatesNothing: looking up an existing child builds its key
+// on the stack, so the per-request metric updates in the serving tiers cost
+// no allocation — escaped label values included.
+func TestWarmWithAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("c_total", "c", "backend", "outcome")
+	gv := r.GaugeVec("g", "g", "backend")
+	hv := r.HistogramVec("h_seconds", "h", nil, "backend")
+	name, quoted := "127.0.0.1:18401", `a"b\c`+"\n"
+	cv.With(name, "ok").Inc()
+	cv.With(quoted, "ok").Inc()
+	gv.With(name).Inc()
+	hv.With(name).Observe(0.01)
+	allocs := testing.AllocsPerRun(100, func() {
+		cv.With(name, "ok").Inc()
+		cv.With(quoted, "ok").Inc()
+		gv.With(name).Inc()
+		hv.With(name).Observe(0.01)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm With allocated %v times per round, want 0", allocs)
+	}
+	if got := cv.With(quoted, "ok").Value(); got != 102 {
+		t.Fatalf("escaped child = %d, want 102: a lookup created a second child", got)
+	}
+}

@@ -290,13 +290,18 @@ func A64FX() *Platform {
 // All returns the three paper platforms in Table III order.
 func All() []*Platform { return []*Platform{SKL(), KNL(), A64FX()} }
 
-// ByName returns the named platform (case-sensitive: "SKL", "KNL",
-// "A64FX") or an error.
+// ByName returns a fresh copy of the named platform (case-sensitive:
+// "SKL", "KNL", "A64FX") or an error. It builds only that one: the proxy's
+// affinity key and every analysis call it once a request, and callers
+// mutate the copy for ablations.
 func ByName(name string) (*Platform, error) {
-	for _, p := range All() {
-		if p.Name == name {
-			return p, nil
-		}
+	switch name {
+	case "SKL":
+		return SKL(), nil
+	case "KNL":
+		return KNL(), nil
+	case "A64FX":
+		return A64FX(), nil
 	}
 	return nil, fmt.Errorf("platform: unknown platform %q (want SKL, KNL or A64FX)", name)
 }

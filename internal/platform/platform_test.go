@@ -2,6 +2,7 @@ package platform
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -189,5 +190,32 @@ func TestKNLCacheModePlatform(t *testing.T) {
 	p.MemCache.Fast.Channels = 0
 	if err := p.Validate(); err == nil {
 		t.Fatal("broken fast tier accepted")
+	}
+}
+
+// TestByNameBuildsAFreshCopy: ByName returns the same machine All() does,
+// as a new value on every call (callers mutate ablation copies), and keeps
+// its error for an unknown name.
+func TestByNameBuildsAFreshCopy(t *testing.T) {
+	for _, want := range All() {
+		a, err := ByName(want.Name)
+		if err != nil {
+			t.Fatalf("ByName(%s): %v", want.Name, err)
+		}
+		b, _ := ByName(want.Name)
+		if a == b {
+			t.Errorf("ByName(%s) returned the same pointer twice", want.Name)
+		}
+		if !reflect.DeepEqual(a, want) {
+			t.Errorf("ByName(%s) = %+v, want All()'s %+v", want.Name, a, want)
+		}
+		a.Cores = 1
+		if b.Cores == 1 {
+			t.Errorf("ByName(%s): mutating one copy changed another", want.Name)
+		}
+	}
+	_, err := ByName("EPYC")
+	if err == nil || err.Error() != `platform: unknown platform "EPYC" (want SKL, KNL or A64FX)` {
+		t.Fatalf("ByName(EPYC) error = %v", err)
 	}
 }
