@@ -30,13 +30,13 @@ func (p *Proxy) handleFaultsFanout(w http.ResponseWriter, r *http.Request) error
 			results[b.Name] = msg
 			continue
 		}
-		if res.Status != http.StatusOK && status == http.StatusOK {
-			status = res.Status
+		if res.status != http.StatusOK && status == http.StatusOK {
+			status = res.status
 		}
-		if json.Valid(res.Body) {
-			results[b.Name] = res.Body
+		if json.Valid(res.body) {
+			results[b.Name] = res.body
 		} else {
-			msg, _ := json.Marshal(string(res.Body))
+			msg, _ := json.Marshal(string(res.body))
 			results[b.Name] = msg
 		}
 	}

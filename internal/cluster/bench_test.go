@@ -32,8 +32,7 @@ func BenchmarkProxyForward(b *testing.B) {
 	body := []byte(`{"platform":"SKL","workload":"CoMD","scale":0.005123}`)
 
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()

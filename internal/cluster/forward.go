@@ -109,7 +109,7 @@ func (p *Proxy) sequential(ctx context.Context, cands []*Backend, x *exchange, t
 			lastErr = err
 			continue
 		}
-		if !failoverWorthy(res.Status) {
+		if !failoverWorthy(res.status) {
 			return res, nil
 		}
 		last = res
@@ -149,7 +149,7 @@ func (p *Proxy) tryBackend(ctx context.Context, b *Backend, x *exchange) (*reply
 	// the breaker guards against unreachable backends, not unhappy ones.
 	b.success()
 	p.latency.With(b.Name).Observe(elapsed.Seconds())
-	outcome := outcomeOf(res.Status)
+	outcome := outcomeOf(res.status)
 	p.requests.With(b.Name, outcome).Inc()
 	// Forward attempts are leaf spans with the measured wall time; they
 	// run one after another, so they sum to at most the request's W.
@@ -174,7 +174,7 @@ func outcomeOf(status int) string {
 // canonical forms, read and assigned directly.
 func (p *Proxy) respond(w http.ResponseWriter, res *reply) {
 	ct := "application/json"
-	if v := res.Header["Content-Type"]; len(v) > 0 && v[0] != "" {
+	if v := res.header["Content-Type"]; len(v) > 0 && v[0] != "" {
 		ct = v[0]
 	}
 	h := w.Header()
@@ -182,18 +182,18 @@ func (p *Proxy) respond(w http.ResponseWriter, res *reply) {
 	// Degradation markers relay untouched: a client behind the proxy must
 	// see the same brownout honesty a direct client would.
 	for _, k := range [...]string{"Retry-After", "Cache-Control", "X-Brownout-Mode", "X-Degraded"} {
-		if v := res.Header[k]; len(v) > 0 && v[0] != "" {
+		if v := res.header[k]; len(v) > 0 && v[0] != "" {
 			h[k] = v[:1]
 		}
 	}
 	// The backend's own trace id, relayed under a distinct name so one
 	// response links both tiers' waterfalls (the proxy's X-Trace-Id is its
 	// own; fetch the backend's from that backend's /v1/trace).
-	if v := res.Header["X-Trace-Id"]; len(v) > 0 && v[0] != "" {
+	if v := res.header["X-Trace-Id"]; len(v) > 0 && v[0] != "" {
 		h["X-Backend-Trace-Id"] = v[:1]
 	}
-	w.WriteHeader(res.Status)
-	w.Write(res.Body)
+	w.WriteHeader(res.status)
+	w.Write(res.body)
 }
 
 // shedNoBackend is the answer when every backend's breaker is open. The

@@ -74,14 +74,14 @@ type exchange struct {
 
 // reply is a backend's complete answer to a unary exchange.
 type reply struct {
-	Status int
-	Header http.Header
-	Body   []byte
+	status int
+	header http.Header
+	body   []byte
 }
 
-// errStale marks a reused connection that failed before any response byte:
-// the backend closed it while it sat idle.
-var errStale = errors.New("cluster: reused connection closed before any response")
+// errStale marks a connection that failed before any response byte. On a
+// reused connection that means the backend closed it while it sat idle.
+var errStale = errors.New("cluster: connection closed before any response")
 
 // do runs one unary exchange under deadline (and ctx): the whole answer is
 // read, and the connection goes back to the pool when the exchange left it
@@ -99,7 +99,7 @@ func (l *lane) do(ctx context.Context, x *exchange, deadline time.Time) (*reply,
 	if err != nil {
 		return nil, err
 	}
-	return &reply{Status: resp.StatusCode, Header: resp.Header, Body: body}, nil
+	return &reply{status: resp.StatusCode, header: resp.Header, body: body}, nil
 }
 
 // open starts a streamed exchange: the caller reads resp.Body as the

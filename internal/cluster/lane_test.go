@@ -475,3 +475,30 @@ func TestProxyCloseClosesIdleConnections(t *testing.T) {
 		t.Fatalf("%d idle connections after Close, want 0", n)
 	}
 }
+
+// TestLaneKeepsBackendPathPrefix: a backend URL with a path prefixes every
+// path the proxy sends it — forwards, streams and probes alike.
+func TestLaneKeepsBackendPathPrefix(t *testing.T) {
+	var mu sync.Mutex
+	var got []string
+	s := newLaneStub(t, func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		got = append(got, r.URL.RequestURI())
+		mu.Unlock()
+		okHandler(w, r)
+	})
+	p, err := New(Config{Backends: []string{s.ts.URL + "/base/"}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	serve(p, http.MethodGet, "/v1/tables/IV?scale=0.05", "")
+	serve(p, http.MethodGet, "/v1/watch/s1", "")
+	p.ProbeAll(context.Background())
+	want := []string{"/base/v1/tables/IV?scale=0.05", "/base/v1/watch/s1", "/base/healthz"}
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("backend saw %v, want %v", got, want)
+	}
+}

@@ -345,7 +345,7 @@ func (p *Proxy) probe(ctx context.Context, b *Backend) {
 	}
 	res, err := b.lane.do(ctx, &exchange{method: http.MethodGet, target: b.prefix + "/healthz"},
 		time.Now().Add(p.cfg.ProbeTimeout))
-	if err != nil || res.Status != http.StatusOK {
+	if err != nil || res.status != http.StatusOK {
 		p.probeFailures.With(b.Name).Inc()
 		b.failure(p.cfg.Now())
 		return
@@ -354,7 +354,7 @@ func (p *Proxy) probe(ctx context.Context, b *Backend) {
 	draining := false
 	var h service.HealthzResponse
 	// Tolerate non-JSON bodies: an older backend's plain "ok" is still up.
-	if json.Unmarshal(res.Body, &h) == nil {
+	if json.Unmarshal(res.body, &h) == nil {
 		if h.BrownoutMode != "" {
 			if m, err := brownout.Parse(h.BrownoutMode); err == nil {
 				mode = m
