@@ -123,6 +123,11 @@ func (l *lane) roundTrip(ctx context.Context, x *exchange, deadline time.Time) (
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
+	for _, v := range [...]string{x.method, x.target, x.contentType, x.accept} {
+		if strings.ContainsAny(v, "\r\n") {
+			return nil, nil, nil, fmt.Errorf("cluster: invalid request line or header %q", v)
+		}
+	}
 	c = l.get()
 	reused := c != nil
 	for {
@@ -162,16 +167,12 @@ func (c *laneConn) send(host string, x *exchange) (*http.Response, error) {
 		}
 		return nil, fmt.Errorf("%w: %w", errStale, err)
 	}
-	return http.ReadResponse(c.br, methodRequest(x.method))
+	// ReadResponse reads only the request's method (a HEAD answer has no body).
+	return http.ReadResponse(c.br, &http.Request{Method: x.method})
 }
 
 // write renders the request on bw and flushes it.
 func (x *exchange) write(bw *bufio.Writer, host string) error {
-	for _, v := range [...]string{x.method, x.target, x.contentType, x.accept} {
-		if strings.ContainsAny(v, "\r\n") {
-			return fmt.Errorf("cluster: invalid request line or header %q", v)
-		}
-	}
 	bw.WriteString(x.method)
 	bw.WriteByte(' ')
 	bw.WriteString(x.target)
@@ -196,23 +197,6 @@ func (x *exchange) write(bw *bufio.Writer, host string) error {
 	bw.WriteString("\r\n")
 	bw.Write(x.body)
 	return bw.Flush()
-}
-
-// The requests http.ReadResponse is handed: it reads only the method, so
-// the two every route uses are shared.
-var (
-	getRequest  = &http.Request{Method: http.MethodGet}
-	postRequest = &http.Request{Method: http.MethodPost}
-)
-
-func methodRequest(method string) *http.Request {
-	switch method {
-	case http.MethodGet:
-		return getRequest
-	case http.MethodPost:
-		return postRequest
-	}
-	return &http.Request{Method: method}
 }
 
 // readBody reads an answer's whole body: into one buffer of the declared
