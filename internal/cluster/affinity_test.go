@@ -185,3 +185,69 @@ func TestClusterCacheAffinityBeatsRandom(t *testing.T) {
 	t.Logf("affinity: %v hits / %v misses; round-robin: %v hits / %v misses",
 		affHits, affMisses, rrHits, rrMisses)
 }
+
+// TestKeyMemoMatchesAffinityKey: the memo answers exactly what
+// affinityKey computes — for keyed, identity-free and undecodable bodies,
+// first computed and then remembered — keys the tables route by its URL,
+// never holds more than keyMemoMax bodies, skips bodies over keyMemoBody
+// bytes, and answers a remembered body without allocating.
+func TestKeyMemoMatchesAffinityKey(t *testing.T) {
+	post := httptest.NewRequest(http.MethodPost, "/v1/analyze", nil)
+	analyze := &keyMemo{route: "analyze"}
+	for _, body := range []string{
+		analyzeBody,
+		`{"platform":"SKL","measurement":{"routine":"r","bandwidth_gbs":80,"random_access":true}}`,
+		`{"platform":"nope","workload":"ISx"}`,
+		`{"platform":"KNL","workload":"ISx","bogus":1}`,
+		`{`,
+		``,
+	} {
+		want := affinityKey("analyze", post, []byte(body))
+		for i := 0; i < 2; i++ {
+			if got := analyze.key(post, []byte(body)); got != want {
+				t.Fatalf("body %q, call %d: memo key %q, want %q", body, i, got, want)
+			}
+		}
+	}
+	if k := analyze.key(post, []byte(analyzeBody)); k == "" {
+		t.Fatal("analyzeBody has no affinity key")
+	}
+	warm := []byte(analyzeBody)
+	if n := testing.AllocsPerRun(100, func() { analyze.key(post, warm) }); n != 0 {
+		t.Errorf("a remembered body costs %v allocations, want 0", n)
+	}
+
+	tables := &keyMemo{route: "tables"}
+	keys := map[string]bool{}
+	for _, path := range []string{"/v1/tables/IV?scale=0.05", "/v1/tables/V?scale=0.05", "/v1/tables/IV?scale=0.1"} {
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		r.SetPathValue("id", strings.TrimPrefix(strings.Split(path, "?")[0], "/v1/tables/"))
+		got := tables.key(r, nil)
+		if want := affinityKey("tables", r, nil); got != want || got == "" {
+			t.Fatalf("%s: memo key %q, want %q", path, got, want)
+		}
+		keys[got] = true
+	}
+	if len(keys) != 3 {
+		t.Fatalf("three tables requests share keys: %v", keys)
+	}
+
+	bounded := &keyMemo{route: "analyze"}
+	for i := 0; i < keyMemoMax+5; i++ {
+		body := []byte(fmt.Sprintf(`{"platform":"SKL","workload":"CoMD","scale":0.00%d}`, 1000+i))
+		if got, want := bounded.key(post, body), affinityKey("analyze", post, body); got != want {
+			t.Fatalf("body %d: memo key %q, want %q", i, got, want)
+		}
+		if n := len(bounded.keys); n > keyMemoMax {
+			t.Fatalf("memo holds %d bodies, want at most %d", n, keyMemoMax)
+		}
+	}
+	long := []byte(analyzeBody + strings.Repeat(" ", keyMemoBody))
+	before := len(bounded.keys)
+	if got, want := bounded.key(post, long), affinityKey("analyze", post, long); got != want {
+		t.Fatalf("long body: memo key %q, want %q", got, want)
+	}
+	if len(bounded.keys) != before {
+		t.Fatalf("a body over %d bytes was remembered", keyMemoBody)
+	}
+}

@@ -52,9 +52,7 @@ type Backend struct {
 	lane   lane   // the keep-alive connections every exchange with it uses
 	prefix string // the URL's path, before every forwarded path ("" mostly)
 
-	// tags are the per-backend trace strings, "<name> <word>", built once
-	// for every forward outcome and routing decision.
-	tags map[string]string
+	notes [numWords]string // "<name> <word>" trace span notes, built once
 
 	cooldown time.Duration // open breaker's wait before a half-open trial
 
@@ -72,14 +70,46 @@ type Backend struct {
 	openedAt time.Time
 }
 
-// tag returns "<name> <word>" for a trace span, prebuilt for the words the
-// proxy uses.
-func (b *Backend) tag(word string) string {
-	if s, ok := b.tags[word]; ok {
-		return s
-	}
-	return b.Name + " " + word
+// word is a forward's outcome or a routing decision: the outcome label of
+// llproxy_requests_total, and the word after a backend's name in the note
+// of a forward or route trace span.
+type word uint8
+
+const (
+	outcomeOK word = iota
+	outcomeShed
+	outcomeClientError
+	outcomeServerError
+	outcomeError // a transport failure
+	outcomeCanceled
+	outcomeStream
+	routeOwner    // the affinity owner leads
+	routePinned   // a stream pinned to its owner
+	routeSpill    // the owner is at the occupancy ceiling; another leads
+	routeDegraded // the owner browned out; a fuller backend leads
+	routeLoad     // no affinity identity: least in flight leads
+	numWords
+)
+
+var words = [numWords]string{
+	outcomeOK:          "ok",
+	outcomeShed:        "shed",
+	outcomeClientError: "client_error",
+	outcomeServerError: "server_error",
+	outcomeError:       "error",
+	outcomeCanceled:    "canceled",
+	outcomeStream:      "stream",
+	routeOwner:         "owner",
+	routePinned:        "pinned",
+	routeSpill:         "spill",
+	routeDegraded:      "degraded",
+	routeLoad:          "load",
 }
+
+func (w word) String() string { return words[w] }
+
+// note returns "<name> <word>", the note of a trace span about b.
+func (b *Backend) note(w word) string { return b.notes[w] }
 
 // arrive records a forwarded request starting.
 func (b *Backend) arrive(now time.Time) {

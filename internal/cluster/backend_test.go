@@ -130,7 +130,7 @@ func TestBackendStallNeverSpills(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		for c := 0; c < 2; c++ {
 			cands, decision := p.candidates(key, false)
-			if decision != "owner" || cands[0] != owner {
+			if decision != routeOwner || cands[0] != owner {
 				t.Fatalf("round %d client %d: routed %q to %s with %d in flight at the owner (load %.2f)",
 					round, c, decision, cands[0].Name, c, owner.load())
 			}
@@ -170,14 +170,14 @@ func TestSpillEndsWithTheBurst(t *testing.T) {
 		owner.arrive(clock)
 	}
 	clock = clock.Add(3 * queueing.DefaultHalfLife)
-	if cands, decision := p.candidates(key, false); decision != "spill" || cands[0] == owner {
+	if cands, decision := p.candidates(key, false); decision != routeSpill || cands[0] == owner {
 		t.Fatalf("6th request with 5 parked at the owner: routed %q to %s, want a spill off %s",
 			decision, cands[0].Name, owner.Name)
 	}
 	for i := 0; i < 5; i++ {
 		owner.complete(clock)
 	}
-	if cands, decision := p.candidates(key, false); decision != "owner" || cands[0] != owner {
+	if cands, decision := p.candidates(key, false); decision != routeOwner || cands[0] != owner {
 		t.Fatalf("burst completed: routed %q to %s with nothing in flight at owner %s (its n_avg %.2f)",
 			decision, cands[0].Name, owner.Name, owner.navg(clock))
 	}
@@ -207,7 +207,7 @@ func TestOwnerLeadingAtCeilingIsNotASpill(t *testing.T) {
 			b.arrive(clock)
 		}
 	}
-	if cands, decision := p.candidates(key, false); decision != "owner" || cands[0] != owner {
+	if cands, decision := p.candidates(key, false); decision != routeOwner || cands[0] != owner {
 		t.Fatalf("every backend at the ceiling, owner least loaded: routed %q to %s, want owner %s",
 			decision, cands[0].Name, owner.Name)
 	}

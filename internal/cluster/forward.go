@@ -15,6 +15,7 @@ import (
 // part of the request — body read, the cluster.forward site, routing,
 // forward and relay — inside the shared envelope.
 func (p *Proxy) unary(route string) http.Handler {
+	memo := &keyMemo{route: route}
 	return p.Wrap(route, func(w http.ResponseWriter, r *http.Request) error {
 		body, err := service.ReadBody(r)
 		if err != nil {
@@ -23,13 +24,13 @@ func (p *Proxy) unary(route string) http.Handler {
 		if err := p.forwardFault(r); err != nil {
 			return err
 		}
-		cands, decision := p.candidates(affinityKey(route, r, body), false)
+		cands, decision := p.candidates(memo.key(r, body), false)
 		if len(cands) == 0 {
 			return p.shedNoBackend()
 		}
 		// The routing decision as a zero-duration marker span: which rule
 		// won and which backend leads the candidate order.
-		trace.Add(r.Context(), "route", cands[0].tag(decision), 0, 0)
+		trace.Add(r.Context(), "route", cands[0].note(decision), 0, 0)
 		x := unaryExchange(r, body)
 		res, err := p.sequential(r.Context(), cands, &x, r.URL.RequestURI())
 		if err != nil {
@@ -136,13 +137,13 @@ func (p *Proxy) tryBackend(ctx context.Context, b *Backend, x *exchange) (*reply
 		if ctx.Err() != nil {
 			// A caller that disconnected or ran out of deadline says
 			// nothing about the backend's health.
-			p.requests.With(b.Name, "canceled").Inc()
-			trace.Add(ctx, "forward", b.tag("canceled"), 0, elapsed)
+			p.requests.With(b.Name, outcomeCanceled.String()).Inc()
+			trace.Add(ctx, "forward", b.note(outcomeCanceled), 0, elapsed)
 			return nil, err
 		}
 		b.failure(p.cfg.Now())
-		p.requests.With(b.Name, "error").Inc()
-		trace.Add(ctx, "forward", b.tag("error"), 0, elapsed)
+		p.requests.With(b.Name, outcomeError.String()).Inc()
+		trace.Add(ctx, "forward", b.note(outcomeError), 0, elapsed)
 		return nil, err
 	}
 	// Any HTTP response — a shed, even a 500 — proves the process is alive;
@@ -150,23 +151,23 @@ func (p *Proxy) tryBackend(ctx context.Context, b *Backend, x *exchange) (*reply
 	b.success()
 	p.latency.With(b.Name).Observe(elapsed.Seconds())
 	outcome := outcomeOf(res.status)
-	p.requests.With(b.Name, outcome).Inc()
+	p.requests.With(b.Name, outcome.String()).Inc()
 	// Forward attempts are leaf spans with the measured wall time; they
 	// run one after another, so they sum to at most the request's W.
-	trace.Add(ctx, "forward", b.tag(outcome), 0, elapsed)
+	trace.Add(ctx, "forward", b.note(outcome), 0, elapsed)
 	return res, nil
 }
 
-func outcomeOf(status int) string {
+func outcomeOf(status int) word {
 	switch {
 	case status == http.StatusTooManyRequests:
-		return "shed"
+		return outcomeShed
 	case status >= 200 && status < 300:
-		return "ok"
+		return outcomeOK
 	case status >= 500:
-		return "server_error"
+		return outcomeServerError
 	default:
-		return "client_error"
+		return outcomeClientError
 	}
 }
 

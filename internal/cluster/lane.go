@@ -6,9 +6,14 @@
 // idle-connection cap, one small pool per backend.
 //
 // What keeps it honest:
-//   - A reused connection the backend has since closed fails before any
-//     response byte arrives. That exchange is replayed once on a fresh
-//     dial (net/http's rule; every /v1 verb is read-only). A fresh
+//   - A connection idle longer than laneIdleTimeout is closed, not reused:
+//     llserved closes its own idle connections later than that.
+//   - A reused connection that fails before any response byte arrives was
+//     closed by the backend while it sat idle; the exchange is replayed
+//     once on a fresh dial. Unlike net/http, which replays a request it
+//     has written only when the method is idempotent, the lane replays any
+//     method: every request the proxy forwards is idempotent (analyses
+//     only read; a /v1/faults POST sets a configuration). A fresh
 //     connection is never replayed: its failure is the backend's.
 //   - A caller's cancellation sets a past deadline on the connection, which
 //     ends any blocked read or write at once. A connection whose cancel
@@ -37,6 +42,11 @@ import (
 // busy at the ceiling re-dials nothing.
 const laneMaxIdle = 64
 
+// laneIdleTimeout is how long a connection may sit in the pool: net/http's
+// default, below llserved's own two-minute idle timeout, so the backend
+// rarely closes a connection the lane still holds.
+const laneIdleTimeout = 90 * time.Second
+
 // laneDialTimeout bounds one connect, as net/http's default transport does.
 const laneDialTimeout = 30 * time.Second
 
@@ -56,8 +66,9 @@ type lane struct {
 
 type laneConn struct {
 	net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	since time.Time // when it last went idle
 }
 
 // exchange is one request to a backend. The lane sends Host and User-Agent,
@@ -200,8 +211,13 @@ func (x *exchange) write(bw *bufio.Writer, host string) error {
 }
 
 // readBody reads an answer's whole body: into one buffer of the declared
-// length when there is one, else to the end of the chunked stream.
+// length when there is one, else to the end of the chunked stream. An
+// answer without a body (to HEAD, or a 204 or 304) reads as empty, whatever
+// its Content-Length says.
 func readBody(resp *http.Response) ([]byte, error) {
+	if resp.Body == http.NoBody {
+		return nil, nil
+	}
 	if n := resp.ContentLength; n >= 0 && n <= 1<<20 {
 		body := make([]byte, n)
 		_, err := io.ReadFull(resp.Body, body)
@@ -210,23 +226,39 @@ func readBody(resp *http.Response) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// get pops the most recently used idle connection, or returns nil.
+// get pops the most recently used idle connection, or returns nil. Those
+// idle past laneIdleTimeout — the oldest, at the front — are closed.
 func (l *lane) get() *laneConn {
+	cutoff := time.Now().Add(-laneIdleTimeout)
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.idle)
-	if n == 0 {
-		return nil
+	old := 0
+	for old < len(l.idle) && l.idle[old].since.Before(cutoff) {
+		old++
 	}
-	c := l.idle[n-1]
-	l.idle[n-1] = nil
-	l.idle = l.idle[:n-1]
+	var expired []*laneConn
+	if old > 0 {
+		expired = append(expired, l.idle[:old]...)
+		n := copy(l.idle, l.idle[old:])
+		clear(l.idle[n:])
+		l.idle = l.idle[:n]
+	}
+	var c *laneConn
+	if n := len(l.idle); n > 0 {
+		c = l.idle[n-1]
+		l.idle[n-1] = nil
+		l.idle = l.idle[:n-1]
+	}
+	l.mu.Unlock()
+	for _, e := range expired {
+		e.Close()
+	}
 	return c
 }
 
 // release pools c when reusable and there is room, and closes it otherwise.
 func (l *lane) release(c *laneConn, reusable bool) {
 	if reusable {
+		c.since = time.Now()
 		l.mu.Lock()
 		if !l.closed && len(l.idle) < laneMaxIdle {
 			l.idle = append(l.idle, c)

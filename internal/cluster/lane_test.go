@@ -502,3 +502,80 @@ func TestLaneKeepsBackendPathPrefix(t *testing.T) {
 		t.Fatalf("backend saw %v, want %v", got, want)
 	}
 }
+
+// TestLaneHeadAnswer: GET routes also match HEAD. The backend's answer to
+// a HEAD declares the Content-Length of the body it would send and sends
+// none; the lane reads it as an empty body, so the HEAD gets 200 from the
+// first backend — no breaker strike, no failover — and its connection
+// carries the next request.
+func TestLaneHeadAnswer(t *testing.T) {
+	s := newLaneStub(t, okHandler)
+	other := newLaneStub(t, okHandler)
+	p := newLaneProxy(t, s, other)
+	cands, _ := p.candidates("", false)
+	head, spare := s, other
+	if cands[0].Name == other.name {
+		head, spare = other, s
+	}
+	for i := 0; i < breakerFailures+1; i++ {
+		rec := serve(p, http.MethodHead, "/v1/platforms", "")
+		if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+			t.Fatalf("HEAD %d: %d %q, want 200 with no body", i, rec.Code, rec.Body)
+		}
+	}
+	// The backend does declare a length, so the empty-body rule is what
+	// the test exercises.
+	c, err := net.Dial("tcp", head.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fmt.Fprintf(c, "HEAD /v1/platforms HTTP/1.1\r\nHost: %s\r\n\r\n", head.name)
+	resp, err := http.ReadResponse(bufio.NewReader(c), &http.Request{Method: http.MethodHead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := resp.Header.Get("Content-Length"); v == "" || v == "0" {
+		t.Fatalf("backend's HEAD answer declares Content-Length %q; the test needs a positive one", v)
+	}
+
+	hb := p.backends[head.name]
+	hb.mu.Lock()
+	fails, st := hb.fails, hb.state
+	hb.mu.Unlock()
+	if fails != 0 || st != BreakerClosed {
+		t.Fatalf("breaker %v with %d fails after HEADs, want closed with 0", st, fails)
+	}
+	if got := spare.requests.Load(); got != 0 || p.failovers.Value() != 0 {
+		t.Fatalf("spare backend saw %d requests, failovers %d; want 0 and 0", got, p.failovers.Value())
+	}
+	if got := head.dials.Load(); got != 2 { // the lane's one connection and the test's own
+		t.Fatalf("%d connections to the backend, want 2: the lane's HEADs share one", got)
+	}
+}
+
+// TestLaneClosesConnectionsIdleTooLong: a pooled connection idle past
+// laneIdleTimeout is closed on the next take instead of being reused.
+func TestLaneClosesConnectionsIdleTooLong(t *testing.T) {
+	s := newLaneStub(t, okHandler)
+	p := newLaneProxy(t, s)
+	b := p.backends[s.name]
+	serve(p, http.MethodPost, "/v1/analyze", analyzeBody)
+	serve(p, http.MethodPost, "/v1/analyze", analyzeBody)
+	if got := s.dials.Load(); got != 1 {
+		t.Fatalf("%d dials for 2 forwards in a row, want 1", got)
+	}
+	b.lane.mu.Lock()
+	b.lane.idle[0].since = time.Now().Add(-laneIdleTimeout - time.Second)
+	b.lane.mu.Unlock()
+	if rec := serve(p, http.MethodPost, "/v1/analyze", analyzeBody); rec.Code != http.StatusOK {
+		t.Fatalf("forward: %d", rec.Code)
+	}
+	if got := s.dials.Load(); got != 2 {
+		t.Fatalf("%d dials, want 2: the connection idle too long is not reused", got)
+	}
+	waitFor(t, func() bool { return s.closed.Load() == 1 })
+	if n := idleConns(b); n != 1 {
+		t.Fatalf("%d idle connections, want 1", n)
+	}
+}

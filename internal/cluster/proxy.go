@@ -173,14 +173,12 @@ func New(cfg Config) (*Proxy, error) {
 			URL:      strings.TrimRight(raw, "/"),
 			lane:     lane{addr: addr, host: u.Host},
 			prefix:   strings.TrimRight(u.EscapedPath(), "/"),
-			tags:     make(map[string]string),
 			est:      queueing.NewEstimator(queueing.DefaultHalfLife, cfg.Now()),
 			cooldown: cfg.BreakerCooldown,
 			healthy:  true, // innocent until a probe or forward proves otherwise
 		}
-		for _, word := range []string{"ok", "shed", "client_error", "server_error", "error", "canceled", "stream",
-			"owner", "pinned", "spill", "degraded", "load"} {
-			b.tags[word] = name + " " + word
+		for w, s := range words {
+			b.notes[w] = name + " " + s
 		}
 		p.backends[name] = b
 		names = append(names, name)

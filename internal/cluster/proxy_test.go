@@ -318,7 +318,7 @@ func TestProxyFailoverOnServerError(t *testing.T) {
 			if got := p.failovers.Value(); got != 1 {
 				t.Fatalf("failovers = %d, want 1", got)
 			}
-			if got := p.requests.With(first.name, outcomeOf(code)).Value(); got != 1 {
+			if got := p.requests.With(first.name, outcomeOf(code).String()).Value(); got != 1 {
 				t.Fatalf("%s outcome for first candidate = %d, want 1", outcomeOf(code), got)
 			}
 		})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"sync"
 
 	"littleslaw/internal/brownout"
 	"littleslaw/internal/service"
@@ -22,12 +23,12 @@ import (
 // the broker's host — and only breaker or drain ineligibility reroutes
 // them.
 //
-// The decision string names which rule chose the head candidate — "owner"
+// The decision names which rule chose the head candidate — routeOwner
 // (affinity; also an owner at the ceiling that is still the least loaded),
-// "pinned", "spill" (owner at the ceiling, another backend leads),
-// "degraded" (owner browned out, fuller backend preferred), "load" (no
-// affinity identity) — and becomes the trace's route span.
-func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, string) {
+// routePinned, routeSpill (owner at the ceiling, another backend leads),
+// routeDegraded (owner browned out, fuller backend preferred), routeLoad
+// (no affinity identity) — and becomes the trace's route span.
+func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, word) {
 	now := p.cfg.Now()
 	type cand struct {
 		b        *Backend
@@ -52,7 +53,7 @@ func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, string) {
 		elig = append(elig, cand{b, b.load(), mode >= brownout.B2, draining})
 	}
 	if len(elig) == 0 {
-		return nil, ""
+		return nil, routeLoad
 	}
 	if drainingN > 0 && drainingN < len(elig) {
 		kept := elig[:0]
@@ -77,7 +78,7 @@ func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, string) {
 		out[i] = c.b
 	}
 	if key == "" {
-		return out, "load"
+		return out, routeLoad
 	}
 	owner, ok := p.ring.OwnerWhere(key, func(name string) bool {
 		for _, c := range elig {
@@ -88,7 +89,7 @@ func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, string) {
 		return false
 	})
 	if !ok {
-		return out, "load"
+		return out, routeLoad
 	}
 	oi := 0
 	for i, c := range elig {
@@ -103,15 +104,15 @@ func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, string) {
 		// list as a failover candidate — an approximate answer still beats
 		// none.
 		p.degradedReroutes.Inc()
-		return out, "degraded"
+		return out, routeDegraded
 	}
 	if !pinned && oi != 0 && elig[oi].load >= p.cfg.OccupancyCeiling {
 		// Join-least-loaded spillover: the owner is drowning and the
 		// sorted order already leads with a backend holding fewer; the
 		// owner stays available as a later failover candidate. An owner at
-		// the ceiling that still leads goes on as "owner" below.
+		// the ceiling that still leads goes on as routeOwner below.
 		p.overrides.Inc()
-		return out, "spill"
+		return out, routeSpill
 	}
 	if oi != 0 {
 		b := out[oi]
@@ -119,13 +120,52 @@ func (p *Proxy) candidates(key string, pinned bool) ([]*Backend, string) {
 		out[0] = b
 	}
 	if pinned {
-		return out, "pinned"
+		return out, routePinned
 	}
-	return out, "owner"
+	return out, routeOwner
+}
+
+// keyMemo remembers the affinity keys of one unary route's recent bodies.
+// Outside the tables route a key is a pure function of the body, and the
+// bodies worth routing by affinity are the ones that repeat, so the strict
+// decode and the key build (≈ 5 µs together) run once per distinct body
+// rather than once per request. It holds at most keyMemoMax bodies of up
+// to keyMemoBody bytes each, and starts over when full.
+type keyMemo struct {
+	route string
+	mu    sync.Mutex
+	keys  map[string]string // body → affinityKey
+}
+
+const (
+	keyMemoMax  = 1024
+	keyMemoBody = 1024
+)
+
+// key returns affinityKey(m.route, r, body), from the memo when it can.
+func (m *keyMemo) key(r *http.Request, body []byte) string {
+	if m.route == "tables" || len(body) > keyMemoBody {
+		return affinityKey(m.route, r, body)
+	}
+	m.mu.Lock()
+	k, ok := m.keys[string(body)]
+	m.mu.Unlock()
+	if ok {
+		return k
+	}
+	k = affinityKey(m.route, r, body)
+	m.mu.Lock()
+	if m.keys == nil || len(m.keys) >= keyMemoMax {
+		m.keys = make(map[string]string)
+	}
+	m.keys[string(body)] = k
+	m.mu.Unlock()
+	return k
 }
 
 // affinityKey derives the routing identity for a unary route from the
-// request. Undecodable or identity-free requests return "": routed by
+// request: the tables route's from its URL, every other route's from its
+// body alone. Undecodable or identity-free requests return "": routed by
 // load, and the backend produces the proper error.
 func affinityKey(route string, r *http.Request, body []byte) string {
 	switch route {

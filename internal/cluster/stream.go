@@ -53,7 +53,7 @@ func (p *Proxy) forwardStream(w http.ResponseWriter, r *http.Request, key string
 		return p.shedNoBackend()
 	}
 	b := cands[0]
-	trace.Add(r.Context(), "route", b.tag(decision), 0, 0)
+	trace.Add(r.Context(), "route", b.note(decision), 0, 0)
 	x := &exchange{
 		method:      r.Method,
 		target:      b.prefix + r.URL.RequestURI(),
@@ -67,16 +67,16 @@ func (p *Proxy) forwardStream(w http.ResponseWriter, r *http.Request, key string
 		if r.Context().Err() == nil {
 			b.failure(p.cfg.Now())
 		}
-		p.requests.With(b.Name, "error").Inc()
-		trace.Add(r.Context(), "forward", b.tag("error"), 0, time.Since(connStart))
+		p.requests.With(b.Name, outcomeError.String()).Inc()
+		trace.Add(r.Context(), "forward", b.note(outcomeError), 0, time.Since(connStart))
 		return service.Fail(http.StatusBadGateway, fmt.Errorf("stream to %s failed: %v", b.Name, err), 0)
 	}
 	defer done()
 	b.success()
-	p.requests.With(b.Name, "stream").Inc()
+	p.requests.With(b.Name, outcomeStream.String()).Inc()
 	// Connection setup only: the stream's lifetime is its client's, not a
 	// latency worth decomposing (mirrors the occupancy exclusion above).
-	trace.Add(r.Context(), "forward", b.tag("stream"), 0, time.Since(connStart))
+	trace.Add(r.Context(), "forward", b.note(outcomeStream), 0, time.Since(connStart))
 
 	service.HardenHeaders(w.Header(), resp.Header.Get("Content-Type"), true)
 	w.WriteHeader(resp.StatusCode)
