@@ -258,9 +258,9 @@ func (l *lane) get() *laneConn {
 // release pools c when reusable and there is room, and closes it otherwise.
 func (l *lane) release(c *laneConn, reusable bool) {
 	if reusable {
-		c.since = time.Now()
 		l.mu.Lock()
 		if !l.closed && len(l.idle) < laneMaxIdle {
+			c.since = time.Now() // under the lock, so idle stays in since order
 			l.idle = append(l.idle, c)
 			l.mu.Unlock()
 			return
